@@ -108,6 +108,9 @@ def transmit_image(rgb, cfg, clamp=True):
 
 
 def derive_seed(*entropy):
-    """Stable 64-bit seed from a tuple of integers (master seed, indices...)."""
-    ss = np.random.SeedSequence([int(e) & 0xFFFFFFFF for e in entropy])
+    """Stable 64-bit seed from a tuple of non-negative integers (master seed, indices...).
+
+    Integers of any size are taken whole; a negative one raises ValueError.
+    """
+    ss = np.random.SeedSequence([int(e) for e in entropy])
     return int(ss.generate_state(2, np.uint32).view(np.uint64)[0])

@@ -196,35 +196,36 @@ class SamplerConfig:
     guidance_scale: float = 2.0
     seed: int = 7
     steps: int = 0               # 0 means the full schedule
-    cond_drop_prob: float = 0.2  # training-time null-conditioning rate
     clip_x0: bool = False
 
     def __post_init__(self):
         if self.guidance_scale < 0:
             raise DiffusionError(f"guidance scale must be >= 0, got {self.guidance_scale}")
-        if not 0.0 <= self.cond_drop_prob <= 1.0:
-            raise DiffusionError(f"cond_drop_prob must lie in [0, 1], got {self.cond_drop_prob}")
 
 
 def null_condition(y):
-    """The null label: an all-zero semantic stack."""
-    return np.zeros_like(np.asarray(y))
+    """The null label: an all-zero semantic stack of batch 1, shared by every sample."""
+    y = np.asarray(y)
+    return np.zeros((1,) + y.shape[1:], dtype=y.dtype)
 
 
 def guided_eps(model, x_t, y, t, s):
     """Classifier-free guidance: eps_c + s * (eps_c - eps_u).
 
     Returns (eps_hat, var_raw) as arrays; the variance comes from the
-    conditional pass. s=0 never evaluates the unconditional branch, so it is
-    bitwise identical to conditional-only prediction.
+    conditional pass. The encoder never sees the stack, so x_t is encoded
+    once and only the decoder runs per branch. s=0 never evaluates the
+    unconditional branch, so it is bitwise identical to conditional-only
+    prediction.
     """
     if s < 0:
         raise DiffusionError(f"guidance scale must be >= 0, got {s}")
     with T.no_grad():
-        eps_c, var_raw = model.forward(x_t, y, t)
+        features = model.encode(x_t, t)
+        eps_c, var_raw = model.decode(features, y)
         if s == 0:
             return eps_c.data, var_raw.data
-        eps_u, _ = model.forward(x_t, null_condition(y), t)
+        eps_u, _ = model.decode(features, null_condition(y))
     return eps_c.data + s * (eps_c.data - eps_u.data), var_raw.data
 
 

@@ -545,9 +545,8 @@ def conv2d(x, w, b=None, stride=1, pad="same"):
         raise TensorError(f"conv2d: bias shape {b.shape} does not match {f} filters")
     p = _pad_amount(kh, pad, "conv2d")
     s = stride
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
-    ho = (xp.shape[2] - kh) // s + 1
-    wo = (xp.shape[3] - kw) // s + 1
+    ho = (h + 2 * p - kh) // s + 1
+    wo = (wd + 2 * p - kw) // s + 1
     if ho < 1 or wo < 1:
         raise TensorError(f"conv2d: kernel {kh} too large for input {x.shape} with pad={pad}")
     # channels-first patch matrix [C*k*k, N*M]: the transpose is paid once on

@@ -275,6 +275,9 @@ class Trainer:
 
     def restore(self, path):
         arrays, manifest = load_checkpoint(path)
+        if manifest["config_hash"] != self.config_hash:
+            raise TrainError(f"checkpoint config hash {manifest['config_hash']!r} does not match "
+                             f"this run's {self.config_hash!r}")
         extra = manifest["extra"]
         if extra.get("ema"):
             raise TrainError("cannot resume from an EMA-only checkpoint")

@@ -8,6 +8,14 @@ The semantic stack conditions the decoder only; the encoder never sees it.
 
 Two output heads of the input image shape: predicted noise and raw variance
 coefficients. Both final projections are zero-initialized.
+
+`UNet.forward` is `decode(encode(x_t, t), y)`. `encode` runs the time
+embedding, the encoder and the mid block; `decode` runs the SPADE decoder and
+the output heads on those features and leaves them intact, so one encoding
+can be decoded under several stacks (the conditional and the null branch of
+classifier-free guidance). A stack of batch 1 conditions every sample of the
+batch: SPADE computes its scale and shift at batch 1 and broadcasts them over
+the activations.
 """
 from __future__ import annotations
 
@@ -171,14 +179,18 @@ class Spade:
         self.beta_w, self.beta_b = store.conv(f"{name}.beta", channels, hidden, 3, init="zero")
 
     def __call__(self, a, y):
+        """a: activations [N, C, H, W]; y: semantic stack of batch N or 1."""
         if y.shape[2:] != a.shape[2:]:
             raise ValueError(
                 f"SPADE conditioning resolution {y.shape[2:]} does not match activation {a.shape[2:]}")
         norm = T.group_norm(a, self.groups)
         s = T.silu(_conv(y, self.shared_w, self.shared_b))
-        gamma = _conv(s, self.gamma_w, self.gamma_b)
+        scale = T.add(_conv(s, self.gamma_w, self.gamma_b), 1.0)
         beta = _conv(s, self.beta_w, self.beta_b)
-        return T.add(T.mul(norm, T.add(gamma, 1.0)), beta)
+        if scale.shape != norm.shape:
+            scale = T.broadcast_to(scale, norm.shape)
+            beta = T.broadcast_to(beta, norm.shape)
+        return T.add(T.mul(norm, scale), beta)
 
 
 class ResBlock:
@@ -367,16 +379,15 @@ class UNet:
 
     def forward(self, x_t, y, t):
         """Returns (eps_pred, var_raw), each shaped like the input image batch."""
+        return self.decode(self.encode(x_t, t), y)
+
+    def encode(self, x_t, t):
+        """Time embedding, encoder and mid block: returns (h, skips, temb)."""
         cfg = self.config
         x = x_t if isinstance(x_t, Tensor) else Tensor(np.asarray(x_t, dtype=np.float32))
         if x.ndim != 4 or x.shape[1] != cfg.in_channels or x.shape[2] != cfg.image_size:
             raise ValueError(f"input shape {x.shape} does not match config "
                              f"[N,{cfg.in_channels},{cfg.image_size},{cfg.image_size}]")
-        y = np.asarray(y, dtype=np.float32)
-        if y.shape != (x.shape[0], cfg.cond_channels, cfg.image_size, cfg.image_size):
-            raise ValueError(f"conditioning shape {y.shape} does not match "
-                             f"[N,{cfg.cond_channels},{cfg.image_size},{cfg.image_size}]")
-        cond = self._cond_pyramid(y)
         with T.scope("time"):
             temb = self.time(t)
 
@@ -384,28 +395,42 @@ class UNet:
         with T.scope("enc.in"):
             h = _conv(x, self.in_w, self.in_b)
         skips.append(h)
-        res = cfg.image_size
         for idx, block in enumerate(self.enc):
             with T.scope(f"enc.{idx}"):
                 for mod in block:
                     h = mod(h, temb) if isinstance(mod, ResBlock) else mod(h)
-            if isinstance(block[0], Downsample):
-                res //= 2
             skips.append(h)
         with T.scope("mid"):
             for mod in self.mid:
                 h = mod(h, temb) if isinstance(mod, ResBlock) else mod(h)
+        return h, skips, temb
+
+    def decode(self, features, y):
+        """SPADE decoder and output heads on `encode` features, which it leaves intact.
+
+        y is the semantic stack, of the features' batch or of batch 1.
+        Returns (eps_pred, var_raw).
+        """
+        cfg = self.config
+        h, skips, temb = features
+        y = np.asarray(y, dtype=np.float32)
+        if (y.shape[1:] != (cfg.cond_channels, cfg.image_size, cfg.image_size)
+                or y.shape[0] not in (1, h.shape[0])):
+            raise ValueError(f"conditioning shape {y.shape} does not match "
+                             f"[N or 1,{cfg.cond_channels},{cfg.image_size},{cfg.image_size}]")
+        cond = self._cond_pyramid(y)
+        skip = reversed(skips)
         for i, level, up in self.dec:
             y_i = cond[cfg.level_resolutions[i]]
             for j, block in enumerate(level):
                 with T.scope(f"dec.l{i}.b{j}"):
-                    h = T.concat([h, skips.pop()], axis=1)
+                    h = T.concat([h, next(skip)], axis=1)
                     for mod in block:
                         h = mod(h, temb, y_i) if isinstance(mod, ResBlock) else mod(h)
             if up is not None:
                 with T.scope(f"dec.l{i}.up"):
                     h = up(h)
-        assert not skips
+        assert next(skip, None) is None
         with T.scope("out"):
             h = T.silu(T.group_norm(h, cfg.groups))
             h = _conv(h, self.out_w, self.out_b)

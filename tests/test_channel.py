@@ -148,3 +148,10 @@ class TestTransmitImage:
 def test_derive_seed_stable_and_distinct():
     assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
     assert derive_seed(1, 2, 3) != derive_seed(1, 2, 4)
+    assert derive_seed(1, 2, 3) == 12997252459554536576  # seeds in use keep their values
+
+
+def test_derive_seed_takes_whole_integers():
+    assert derive_seed(1, 2**32) != derive_seed(1, 0)
+    with pytest.raises(ValueError):
+        derive_seed(1, -1)

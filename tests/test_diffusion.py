@@ -22,7 +22,8 @@ from semcom.unet import ModelConfig, UNet
 
 
 class StubModel:
-    """Fixed-response model for loss/guidance contracts."""
+    """Fixed-response model for loss/guidance contracts, with the UNet's
+    encode/decode protocol: the features are (x, t)."""
 
     def __init__(self, eps_fn, var_fn, image_size=8, channels=3, cond_channels=2):
         self.eps_fn = eps_fn
@@ -31,12 +32,20 @@ class StubModel:
                                   cond_channels=cond_channels, base_channels=8,
                                   channel_multipliers=(1,), attention_resolutions=(),
                                   head_channels=8, spade_hidden=8)
-        self.calls = []
+        self.encodes = 0
+        self.decodes = []  # the stack of each decode call
+
+    def encode(self, x_t, t):
+        self.encodes += 1
+        return np.asarray(x_t.data if isinstance(x_t, Tensor) else x_t), t
+
+    def decode(self, features, y):
+        x, t = features
+        self.decodes.append(np.asarray(y).copy())
+        return Tensor(self.eps_fn(x, y, t)), Tensor(self.var_fn(x, y, t))
 
     def forward(self, x_t, y, t):
-        x = np.asarray(x_t.data if isinstance(x_t, Tensor) else x_t)
-        self.calls.append(np.asarray(y).copy())
-        return Tensor(self.eps_fn(x, y, t)), Tensor(self.var_fn(x, y, t))
+        return self.decode(self.encode(x_t, t), y)
 
 
 class TestBuildSchedule:
@@ -206,7 +215,7 @@ class TestGuidedEps:
         y = np.ones((1, 2, 8, 8), np.float32)
         eps, _ = guided_eps(model, x, y, np.array([1]), 0.0)
         assert np.all(eps == 1.0)
-        assert len(model.calls) == 1  # the null branch is never evaluated
+        assert len(model.decodes) == 1  # the null branch is never evaluated
 
     def test_equal_estimates_collapse(self):
         model = self._model(cond_val=0.7, uncond_val=0.7)
@@ -222,6 +231,8 @@ class TestGuidedEps:
         y = np.ones((1, 2, 8, 8), np.float32)
         eps, _ = guided_eps(model, x, y, np.array([1]), 1.0)
         assert np.allclose(eps, 2 * 1.0 - 0.25)
+        assert model.encodes == 1  # both branches decode one encoding
+        assert len(model.decodes) == 2
 
     def test_affine_in_s(self):
         rng = np.random.default_rng(5)
@@ -275,6 +286,34 @@ class TestPSampleLoop:
             mean = eps_to_mean(e.data, x, t, sched)
             if i > 0:
                 z = rng.standard_normal(x.shape, dtype=np.float32)
+                x = (mean + np.exp(0.5 * mlv(v.data, t, sched)) * z).astype(np.float32)
+            else:
+                x = mean.astype(np.float32)
+        assert np.array_equal(out, x)
+
+    def test_guided_sampler_matches_two_forward_recursion(self):
+        """Oracle: two full forwards per step, the null branch on a full-batch zero stack."""
+        model = UNet(self.UNET_CFG, seed=4)
+        rng = np.random.default_rng(40)
+        for p in model.params.values():  # nonzero heads, so both branches matter
+            p.data = rng.normal(0, 0.05, p.shape).astype(np.float32)
+        sched = build_schedule(10, 1e-3, 0.1)
+        y = (rng.uniform(size=(3, 2, 8, 8)) < 0.4).astype(np.float32)
+        s = 1.5
+        out = p_sample_loop(model, y, sched, SamplerConfig(guidance_scale=s, seed=9))
+
+        from semcom.diffusion import eps_to_mean, model_log_variance as mlv
+        draws = np.random.Generator(np.random.Philox(key=np.uint64(9)))
+        x = draws.standard_normal((3, 3, 8, 8), dtype=np.float32)
+        for i in reversed(range(10)):
+            t = np.full(3, i + 1)
+            with T.no_grad():
+                e_c, v = model.forward(x, y, t)
+                e_u, _ = model.forward(x, np.zeros_like(y), t)
+            assert not np.array_equal(e_c.data, e_u.data)
+            mean = eps_to_mean(e_c.data + s * (e_c.data - e_u.data), x, t, sched)
+            if i > 0:
+                z = draws.standard_normal(x.shape, dtype=np.float32)
                 x = (mean + np.exp(0.5 * mlv(v.data, t, sched)) * z).astype(np.float32)
             else:
                 x = mean.astype(np.float32)

@@ -24,7 +24,7 @@ TINY_DATA = ShapesSpec(canvas=16, palette=((0.1, 0.1, 0.12), (0.9, 0.15, 0.15), 
                        shapes_min=1, shapes_max=2, seed=5)
 
 
-def _trainer(steps_seed=0, **kw):
+def _trainer(steps_seed=0, config_hash="testhash", **kw):
     defaults = dict(batch_size=2, learning_rate=3e-4, steps=10, ema_decay=0.99,
                     seed=steps_seed, psnr_pool=(10.0, 100.0), psnr_weights=(1.0, 1.0))
     defaults.update(kw)
@@ -32,7 +32,7 @@ def _trainer(steps_seed=0, **kw):
     model = UNet(TINY_MODEL, seed=steps_seed)
     sched = build_schedule(20, 1e-3, 0.1)
     pairs = generate_shapes(TINY_DATA, 8)
-    return Trainer(model, sched, cfg, pairs, config_hash="testhash")
+    return Trainer(model, sched, cfg, pairs, config_hash=config_hash)
 
 
 class TestSampleChannelCondition:
@@ -197,6 +197,18 @@ class TestCheckpointResume:
         assert set(arrays) == set(tr.model.params)
         for name in arrays:
             assert np.array_equal(arrays[name], tr.ema[name].astype(np.float32))
+
+    def test_resume_under_other_config_hash_rejected(self, tmp_path):
+        a = _trainer(10, config_hash="a")
+        a.train_step()
+        a.save(tmp_path / "a.ckpt")
+        b = _trainer(10, config_hash="b")
+        before = {k: v.data.copy() for k, v in b.model.params.items()}
+        with pytest.raises(TrainError, match="config hash"):
+            b.restore(tmp_path / "a.ckpt")
+        assert b.step_index == 0 and b.opt.t == 0
+        for name, arr in before.items():
+            assert np.array_equal(arr, b.model.params[name].data), name
 
     def test_resume_from_ema_rejected(self, tmp_path):
         tr = _trainer(9)

@@ -281,6 +281,19 @@ class TestUNet:
             model.forward(x, y[:, :2], t)
         with pytest.raises(ValueError, match="input shape"):
             model.forward(x[:, :1], y, t)
+        with pytest.raises(ValueError, match="conditioning"):
+            model.forward(x, y[:1].repeat(3, axis=0), t)  # neither batch 1 nor N
+
+    def test_batch1_stack_decodes_like_repeated_stack(self):
+        model = UNet(TOY, seed=12)
+        _randomize(model, seed=120)
+        x, y, t = self._inputs(n=3)
+        with T.no_grad():
+            features = model.encode(x, t)
+            one = model.decode(features, y[:1])
+            full = model.decode(features, np.repeat(y[:1], 3, axis=0))
+        for a, b in zip(one, full):
+            assert np.array_equal(a.data, b.data)
 
     def test_nan_input_aborts_with_layer_name(self):
         model = UNet(TOY, seed=9)

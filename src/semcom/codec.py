@@ -24,6 +24,7 @@ import numpy as np
 
 MAGIC = b"SCPM"
 VERSION = 1
+MAX_PIXELS = 1 << 24  # largest height * width that rle_unpack decodes
 
 
 class CodecError(ValueError):
@@ -139,12 +140,17 @@ def stack_to_map(stack):
     return np.asarray(stack.present_classes, dtype=np.int32)[idx]
 
 
+def pad_planes(planes, present_classes, c_total):
+    """Place C_p planes at their class ids in a C_total stack of zero planes."""
+    full = np.zeros((c_total,) + planes.shape[1:], dtype=planes.dtype)
+    full[list(present_classes)] = planes
+    return full
+
+
 def pad_stack(stack, planes=None):
     """Expand C_p planes to the full C_total stack, zeros for absent classes."""
     src = stack.planes if planes is None else planes
-    full = np.zeros((stack.c_total,) + src.shape[1:], dtype=src.dtype)
-    full[list(stack.present_classes)] = src
-    return full
+    return pad_planes(src, stack.present_classes, stack.c_total)
 
 
 # -- run-length wire format ------------------------------------------------------
@@ -162,16 +168,15 @@ def plane_runs(plane):
     return runs
 
 
-def _varint(n):
-    out = bytearray()
-    while True:
-        b = n & 0x7F
-        n >>= 7
-        if n:
-            out.append(b | 0x80)
-        else:
-            out.append(b)
-            return bytes(out)
+def _varints(values):
+    """Concatenated LEB128 varints (7 bits per byte, low group first) of
+    non-negative integers."""
+    v = np.asarray(values, dtype=np.int64)
+    count = 1 + sum((v >> s) > 0 for s in range(7, 63, 7))  # bytes per value
+    col = np.arange(int(count.max()))
+    groups = (v[:, None] >> (7 * col)) & 0x7F
+    groups |= np.where(col < count[:, None] - 1, 0x80, 0)
+    return groups[col < count[:, None]].astype(np.uint8).tobytes()
 
 
 def _read_varint(buf, pos):
@@ -192,27 +197,23 @@ def _read_varint(buf, pos):
 
 def encode_plane(plane):
     """Varint run list for one plane, terminated by a zero-length sentinel."""
-    out = bytearray()
-    for r in plane_runs(plane):
-        out += _varint(r)
-    out += _varint(0)
-    return bytes(out)
+    return _varints(plane_runs(plane) + [0])
 
 
 def decode_plane(buf, pos, height, width):
     n = height * width
     runs = []
-    first = True
+    total = 0
     while True:
         r, pos = _read_varint(buf, pos)
-        if r == 0 and not first:
+        if r == 0 and runs:
             break
         runs.append(r)
-        first = False
-        if sum(runs) > n:
+        total += r
+        if total > n:
             raise FormatError("plane runs exceed plane size")
-    if sum(runs) != n:
-        raise FormatError(f"plane runs cover {sum(runs)} of {n} pixels")
+    if total != n:
+        raise FormatError(f"plane runs cover {total} of {n} pixels")
     values = np.resize(np.array([0, 1], dtype=np.uint8), len(runs))
     plane = np.repeat(values, runs).reshape(height, width)
     return plane, pos
@@ -231,6 +232,11 @@ def rle_unpack(payload):
     """Exact inverse of rle_pack."""
     if isinstance(payload, (bytes, bytearray)):
         payload = TransmitPayload.from_bytes(payload)
+    pixels = payload.height * payload.width
+    if pixels > MAX_PIXELS:
+        raise FormatError(f"{payload.height}x{payload.width} map exceeds {MAX_PIXELS} pixels")
+    if pixels and not payload.present_classes:
+        raise FormatError("no class planes for a non-empty map")
     planes = []
     pos = 0
     for _ in payload.present_classes:

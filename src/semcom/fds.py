@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import codec
 from . import tensor as T
 
 
@@ -69,18 +70,14 @@ def fds(noisy_planes, present_classes, c_total, cfg=FdsConfig()):
         winner = np.argmax(pooled, axis=0)  # ties to the lower class id
         bits = np.zeros_like(bits)
         np.put_along_axis(bits, winner[None], 1, axis=0)
-    full = np.zeros((c_total,) + planes.shape[1:], dtype=np.uint8)
-    full[present] = bits
-    return full
+    return codec.pad_planes(bits, present, c_total)
 
 
 def naive_threshold(raw_planes, present_classes, c_total, threshold=0.5):
     """Baseline receiver: 0.5-threshold the raw planes, no pooling, no rescale."""
     planes = np.asarray(raw_planes, dtype=np.float64)
     bits = (planes > threshold).astype(np.uint8)
-    full = np.zeros((c_total,) + planes.shape[1:], dtype=np.uint8)
-    full[list(present_classes)] = bits
-    return full
+    return codec.pad_planes(bits, present_classes, c_total)
 
 
 def stack_agreement(a, b):

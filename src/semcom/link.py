@@ -32,7 +32,7 @@ def transmit_map(class_map, c_total, cfg, power=1.0):
     frame = codec.power_normalize(stack, power)
     noisy = ch.transmit(frame, cfg)
     raw = noisy.reshape(stack.planes.shape)
-    planes = raw / frame.scale
+    planes = codec.inverse_normalize(raw, frame.scale)
     return LinkResult(stack, payload.bit_count, raw, planes)
 
 
@@ -45,6 +45,4 @@ def receiver_condition(link, c_total, fds_cfg=None):
     if fds_cfg is not None:
         full = fds_mod.fds(link.received_planes, link.stack.present_classes, c_total, fds_cfg)
         return full.astype(np.float32)
-    full = np.zeros((c_total,) + link.received_planes.shape[1:], dtype=np.float32)
-    full[list(link.stack.present_classes)] = link.received_planes.astype(np.float32)
-    return full
+    return codec.pad_planes(link.received_planes.astype(np.float32), link.stack.present_classes, c_total)

@@ -1,19 +1,21 @@
 """Minimal numpy-backed tensors with reverse-mode automatic differentiation.
 
 Supplies exactly the operations the conditional U-Net and its losses need:
-conv2d, group_norm, avg/max pooling, SiLU, softmax, (batched) matmul, a
-handful of elementwise/reduction/shape ops, and an explicit broadcast_to.
-Binary arithmetic requires matching shapes or a python scalar; everything
-else goes through broadcast_to so the gradient surface stays small.
+conv2d, group_norm, SiLU, softmax, (batched) matmul, a handful of
+elementwise/reduction/shape ops, and an explicit broadcast_to. Binary
+arithmetic requires matching shapes or a python scalar; everything else goes
+through broadcast_to so the gradient surface stays small. Avg/max pooling
+(used by the receiver's map denoiser) is forward only and refuses an input
+that would need a gradient.
 
 Training runs in float32; gradient checking promotes to float64.
 """
 from __future__ import annotations
 
 import contextlib
+import functools
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class TensorError(ValueError):
@@ -492,39 +494,6 @@ def _pad_amount(kernel, pad, op):
     raise TensorError(f"{op}: pad must be 'same' or 'valid', got {pad!r}")
 
 
-def _windows(padded, k, stride):
-    # [N, C, Ho, Wo, k, k] view over the padded input
-    w = sliding_window_view(padded, (k, k), axis=(2, 3))
-    return w[:, :, ::stride, ::stride, :, :]
-
-
-def _fold_edge_padding(gp, p):
-    """Fold gradient mass in replicate-padding margins back onto the edges."""
-    if p == 0:
-        return gp
-    gp[:, :, p, :] += gp[:, :, :p, :].sum(axis=2)
-    gp[:, :, -p - 1, :] += gp[:, :, -p:, :].sum(axis=2)
-    gp = gp[:, :, p:-p, :]
-    gp[:, :, :, p] += gp[:, :, :, :p].sum(axis=3)
-    gp[:, :, :, -p - 1] += gp[:, :, :, -p:].sum(axis=3)
-    return gp[:, :, :, p:-p]
-
-
-def _scatter_windows(gwin, in_shape, p, k, stride, mode):
-    """Accumulate per-window gradients [N,C,Ho,Wo,k,k] back to the input."""
-    n, c, h, w = in_shape
-    gp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=gwin.dtype)
-    ho, wo = gwin.shape[2], gwin.shape[3]
-    for i in range(k):
-        for j in range(k):
-            gp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += gwin[:, :, :, :, i, j]
-    if p == 0:
-        return gp
-    if mode == "edge":
-        return _fold_edge_padding(gp, p)
-    return gp[:, :, p:-p, p:-p]
-
-
 # -- conv2d ----------------------------------------------------------------------
 
 def conv2d(x, w, b=None, stride=1, pad="same"):
@@ -563,9 +532,11 @@ def conv2d(x, w, b=None, stride=1, pad="same"):
 
     def pad_cn(arr):
         xcn = arr.transpose(1, 0, 2, 3)
-        if p:
-            return np.pad(xcn, ((0, 0), (0, 0), (p, p), (p, p)))
-        return np.ascontiguousarray(xcn)
+        if not p:
+            return np.ascontiguousarray(xcn)
+        padded = np.zeros((c, n, h + 2 * p, wd + 2 * p), dtype=arr.dtype)
+        padded[:, :, p:-p, p:-p] = xcn
+        return padded
 
     xcn = pad_cn(x.data)
     cols2 = im2col_cn(xcn)
@@ -605,11 +576,32 @@ def conv2d(x, w, b=None, stride=1, pad="same"):
 
 # -- pooling -----------------------------------------------------------------------
 
-def pool2d(x, kind, kernel, stride=1, pad="same"):
-    """Window-wise mean or max.
+def _pairwise_sum(terms):
+    """Sum equal-shape arrays in the order numpy's pairwise summation adds a
+    reduction of len(terms) values, so the result matches a `sum`/`mean` over
+    a stacked axis of those values bit for bit."""
+    n = len(terms)
+    if n < 8:
+        return functools.reduce(np.add, terms)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        acc = _pairwise_sum(terms[:half])
+        acc += _pairwise_sum(terms[half:])
+        return acc
+    m = n - n % 8
+    r = [functools.reduce(np.add, terms[j:m:8]) for j in range(8)]
+    acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for t in terms[m:]:
+        acc += t
+    return acc
 
-    'same' padding replicates edges (keeps binary maps binary); max gradient
-    routes to the first argmax element of each window.
+
+def pool2d(x, kind, kernel, stride=1, pad="same"):
+    """Window-wise mean or max; forward only.
+
+    'same' padding replicates edges (keeps binary maps binary). Both reduce
+    the kernel*kernel shifted slices of the padded input; the mean adds them
+    in numpy's pairwise order, so it equals a `mean` over each window.
     """
     if kind not in ("avg", "max"):
         raise TensorError(f"pool2d: kind must be 'avg' or 'max', got {kind!r}")
@@ -617,33 +609,35 @@ def pool2d(x, kind, kernel, stride=1, pad="same"):
         raise TensorError(f"pool2d: need 4-d input, got {x.shape}")
     if kernel < 1:
         raise TensorError(f"pool2d: kernel must be >= 1, got {kernel}")
+    if _grad_enabled and x._tracked:
+        raise TensorError("pool2d: has no backward; call it under no_grad or on an untracked input")
     p = _pad_amount(kernel, pad, "pool2d")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p)), mode="edge") if p else x.data
-    win = _windows(xp, kernel, stride)
-    n, c, ho, wo = win.shape[:4]
+    n, c, h, w = x.shape
+    hp, wp = h + 2 * p, w + 2 * p
+    ho, wo = hp - kernel + 1, wp - kernel + 1  # stride-1 extent
     if ho < 1 or wo < 1:
         raise TensorError(f"pool2d: kernel {kernel} too large for input {x.shape} with pad={pad}")
-    flat = win.reshape(n, c, ho, wo, kernel * kernel)
-    if kind == "avg":
-        data = flat.mean(axis=-1, dtype=x.dtype)
-    else:
-        idx = np.argmax(flat, axis=-1)  # first index on ties
-        data = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-    out = _make(np.ascontiguousarray(data), (x,), "pool2d")
-    if out._parents:
-        if kind == "avg":
-            def bwd(g):
-                gwin = np.broadcast_to((g / (kernel * kernel))[..., None, None],
-                                       (n, c, ho, wo, kernel, kernel))
-                x._accum(_scatter_windows(gwin, x.shape, p, kernel, stride, "edge"))
-        else:
-            def bwd(g):
-                gwin = np.zeros((n, c, ho, wo, kernel * kernel), dtype=g.dtype)
-                np.put_along_axis(gwin, idx[..., None], g[..., None], axis=-1)
-                gwin = gwin.reshape(n, c, ho, wo, kernel, kernel)
-                x._accum(_scatter_windows(gwin, x.shape, p, kernel, stride, "edge"))
-        out._bwd = bwd
-    return out
+    data = np.empty((n, c, (ho - 1) // stride + 1, (wo - 1) // stride + 1), dtype=x.dtype)
+    # Plane by plane, so that the work buffers stay small enough to be reused
+    # from the heap rather than faulted in afresh. The edge-padded plane,
+    # flat, plus a zero tail makes the shift (i, j) of every window one
+    # contiguous slice; positions whose window wraps past a row are computed
+    # too and dropped when the result is copied out.
+    size = hp * wp
+    for src, dst in zip(x.data.reshape(n * c, h, w), data.reshape(n * c, *data.shape[2:])):
+        flat = np.zeros(size + (kernel - 1) * (wp + 1), dtype=x.dtype)
+        xp = flat[:size].reshape(hp, wp)
+        xp[p:p + h, p:p + w] = src
+        if p:
+            xp[p:p + h, :p] = src[:, :1]
+            xp[p:p + h, p + w:] = src[:, -1:]
+            xp[:p] = xp[p]
+            xp[p + h:] = xp[p + h - 1]
+        terms = [flat[i * wp + j:i * wp + j + size] for i in range(kernel) for j in range(kernel)]
+        acc = _pairwise_sum(terms) if kind == "avg" else functools.reduce(np.maximum, terms)
+        win = acc.reshape(hp, wp)[:ho:stride, :wo:stride]
+        dst[...] = win / (kernel * kernel) if kind == "avg" else win
+    return _make(data, (), "pool2d")
 
 
 # -- group normalization ---------------------------------------------------------------

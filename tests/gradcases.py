@@ -26,17 +26,6 @@ def _rand_pos(rng, *shape):
     return rng.uniform(0.5, 2.0, size=shape)
 
 
-def _maxpool_safe(rng, shape, margin=0.02):
-    """All-distinct values with a guaranteed gap: stable argmax under h=1e-5.
-
-    Edge replication may duplicate a value inside a window, but both copies
-    come from the same source element, so the subgradient stays consistent.
-    """
-    n = int(np.prod(shape))
-    vals = np.linspace(-1.0, 1.0, n) * (margin * (n - 1) / 2.0)
-    return rng.permutation(vals).reshape(shape)
-
-
 def build_cases(rng):
     """Return a list of (op_name, fn, inputs) gradcheck cases."""
     cases = []
@@ -101,16 +90,6 @@ def build_cases(rng):
     pc4 = proj(2, 2, 4, 4)
     cases.append(("conv2d_1x1", lambda x, w, b: pc4(T.conv2d(x, w, b, stride=1, pad="same")),
                   [_rand(rng, 2, 3, 4, 4), _rand(rng, 2, 3, 1, 1), _rand(rng, 2)]))
-
-    pp1 = proj(1, 2, 5, 5)
-    cases.append(("pool_avg_same", lambda x: pp1(T.pool2d(x, "avg", 3, 1, "same")),
-                  [_rand(rng, 1, 2, 5, 5)]))
-    pp2 = proj(1, 2, 3, 3)
-    cases.append(("pool_avg_valid_s2", lambda x: pp2(T.pool2d(x, "avg", 3, 2, "valid")),
-                  [_rand(rng, 1, 2, 7, 7)]))
-    pp3 = proj(1, 2, 5, 5)
-    cases.append(("pool_max_same", lambda x: pp3(T.pool2d(x, "max", 3, 1, "same")),
-                  [_maxpool_safe(rng, (1, 2, 5, 5))]))
 
     pup = proj(1, 2, 6, 6)
     cases.append(("upsample_nearest2", lambda x: pup(T.upsample_nearest2(x)),

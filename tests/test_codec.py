@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,3 +175,105 @@ class TestBitBudget:
         bits_base = bit_budget(rle_pack(one_hot_encode(base, 5)))
         bits_simpler = bit_budget(rle_pack(one_hot_encode(simpler, 5)))
         assert bits_simpler < bits_base
+
+
+def _varint(n):
+    """Scalar LEB128 varint: the reference for the array encoder."""
+    out = bytearray()
+    while True:
+        b = n & 0x7F
+        n >>= 7
+        if n:
+            out.append(b | 0x80)
+        else:
+            out.append(b)
+            return bytes(out)
+
+
+def _header(height, width, c_total, ids):
+    return codec.MAGIC + struct.pack(f">BHHHH{len(ids)}H", codec.VERSION, height, width,
+                                     c_total, len(ids), *ids)
+
+
+class TestVarintRuns:
+    def test_encode_plane_matches_scalar_varints_at_byte_boundaries(self):
+        runs = [0, 127, 128, 16383, 16384, 2 ** 21]
+        values = np.resize(np.array([0, 1], np.uint8), len(runs))
+        plane = np.repeat(values, runs).reshape(1, -1)
+        assert plane_runs(plane) == runs
+        body = codec.encode_plane(plane)
+        assert body == b"".join(_varint(r) for r in runs + [0])
+        assert [len(_varint(r)) for r in runs] == [1, 1, 2, 2, 3, 4]
+        back, pos = codec.decode_plane(body, 0, *plane.shape)
+        assert pos == len(body)
+        assert np.array_equal(back, plane)
+
+    def test_runs_around_the_one_and_two_byte_limits(self):
+        runs = list(range(1, 300)) + list(range(16370, 16400))
+        values = np.resize(np.array([0, 1], np.uint8), len(runs))
+        plane = np.repeat(values, runs).reshape(1, -1)
+        assert codec.encode_plane(plane) == b"".join(_varint(r) for r in runs + [0])
+
+
+class TestDecodeBounds:
+    def test_huge_header_without_planes_rejected(self):
+        with pytest.raises(FormatError, match="exceeds"):
+            rle_unpack(_header(65535, 65535, 8, ()))
+
+    def test_oversized_map_rejected_before_decoding(self):
+        # the body would be a valid single-plane run list; the size bound fires first
+        side = 4097
+        raw = _header(side, 4096, 2, (0,)) + b"\x00" + _varint(side * 4096) + b"\x00"
+        with pytest.raises(FormatError, match="exceeds"):
+            rle_unpack(raw)
+
+    def test_no_planes_for_nonempty_map_rejected(self):
+        with pytest.raises(FormatError, match="no class planes"):
+            rle_unpack(_header(4096, 4096, 8, ()))
+
+    def test_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(codec, "MAX_PIXELS", 16)
+        stack = one_hot_encode(np.arange(16).reshape(4, 4) % 3, c_total=3)
+        assert np.array_equal(rle_unpack(rle_pack(stack).to_bytes()).planes, stack.planes)
+        wider = one_hot_encode(np.arange(20).reshape(4, 5) % 3, c_total=3)
+        with pytest.raises(FormatError, match="exceeds"):
+            rle_unpack(rle_pack(wider).to_bytes())
+
+    def test_empty_map_without_planes_decodes(self):
+        back = rle_unpack(_header(0, 7, 3, ()))
+        assert back.planes.shape == (0, 0, 7)
+
+
+class TestDecodeFuzz:
+    @given(st.one_of(st.binary(max_size=80),
+                     st.binary(max_size=80).map(lambda b: codec.MAGIC + bytes([codec.VERSION]) + b)))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_bytes_raise_only_codec_errors(self, raw):
+        try:
+            rle_unpack(raw)
+        except CodecError:
+            pass
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_payloads_raise_only_codec_errors(self, data):
+        h = data.draw(st.integers(1, 8), label="height")
+        w = data.draw(st.integers(1, 8), label="width")
+        ids = data.draw(st.lists(st.integers(0, 3), min_size=h * w, max_size=h * w), label="map")
+        raw = bytearray(rle_pack(one_hot_encode(np.array(ids).reshape(h, w), 4)).to_bytes())
+        for _ in range(data.draw(st.integers(1, 4), label="mutations")):
+            at = data.draw(st.integers(0, len(raw)), label="at")
+            op = data.draw(st.sampled_from(["set", "insert", "delete", "truncate"]), label="op")
+            byte = data.draw(st.integers(0, 255), label="byte")
+            if op == "set" and at < len(raw):
+                raw[at] = byte
+            elif op == "insert":
+                raw.insert(at, byte)
+            elif op == "delete" and at < len(raw):
+                del raw[at]
+            elif op == "truncate":
+                del raw[at:]
+        try:
+            rle_unpack(bytes(raw))
+        except CodecError:
+            pass

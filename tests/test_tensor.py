@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from semcom import tensor as T
 from semcom.tensor import NonFiniteError, Tensor, TensorError
@@ -18,6 +19,15 @@ def _pool_oracle(x, kind, kernel):
             win = xp[i:i + kernel, j:j + kernel]
             out[i, j] = win.mean() if kind == "avg" else win.max()
     return out
+
+
+def _window_pool(x, kind, kernel, stride, pad):
+    """The former pool2d forward: a copy of every window, then mean or max."""
+    p = (kernel - 1) // 2 if pad == "same" else 0
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)), mode="edge") if p else x
+    win = sliding_window_view(xp, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
+    flat = win.reshape(win.shape[:4] + (kernel * kernel,))
+    return flat.mean(axis=-1, dtype=x.dtype) if kind == "avg" else flat.max(axis=-1)
 
 
 class TestConv2d:
@@ -126,15 +136,38 @@ class TestPool2d:
         b = 3.7 * T.pool2d(Tensor(x), "avg", 3, 1, "same").data
         assert np.max(np.abs(a - b)) < 1e-12
 
-    def test_max_ties_route_to_first_index(self):
+    def test_max_ties_give_the_tied_value(self):
         x = Tensor(np.array([[1.0, 1.0]]).reshape(1, 1, 1, 2))
-        out = T.pool2d(x, "max", 1, 1, "valid")
-        loss = T.sum_(out)
-        xr = Tensor(np.array([[2.0, 2.0]]).reshape(1, 1, 1, 2), requires_grad=True)
-        out = T.pool2d(xr, "max", 3, 1, "same")
-        T.sum_(out).backward()
-        # every window max hits the replicated/first occurrence deterministically
-        assert xr.grad.sum() == out.size
+        assert np.array_equal(T.pool2d(x, "max", 1, 1, "valid").data, x.data)
+        assert np.array_equal(T.pool2d(x, "max", 3, 1, "same").data, x.data)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("pad", ["same", "valid"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("kind", ["avg", "max"])
+    def test_bitwise_equal_to_window_formula(self, kind, kernel, stride, pad, dtype):
+        rng = np.random.default_rng(kernel * 10 + stride)
+        x = rng.normal(size=(2, 3, 11, 9)) * 10.0 ** rng.uniform(-6, 6, size=(2, 3, 11, 9))
+        x = x.astype(dtype)
+        out = T.pool2d(Tensor(x), kind, kernel, stride, pad).data
+        expect = _window_pool(x, kind, kernel, stride, pad)
+        assert out.dtype == expect.dtype
+        assert np.array_equal(out, expect)
+
+    def test_avg_over_more_than_128_values_bitwise(self):
+        # 13 x 13 = 169 values: numpy splits pairwise sums above 128 terms
+        x = np.random.default_rng(8).normal(size=(1, 2, 20, 17)) * 1e3
+        out = T.pool2d(Tensor(x), "avg", 13, 1, "same").data
+        assert np.array_equal(out, _window_pool(x, "avg", 13, 1, "same"))
+
+    def test_tracked_input_rejected(self):
+        x = Tensor(np.ones((1, 1, 3, 3)), requires_grad=True)
+        with pytest.raises(TensorError, match="no backward"):
+            T.pool2d(x, "avg", 3, 1, "same")
+        with T.no_grad():
+            out = T.pool2d(x, "avg", 3, 1, "same")
+        assert np.array_equal(out.data, x.data)
 
 
 class TestActivations:

@@ -55,12 +55,13 @@ class OneHotStack:
             raise CodecError(f"class id {ids[-1]} >= C_total {self.c_total}")
         if self.planes.shape[0] != len(ids):
             raise CodecError(f"{self.planes.shape[0]} planes for {len(ids)} classes")
-        if self.planes.dtype != np.uint8 or not np.isin(self.planes, (0, 1)).all():
+        planes = self.planes
+        if planes.dtype != np.uint8 or planes.max(initial=0) > 1:
             raise CodecError("planes must be binary uint8")
-        sums = self.planes.sum(axis=0)
-        if not (sums == 1).all():
+        # binary planes sum to at most len(ids), which this accumulator holds
+        if not (planes.sum(axis=0, dtype=np.min_scalar_type(len(ids))) == 1).all():
             raise CodecError("partition property violated: some pixel is not covered exactly once")
-        if (self.planes.sum(axis=(1, 2)) == 0).any():
+        if not planes.max(axis=(1, 2), initial=0).all():
             raise CodecError("a listed class has an empty plane")
 
     @property

@@ -122,12 +122,13 @@ def eps_to_mean(eps_hat, x_t, t, sched):
     return (x_t - beta / np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(1.0 - beta)
 
 
-def model_log_variance(var_raw, t, sched, clamp=True):
+def model_log_variance(var_raw, t, sched):
     """Log-space interpolation between the posterior floor and beta ceiling.
 
-    v = (var_raw + 1)/2; clamping v to [0, 1] guarantees the sampled variance
-    stays inside [posterior, beta]. The loss path leaves v unclamped so the
-    gradient stays alive when the head drifts outside the band.
+    v = (var_raw + 1)/2. For an array (the sampler) v is clamped to [0, 1],
+    which keeps the sampled variance inside [posterior, beta]. For a Tensor
+    (the loss) v is left unclamped so the gradient stays alive when the head
+    drifts outside the band.
     """
     t = _check_t(t, sched.steps)
     ndim = var_raw.ndim
@@ -138,21 +139,19 @@ def model_log_variance(var_raw, t, sched, clamp=True):
         lo = Tensor(np.broadcast_to(log_lo, var_raw.shape).astype(var_raw.dtype))
         hi = Tensor(np.broadcast_to(log_hi, var_raw.shape).astype(var_raw.dtype))
         return T.add(T.mul(v, hi), T.mul(T.sub(1.0, v), lo))
-    v = (np.asarray(var_raw, dtype=np.float64) + 1.0) / 2.0
-    if clamp:
-        v = np.clip(v, 0.0, 1.0)
+    v = np.clip((np.asarray(var_raw, dtype=np.float64) + 1.0) / 2.0, 0.0, 1.0)
     return v * log_hi + (1.0 - v) * log_lo
 
 
 def gaussian_kl(mean_p, logvar_p, mean_q, logvar_q):
-    """KL(p || q) for diagonal Gaussians, elementwise."""
-    if isinstance(logvar_p, Tensor):
-        lq = Tensor(np.asarray(logvar_q, dtype=logvar_p.dtype))
-        delta2 = Tensor(((mean_p - mean_q) ** 2).astype(logvar_p.dtype))
-        ratio = T.div(T.add(T.exp(logvar_p), delta2), T.exp(lq))
-        return T.mul(T.add(T.sub(lq, logvar_p), T.add(ratio, -1.0)), 0.5)
-    return 0.5 * (logvar_q - logvar_p + (np.exp(logvar_p) + (mean_p - mean_q) ** 2)
-                  / np.exp(logvar_q) - 1.0)
+    """KL(p || q) for diagonal Gaussians, elementwise.
+
+    logvar_p is a Tensor; the means and logvar_q enter as constant arrays.
+    """
+    lq = Tensor(np.asarray(logvar_q, dtype=logvar_p.dtype))
+    delta2 = Tensor(((mean_p - mean_q) ** 2).astype(logvar_p.dtype))
+    ratio = T.div(T.add(T.exp(logvar_p), delta2), T.exp(lq))
+    return T.mul(T.add(T.sub(lq, logvar_p), T.add(ratio, -1.0)), 0.5)
 
 
 def total_loss(model, x0, y, t, eps, sched, lambda_kl=0.001, ld_norm="mse"):
@@ -182,7 +181,7 @@ def total_loss(model, x0, y, t, eps, sched, lambda_kl=0.001, ld_norm="mse"):
     # variance-only KL: means enter as constants
     mean_p = eps_to_mean(eps_pred.data, x_t, t, sched)
     mean_q = posterior_mean(x0, x_t, t, sched)
-    logvar_p = model_log_variance(var_raw, t, sched, clamp=False)
+    logvar_p = model_log_variance(var_raw, t, sched)
     logvar_q = np.broadcast_to(_at(sched.log_posterior_clipped, t, x_t.ndim), x_t.shape)
     l_kl = T.mean(gaussian_kl(mean_p, logvar_p, mean_q, logvar_q))
 
@@ -196,7 +195,6 @@ class SamplerConfig:
     guidance_scale: float = 2.0
     seed: int = 7
     steps: int = 0               # 0 means the full schedule
-    clip_x0: bool = False
 
     def __post_init__(self):
         if self.guidance_scale < 0:
@@ -229,12 +227,6 @@ def guided_eps(model, x_t, y, t, s):
     return eps_c.data + s * (eps_c.data - eps_u.data), var_raw.data
 
 
-def predict_x0(eps_hat, x_t, t, sched):
-    t = _check_t(t, sched.steps)
-    ab = _at(sched.alpha_bars, t, x_t.ndim)
-    return (x_t - np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(ab)
-
-
 def p_sample_loop(model, y, sched, cfg, callback=None):
     """Ancestral sampling from t=T down to 1; deterministic given cfg.seed.
 
@@ -253,13 +245,9 @@ def p_sample_loop(model, y, sched, cfg, callback=None):
         t_model = np.full(n, sub.timestep_map[i], dtype=np.int64)
         t_sub = np.full(n, i + 1, dtype=np.int64)
         eps_hat, var_raw = guided_eps(model, x, y, t_model, cfg.guidance_scale)
-        if cfg.clip_x0:
-            x0 = np.clip(predict_x0(eps_hat, x, t_sub, sub), -1.0, 1.0)
-            mean = posterior_mean(x0, x, t_sub, sub)
-        else:
-            mean = eps_to_mean(eps_hat, x, t_sub, sub)
+        mean = eps_to_mean(eps_hat, x, t_sub, sub)
         if i > 0:
-            logvar = model_log_variance(var_raw, t_sub, sub, clamp=True)
+            logvar = model_log_variance(var_raw, t_sub, sub)
             z = rng.standard_normal(shape, dtype=np.float32)
             x = (mean + np.exp(0.5 * logvar) * z).astype(np.float32)
         else:

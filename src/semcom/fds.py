@@ -45,8 +45,8 @@ def pooled_planes(noisy_planes, cfg):
         raise FdsError(f"expected C_p x H x W planes, got shape {planes.shape}")
     with T.no_grad():
         x = T.Tensor(planes[None, ...])
-        x = T.pool2d(x, "avg", cfg.avg_kernel, stride=1, pad="same")
-        x = T.pool2d(x, "max", cfg.max_kernel, stride=1, pad="same")
+        x = T.pool2d(x, "avg", cfg.avg_kernel)
+        x = T.pool2d(x, "max", cfg.max_kernel)
     return x.data[0]
 
 

@@ -1,14 +1,18 @@
 """Minimal numpy-backed tensors with reverse-mode automatic differentiation.
 
-Supplies exactly the operations the conditional U-Net and its losses need:
-conv2d, group_norm, SiLU, softmax, (batched) matmul, a handful of
-elementwise/reduction/shape ops, and an explicit broadcast_to. Binary
-arithmetic requires matching shapes or a python scalar; everything else goes
-through broadcast_to so the gradient surface stays small. Avg/max pooling
-(used by the receiver's map denoiser) is forward only and refuses an input
-that would need a gradient.
+Supplies exactly the operations the conditional U-Net and its losses need,
+each with one way to call it:
 
-Training runs in float32; gradient checking promotes to float64.
+- add/sub/mul/div take operands of the same shape, or one operand of size 1
+  (a python scalar included) whose rank is no higher than the other's. Any
+  other broadcast goes through broadcast_to, so the gradient surface stays small.
+- conv2d (zero padding, optional stride) and pool2d (edge padding, stride 1)
+  pad "same" and take odd kernels only.
+- Avg/max pooling (the receiver's map denoiser) is forward only and refuses
+  an input that would need a gradient.
+
+Every forward result is checked for NaN/Inf. Training runs in float32;
+gradient checking promotes to float64.
 """
 from __future__ import annotations
 
@@ -27,7 +31,6 @@ class NonFiniteError(ArithmeticError):
 
 
 _grad_enabled = True
-_check_finite = True
 _scope: list[str] = []
 
 
@@ -51,13 +54,6 @@ def scope(name):
         yield
     finally:
         _scope.pop()
-
-
-def set_check_finite(flag):
-    global _check_finite
-    prev = _check_finite
-    _check_finite = bool(flag)
-    return prev
 
 
 class Tensor:
@@ -96,15 +92,9 @@ class Tensor:
     def item(self):
         return float(self.data.reshape(-1)[0])
 
-    def numpy(self):
-        return self.data
-
     @property
     def _tracked(self):
         return self.requires_grad or bool(self._parents)
-
-    def detach(self):
-        return Tensor(self.data)
 
     def _accum(self, g):
         # grad arrays are never mutated in place, so aliasing the first
@@ -145,61 +135,13 @@ class Tensor:
             if node._bwd is not None and node.grad is not None:
                 node._bwd(node.grad)
 
-    # -- operator sugar ------------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_as_scalar_like(other, self), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(_as_scalar_like(other, self), self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def transpose(self, axes):
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
-
-
-def _as_scalar_like(value, ref):
-    return Tensor(np.asarray(value, dtype=ref.dtype))
-
-
-def _finite_or_raise(arr, op):
-    # single-pass reduction: NaN/Inf propagate into the sum, so this is a
-    # cheap full check (no boolean temporary) at float magnitudes we use
-    if _check_finite and not np.isfinite(float(arr.sum())):
-        where = "/".join(_scope) or "<top>"
-        raise NonFiniteError(f"non-finite values produced by {op} in {where}")
-
 
 def _make(data, parents, op):
-    _finite_or_raise(data, op)
+    # single-pass reduction: NaN/Inf propagate into the sum, so this is a
+    # cheap full check (no boolean temporary) at float magnitudes we use
+    if not np.isfinite(float(data.sum())):
+        where = "/".join(_scope) or "<top>"
+        raise NonFiniteError(f"non-finite values produced by {op} in {where}")
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -212,85 +154,75 @@ def _make(data, parents, op):
     return out
 
 
-def _coerce(x, other=None):
-    if isinstance(x, Tensor):
-        return x
-    dtype = other.dtype if other is not None else np.float32
-    return Tensor(np.asarray(x, dtype=dtype))
-
-
-def _binary_check(a, b, op):
-    if a.shape != b.shape and a.size != 1 and b.size != 1:
-        raise TensorError(f"{op}: shapes {a.shape} and {b.shape} differ (only same-shape or scalar operands)")
-
-
 def _reduce_to(g, shape):
-    """Sum a gradient down to `shape` (used for scalar operands)."""
-    if g.shape == shape:
-        return g
-    return np.sum(g).reshape(shape) if shape in ((), (1,)) else np.sum(g, axis=tuple(range(g.ndim - len(shape))), dtype=g.dtype).reshape(shape)
+    """Sum a gradient down to `shape`: its own, or that of a size-1 operand."""
+    return g if g.shape == shape else np.sum(g, dtype=g.dtype).reshape(shape)
 
 
 # -- elementwise arithmetic ------------------------------------------------
+# Each binary op is a forward ufunc plus one gradient rule per operand,
+# g -> d(out)/d(operand) * g, applied to the operands' arrays.
 
-def add(a, b):
-    a = _coerce(a, b if isinstance(b, Tensor) else None)
-    b = _coerce(b, a)
-    _binary_check(a, b, "add")
-    out = _make(a.data + b.data, (a, b), "add")
+def _binary(a, b, op, fwd, grad_a, grad_b):
+    if not isinstance(a, Tensor):
+        a = Tensor(np.asarray(a, dtype=b.dtype if isinstance(b, Tensor) else np.float32))
+    if not isinstance(b, Tensor):
+        b = Tensor(np.asarray(b, dtype=a.dtype))
+    if a.shape != b.shape:
+        if a.size != 1 and b.size != 1:
+            raise TensorError(f"{op}: shapes {a.shape} and {b.shape} differ (only same-shape or scalar operands)")
+        one, other = (a, b) if a.size == 1 else (b, a)
+        if other.size != 1 and one.ndim > other.ndim:
+            raise TensorError(f"{op}: size-1 operand {one.shape} has more dimensions than {other.shape}")
+    out = _make(fwd(a.data, b.data), (a, b), op)
     if out._parents:
         def bwd(g):
             if a._tracked:
-                a._accum(_reduce_to(g, a.shape))
+                a._accum(_reduce_to(grad_a(g, a.data, b.data), a.shape))
             if b._tracked:
-                b._accum(_reduce_to(g, b.shape))
+                b._accum(_reduce_to(grad_b(g, a.data, b.data), b.shape))
         out._bwd = bwd
     return out
+
+
+def _grad_same(g, a, b):
+    return g
+
+
+def _grad_negated(g, a, b):
+    return -g
+
+
+def _grad_times_b(g, a, b):
+    return g * b
+
+
+def _grad_times_a(g, a, b):
+    return g * a
+
+
+def _grad_over_b(g, a, b):
+    return g / b
+
+
+def _grad_div_b(g, a, b):
+    return -g * a / (b * b)
+
+
+def add(a, b):
+    return _binary(a, b, "add", np.add, _grad_same, _grad_same)
 
 
 def sub(a, b):
-    a = _coerce(a, b if isinstance(b, Tensor) else None)
-    b = _coerce(b, a)
-    _binary_check(a, b, "sub")
-    out = _make(a.data - b.data, (a, b), "sub")
-    if out._parents:
-        def bwd(g):
-            if a._tracked:
-                a._accum(_reduce_to(g, a.shape))
-            if b._tracked:
-                b._accum(-_reduce_to(g, b.shape))
-        out._bwd = bwd
-    return out
+    return _binary(a, b, "sub", np.subtract, _grad_same, _grad_negated)
 
 
 def mul(a, b):
-    a = _coerce(a, b if isinstance(b, Tensor) else None)
-    b = _coerce(b, a)
-    _binary_check(a, b, "mul")
-    out = _make(a.data * b.data, (a, b), "mul")
-    if out._parents:
-        def bwd(g):
-            if a._tracked:
-                a._accum(_reduce_to(g * b.data, a.shape))
-            if b._tracked:
-                b._accum(_reduce_to(g * a.data, b.shape))
-        out._bwd = bwd
-    return out
+    return _binary(a, b, "mul", np.multiply, _grad_times_b, _grad_times_a)
 
 
 def div(a, b):
-    a = _coerce(a, b if isinstance(b, Tensor) else None)
-    b = _coerce(b, a)
-    _binary_check(a, b, "div")
-    out = _make(a.data / b.data, (a, b), "div")
-    if out._parents:
-        def bwd(g):
-            if a._tracked:
-                a._accum(_reduce_to(g / b.data, a.shape))
-            if b._tracked:
-                b._accum(_reduce_to(-g * a.data / (b.data * b.data), b.shape))
-        out._bwd = bwd
-    return out
+    return _binary(a, b, "div", np.divide, _grad_over_b, _grad_div_b)
 
 
 def square(x):
@@ -316,35 +248,26 @@ def exp(x):
     return out
 
 
-def log(x):
-    out = _make(np.log(x.data), (x,), "log")
-    if out._parents:
-        out._bwd = lambda g: x._accum(g / x.data)
-    return out
-
-
 # -- reductions --------------------------------------------------------------
+
+def _axes(x, axis):
+    if axis is None:
+        return tuple(range(x.ndim))
+    return (axis,) if isinstance(axis, int) else tuple(axis)
+
 
 def sum_(x, axis=None, keepdims=False):
     out = _make(np.sum(x.data, axis=axis, keepdims=keepdims, dtype=x.dtype), (x,), "sum")
     if out._parents:
         def bwd(g):
-            if axis is None:
-                x._accum(np.broadcast_to(g.reshape((1,) * x.ndim), x.shape))
-            else:
-                axes = (axis,) if isinstance(axis, int) else tuple(axis)
-                gs = g if keepdims else np.expand_dims(g, axes)
-                x._accum(np.broadcast_to(gs, x.shape))
+            gs = g if keepdims else np.expand_dims(g, _axes(x, axis))
+            x._accum(np.broadcast_to(gs, x.shape))
         out._bwd = bwd
     return out
 
 
 def mean(x, axis=None, keepdims=False):
-    if axis is None:
-        n = x.size
-    else:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        n = int(np.prod([x.shape[a] for a in axes]))
+    n = int(np.prod([x.shape[a] for a in _axes(x, axis)]))
     return mul(sum_(x, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
@@ -424,13 +347,13 @@ def split(x, sizes, axis):
     return outs
 
 
-# -- activations ---------------------------------------------------------------
+# -- nonlinearities ------------------------------------------------------------
 
 def silu(x):
     s = 1.0 / (1.0 + np.exp(-x.data))
     out = _make(x.data * s, (x,), "silu")
     if out._parents:
-        del s  # recomputed in backward; cheaper than retaining per-activation copies
+        del s  # recomputed in backward; cheaper than retaining a copy per call
 
         def bwd(g):
             s = 1.0 / (1.0 + np.exp(-x.data))
@@ -454,15 +377,6 @@ def softmax(x, axis):
     return out
 
 
-def activation(x, kind, axis=-1):
-    """Dispatch helper: kind is 'silu' or 'softmax_over_axis'."""
-    if kind == "silu":
-        return silu(x)
-    if kind == "softmax_over_axis":
-        return softmax(x, axis)
-    raise TensorError(f"unknown activation kind {kind!r}")
-
-
 # -- matmul ---------------------------------------------------------------------
 
 def matmul(a, b):
@@ -483,21 +397,17 @@ def matmul(a, b):
 
 # -- padding helpers ---------------------------------------------------------
 
-
-def _pad_amount(kernel, pad, op):
-    if pad == "same":
-        if kernel % 2 == 0:
-            raise TensorError(f"{op}: 'same' padding requires an odd kernel, got {kernel}")
-        return (kernel - 1) // 2
-    if pad == "valid":
-        return 0
-    raise TensorError(f"{op}: pad must be 'same' or 'valid', got {pad!r}")
+def _same_pad(kernel, op):
+    """Padding on each side that keeps the extent of an odd kernel's input."""
+    if kernel % 2 == 0:
+        raise TensorError(f"{op}: 'same' padding requires an odd kernel, got {kernel}")
+    return (kernel - 1) // 2
 
 
 # -- conv2d ----------------------------------------------------------------------
 
-def conv2d(x, w, b=None, stride=1, pad="same"):
-    """Cross-correlation with zero padding; differentiable in x, w, b.
+def conv2d(x, w, b=None, stride=1):
+    """Cross-correlation with "same" zero padding; differentiable in x, w, b.
 
     Patches are gathered into an [N, C*k*k, Ho*Wo] matrix whose reshapes are
     all free (axis-aligned copies only), then contracted with BLAS.
@@ -512,12 +422,10 @@ def conv2d(x, w, b=None, stride=1, pad="same"):
         raise TensorError(f"conv2d: input channels {x.shape} do not match weight {w.shape}")
     if b is not None and b.shape != (f,):
         raise TensorError(f"conv2d: bias shape {b.shape} does not match {f} filters")
-    p = _pad_amount(kh, pad, "conv2d")
+    p = _same_pad(kh, "conv2d")
     s = stride
-    ho = (h + 2 * p - kh) // s + 1
-    wo = (wd + 2 * p - kw) // s + 1
-    if ho < 1 or wo < 1:
-        raise TensorError(f"conv2d: kernel {kh} too large for input {x.shape} with pad={pad}")
+    ho = (h - 1) // s + 1
+    wo = (wd - 1) // s + 1
     # channels-first patch matrix [C*k*k, N*M]: the transpose is paid once on
     # an input-sized array, every patch copy is axis-aligned, and the whole
     # contraction is a single fat GEMM instead of N skinny ones
@@ -559,7 +467,7 @@ def conv2d(x, w, b=None, stride=1, pad="same"):
                 w._accum(gw.reshape(f, c, kh, kw))
             if x._tracked:
                 gcols = w2.T.astype(g.dtype, copy=False) @ gt
-                if kh == 1 and s == 1 and p == 0:
+                if kh == 1 and s == 1:
                     gx = gcols.reshape(c, n, ho, wo)
                 else:
                     gcols = gcols.reshape(c, kh, kw, n, ho, wo)
@@ -596,10 +504,10 @@ def _pairwise_sum(terms):
     return acc
 
 
-def pool2d(x, kind, kernel, stride=1, pad="same"):
-    """Window-wise mean or max; forward only.
+def pool2d(x, kind, kernel):
+    """Window-wise mean or max at stride 1; forward only.
 
-    'same' padding replicates edges (keeps binary maps binary). Both reduce
+    "same" padding replicates edges (keeps binary maps binary). Both reduce
     the kernel*kernel shifted slices of the padded input; the mean adds them
     in numpy's pairwise order, so it equals a `mean` over each window.
     """
@@ -611,20 +519,17 @@ def pool2d(x, kind, kernel, stride=1, pad="same"):
         raise TensorError(f"pool2d: kernel must be >= 1, got {kernel}")
     if _grad_enabled and x._tracked:
         raise TensorError("pool2d: has no backward; call it under no_grad or on an untracked input")
-    p = _pad_amount(kernel, pad, "pool2d")
+    p = _same_pad(kernel, "pool2d")
     n, c, h, w = x.shape
     hp, wp = h + 2 * p, w + 2 * p
-    ho, wo = hp - kernel + 1, wp - kernel + 1  # stride-1 extent
-    if ho < 1 or wo < 1:
-        raise TensorError(f"pool2d: kernel {kernel} too large for input {x.shape} with pad={pad}")
-    data = np.empty((n, c, (ho - 1) // stride + 1, (wo - 1) // stride + 1), dtype=x.dtype)
+    data = np.empty(x.shape, dtype=x.dtype)
     # Plane by plane, so that the work buffers stay small enough to be reused
     # from the heap rather than faulted in afresh. The edge-padded plane,
     # flat, plus a zero tail makes the shift (i, j) of every window one
     # contiguous slice; positions whose window wraps past a row are computed
     # too and dropped when the result is copied out.
     size = hp * wp
-    for src, dst in zip(x.data.reshape(n * c, h, w), data.reshape(n * c, *data.shape[2:])):
+    for src, dst in zip(x.data.reshape(n * c, h, w), data.reshape(n * c, h, w)):
         flat = np.zeros(size + (kernel - 1) * (wp + 1), dtype=x.dtype)
         xp = flat[:size].reshape(hp, wp)
         xp[p:p + h, p:p + w] = src
@@ -635,7 +540,7 @@ def pool2d(x, kind, kernel, stride=1, pad="same"):
             xp[p + h:] = xp[p + h - 1]
         terms = [flat[i * wp + j:i * wp + j + size] for i in range(kernel) for j in range(kernel)]
         acc = _pairwise_sum(terms) if kind == "avg" else functools.reduce(np.maximum, terms)
-        win = acc.reshape(hp, wp)[:ho:stride, :wo:stride]
+        win = acc.reshape(hp, wp)[:h, :w]
         dst[...] = win / (kernel * kernel) if kind == "avg" else win
     return _make(data, (), "pool2d")
 

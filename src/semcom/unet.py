@@ -1,6 +1,6 @@
 """Conditional U-Net predicting noise and variance-interpolation coefficients.
 
-Encoder blocks inject the timestep by scaling and shifting the mid-activation
+Encoder blocks inject the timestep by scaling and shifting the mid-block features
 (per-channel, from the time embedding); attention blocks with cosine-normalized
 similarity run at the configured resolutions; decoder blocks swap plain group
 normalization for spatially-adaptive modulation driven by the semantic stack.
@@ -15,7 +15,7 @@ the output heads on those features and leaves them intact, so one encoding
 can be decoded under several stacks (the conditional and the null branch of
 classifier-free guidance). A stack of batch 1 conditions every sample of the
 batch: SPADE computes its scale and shift at batch 1 and broadcasts them over
-the activations.
+the feature maps.
 """
 from __future__ import annotations
 
@@ -43,7 +43,6 @@ class ModelConfig:
     attention_resolutions: tuple = (16, 8)
     head_channels: int = 32
     attention_scale: float = 1.0
-    attention_scale_learnable: bool = False
     spade_hidden: int = 64
     groups: int = 8
 
@@ -111,13 +110,6 @@ class ParamStore:
         bt = self._register(f"{name}.b", np.zeros(dout))
         return wt, bt
 
-    def scalar(self, name, value):
-        return self._register(name, np.asarray([value]))
-
-
-def _conv(x, w, b, stride=1):
-    return T.conv2d(x, w, b, stride=stride, pad="same")
-
 
 def _dense(x, w, b):
     out = T.matmul(x, w)
@@ -154,7 +146,7 @@ class TimeEmbed:
 
 
 class Film:
-    """Per-channel scale/shift of the mid-activation from the time embedding."""
+    """Per-channel scale/shift of the mid-block features from the time embedding."""
 
     def __init__(self, store, name, emb_dim, channels):
         self.channels = channels
@@ -179,14 +171,14 @@ class Spade:
         self.beta_w, self.beta_b = store.conv(f"{name}.beta", channels, hidden, 3, init="zero")
 
     def __call__(self, a, y):
-        """a: activations [N, C, H, W]; y: semantic stack of batch N or 1."""
+        """a: features [N, C, H, W]; y: semantic stack of batch N or 1."""
         if y.shape[2:] != a.shape[2:]:
             raise ValueError(
-                f"SPADE conditioning resolution {y.shape[2:]} does not match activation {a.shape[2:]}")
+                f"SPADE conditioning resolution {y.shape[2:]} does not match features {a.shape[2:]}")
         norm = T.group_norm(a, self.groups)
-        s = T.silu(_conv(y, self.shared_w, self.shared_b))
-        scale = T.add(_conv(s, self.gamma_w, self.gamma_b), 1.0)
-        beta = _conv(s, self.beta_w, self.beta_b)
+        s = T.silu(T.conv2d(y, self.shared_w, self.shared_b))
+        scale = T.add(T.conv2d(s, self.gamma_w, self.gamma_b), 1.0)
+        beta = T.conv2d(s, self.beta_w, self.beta_b)
         if scale.shape != norm.shape:
             scale = T.broadcast_to(scale, norm.shape)
             beta = T.broadcast_to(beta, norm.shape)
@@ -219,14 +211,14 @@ class ResBlock:
         return T.group_norm(h, self.groups)
 
     def __call__(self, x, temb, y=None):
-        h = _conv(x, self.conv1_w, self.conv1_b)
+        h = T.conv2d(x, self.conv1_w, self.conv1_b)
         h = self._norm(1, h, y)
         h = self.film(h, temb)
         h = T.silu(h)
-        h = _conv(h, self.conv2_w, self.conv2_b)
+        h = T.conv2d(h, self.conv2_w, self.conv2_b)
         h = self._norm(2, h, y)
         h = T.silu(h)
-        skip = x if self.skip_w is None else _conv(x, self.skip_w, self.skip_b)
+        skip = x if self.skip_w is None else T.conv2d(x, self.skip_w, self.skip_b)
         return T.add(h, skip)
 
 
@@ -242,10 +234,7 @@ class AttentionBlock:
         self.wg, _ = store.conv(f"{name}.wg", channels, channels, 1, bias=False)
         self.wh, self.bh = store.conv(f"{name}.wh", channels, channels, 1)
         self.wv, self.bv = store.conv(f"{name}.wv", channels, channels, 1, init="zero")
-        if cfg.attention_scale_learnable:
-            self.alpha = store.scalar(f"{name}.alpha", cfg.attention_scale)
-        else:
-            self.alpha = float(cfg.attention_scale)
+        self.alpha = float(cfg.attention_scale)
 
     def _heads(self, t, n, hw):
         dh = self.channels // self.heads
@@ -259,22 +248,18 @@ class AttentionBlock:
     def similarity(self, x):
         """Cosine similarity matrix between projected site features."""
         n, c, h, w = x.shape
-        f = self._unit(self._heads(T.conv2d(x, self.wf, None, pad="same"), n, h * w))
-        g = self._unit(self._heads(T.conv2d(x, self.wg, None, pad="same"), n, h * w))
+        f = self._unit(self._heads(T.conv2d(x, self.wf, None), n, h * w))
+        g = self._unit(self._heads(T.conv2d(x, self.wg, None), n, h * w))
         return T.matmul(T.transpose(f, (0, 1, 3, 2)), g)  # [n, heads, site_u, site_v]
 
     def __call__(self, x):
         n, c, h, w = x.shape
         m = self.similarity(x)
-        if isinstance(self.alpha, Tensor):
-            scaled = T.mul(m, T.broadcast_to(T.reshape(self.alpha, (1, 1, 1, 1)), m.shape))
-        else:
-            scaled = T.mul(m, self.alpha)
-        attn = T.softmax(scaled, axis=-1)
-        hv = self._heads(_conv(x, self.wh, self.bh), n, h * w)
+        attn = T.softmax(T.mul(m, self.alpha), axis=-1)
+        hv = self._heads(T.conv2d(x, self.wh, self.bh), n, h * w)
         out = T.matmul(hv, T.transpose(attn, (0, 1, 3, 2)))  # sum_v attn(u,v) h(x_v)
         out = T.reshape(out, (n, c, h, w))
-        return T.add(x, _conv(out, self.wv, self.bv))
+        return T.add(x, T.conv2d(out, self.wv, self.bv))
 
 
 class Downsample:
@@ -282,7 +267,7 @@ class Downsample:
         self.w, self.b = store.conv(name, channels, channels, 3)
 
     def __call__(self, x):
-        return T.conv2d(x, self.w, self.b, stride=2, pad="same")
+        return T.conv2d(x, self.w, self.b, stride=2)
 
 
 class Upsample:
@@ -290,7 +275,7 @@ class Upsample:
         self.w, self.b = store.conv(name, channels, channels, 3)
 
     def __call__(self, x):
-        return _conv(T.upsample_nearest2(x), self.w, self.b)
+        return T.conv2d(T.upsample_nearest2(x), self.w, self.b)
 
 
 class UNet:
@@ -393,7 +378,7 @@ class UNet:
 
         skips = []
         with T.scope("enc.in"):
-            h = _conv(x, self.in_w, self.in_b)
+            h = T.conv2d(x, self.in_w, self.in_b)
         skips.append(h)
         for idx, block in enumerate(self.enc):
             with T.scope(f"enc.{idx}"):
@@ -433,6 +418,6 @@ class UNet:
         assert next(skip, None) is None
         with T.scope("out"):
             h = T.silu(T.group_norm(h, cfg.groups))
-            h = _conv(h, self.out_w, self.out_b)
+            h = T.conv2d(h, self.out_w, self.out_b)
         eps, var_raw = T.split(h, [cfg.in_channels, cfg.in_channels], axis=1)
         return eps, var_raw

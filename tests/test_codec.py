@@ -51,6 +51,22 @@ class TestOneHotEncode:
         with pytest.raises(CodecError, match="partition"):
             OneHotStack((0, 1), planes, 4)
 
+    def test_partition_sum_does_not_wrap(self):
+        # 257 planes claiming every pixel sum to 1 in a uint8 accumulator
+        planes = np.ones((257, 2, 2), np.uint8)
+        with pytest.raises(CodecError, match="partition"):
+            OneHotStack(tuple(range(257)), planes, 300)
+
+    def test_non_binary_plane_rejected(self):
+        planes = np.array([[[2, 0]], [[0, 1]]], np.uint8)
+        with pytest.raises(CodecError, match="binary uint8"):
+            OneHotStack((0, 1), planes, 2)
+
+    def test_empty_plane_rejected(self):
+        planes = np.array([[[1, 1]], [[0, 0]]], np.uint8)
+        with pytest.raises(CodecError, match="empty plane"):
+            OneHotStack((0, 1), planes, 2)
+
 
 class TestWireFormat:
     def test_runs_start_with_zero_run(self):

@@ -189,7 +189,7 @@ class TestVarianceInterpolation:
         rng = np.random.default_rng(4)
         raw = rng.uniform(-3, 3, size=(4, 1, 2, 2))  # includes out-of-band values
         for t in (1, 2, 15, 30):
-            lv = model_log_variance(raw, np.full(4, t), sched, clamp=True)
+            lv = model_log_variance(raw, np.full(4, t), sched)
             lo = sched.log_posterior_clipped[t - 1]
             hi = np.log(sched.betas[t - 1])
             assert np.all(lv >= lo - 1e-12) and np.all(lv <= hi + 1e-12)

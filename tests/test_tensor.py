@@ -22,7 +22,8 @@ def _pool_oracle(x, kind, kernel):
 
 
 def _window_pool(x, kind, kernel, stride, pad):
-    """The former pool2d forward: a copy of every window, then mean or max."""
+    """A copy of every window, then mean or max: the former pool2d forward,
+    which also took a stride and "valid" (no) padding."""
     p = (kernel - 1) // 2 if pad == "same" else 0
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)), mode="edge") if p else x
     win = sliding_window_view(xp, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
@@ -35,7 +36,7 @@ class TestConv2d:
         x = Tensor(np.ones((1, 1, 3, 3)))
         w = Tensor(np.full((1, 1, 1, 1), 2.0))
         b = Tensor(np.zeros(1))
-        out = T.conv2d(x, w, b, stride=1, pad="same")
+        out = T.conv2d(x, w, b)
         assert np.array_equal(out.data, np.full((1, 1, 3, 3), 2.0))
 
     def test_zero_weight_gives_zero(self):
@@ -49,7 +50,7 @@ class TestConv2d:
     def test_averaging_kernel_center_is_neighborhood_mean(self):
         ramp = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
         w = Tensor(np.full((1, 1, 3, 3), 1.0 / 9.0))
-        out = T.conv2d(Tensor(ramp), w, None, stride=1, pad="same")
+        out = T.conv2d(Tensor(ramp), w, None)
         # direct-summation oracle for the (1,1) center position
         expect = ramp[0, 0, 0:3, 0:3].sum() / 9.0
         assert out.data[0, 0, 1, 1] == pytest.approx(expect, rel=1e-12)
@@ -64,12 +65,12 @@ class TestConv2d:
         x = Tensor(np.zeros((1, 1, 4, 4)))
         w = Tensor(np.zeros((1, 1, 2, 2)))
         with pytest.raises(TensorError, match="odd"):
-            T.conv2d(x, w, pad="same")
+            T.conv2d(x, w)
 
     def test_stride2_output_shape(self):
         x = Tensor(np.zeros((2, 3, 8, 8)))
         w = Tensor(np.zeros((5, 3, 3, 3)))
-        out = T.conv2d(x, w, stride=2, pad="same")
+        out = T.conv2d(x, w, stride=2)
         assert out.shape == (2, 5, 4, 4)
 
 
@@ -109,13 +110,13 @@ class TestPool2d:
     def test_constant_preserved(self):
         x = Tensor(np.full((1, 1, 5, 5), 3.25))
         for kind in ("avg", "max"):
-            out = T.pool2d(x, kind, 3, 1, "same")
+            out = T.pool2d(x, kind, 3)
             assert np.array_equal(out.data, x.data)
 
     def test_avg_spike_spread_matches_enumeration(self):
         plane = np.zeros((5, 5))
         plane[2, 2] = 1.0
-        out = T.pool2d(Tensor(plane.reshape(1, 1, 5, 5)), "avg", 3, 1, "same")
+        out = T.pool2d(Tensor(plane.reshape(1, 1, 5, 5)), "avg", 3)
         oracle = _pool_oracle(plane, "avg", 3)
         assert np.allclose(out.data[0, 0], oracle)
         assert np.sum(np.abs(out.data[0, 0] - 1.0 / 9.0) < 1e-12) == 9
@@ -124,7 +125,7 @@ class TestPool2d:
         plane = np.zeros((5, 5))
         plane[2, 2] = 1.0
         avg = _pool_oracle(plane, "avg", 3)
-        out = T.pool2d(Tensor(avg.reshape(1, 1, 5, 5)), "max", 3, 1, "same")
+        out = T.pool2d(Tensor(avg.reshape(1, 1, 5, 5)), "max", 3)
         oracle = _pool_oracle(avg, "max", 3)
         assert np.allclose(out.data[0, 0], oracle)
         assert np.allclose(out.data[0, 0], 1.0 / 9.0)  # plateau spans the 5x5 grid
@@ -132,14 +133,14 @@ class TestPool2d:
     def test_avg_commutes_with_scaling(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(1, 2, 6, 6))
-        a = T.pool2d(Tensor(3.7 * x), "avg", 3, 1, "same").data
-        b = 3.7 * T.pool2d(Tensor(x), "avg", 3, 1, "same").data
+        a = T.pool2d(Tensor(3.7 * x), "avg", 3).data
+        b = 3.7 * T.pool2d(Tensor(x), "avg", 3).data
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_max_ties_give_the_tied_value(self):
         x = Tensor(np.array([[1.0, 1.0]]).reshape(1, 1, 1, 2))
-        assert np.array_equal(T.pool2d(x, "max", 1, 1, "valid").data, x.data)
-        assert np.array_equal(T.pool2d(x, "max", 3, 1, "same").data, x.data)
+        assert np.array_equal(T.pool2d(x, "max", 1).data, x.data)
+        assert np.array_equal(T.pool2d(x, "max", 3).data, x.data)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("pad", ["same", "valid"])
@@ -150,7 +151,11 @@ class TestPool2d:
         rng = np.random.default_rng(kernel * 10 + stride)
         x = rng.normal(size=(2, 3, 11, 9)) * 10.0 ** rng.uniform(-6, 6, size=(2, 3, 11, 9))
         x = x.astype(dtype)
-        out = T.pool2d(Tensor(x), kind, kernel, stride, pad).data
+        out = T.pool2d(Tensor(x), kind, kernel).data
+        # pool2d is same-padded at stride 1: a "valid" window is one that does
+        # not reach the padding, and a stride keeps every stride-th window
+        crop = (kernel - 1) // 2 if pad == "valid" else 0
+        out = out[:, :, crop:out.shape[2] - crop:stride, crop:out.shape[3] - crop:stride]
         expect = _window_pool(x, kind, kernel, stride, pad)
         assert out.dtype == expect.dtype
         assert np.array_equal(out, expect)
@@ -158,15 +163,22 @@ class TestPool2d:
     def test_avg_over_more_than_128_values_bitwise(self):
         # 13 x 13 = 169 values: numpy splits pairwise sums above 128 terms
         x = np.random.default_rng(8).normal(size=(1, 2, 20, 17)) * 1e3
-        out = T.pool2d(Tensor(x), "avg", 13, 1, "same").data
+        out = T.pool2d(Tensor(x), "avg", 13).data
         assert np.array_equal(out, _window_pool(x, "avg", 13, 1, "same"))
+
+    def test_even_or_nonpositive_kernel_rejected(self):
+        x = Tensor(np.ones((1, 1, 4, 4)))
+        with pytest.raises(TensorError, match="odd"):
+            T.pool2d(x, "avg", 2)
+        with pytest.raises(TensorError, match=">= 1"):
+            T.pool2d(x, "max", -1)
 
     def test_tracked_input_rejected(self):
         x = Tensor(np.ones((1, 1, 3, 3)), requires_grad=True)
         with pytest.raises(TensorError, match="no backward"):
-            T.pool2d(x, "avg", 3, 1, "same")
+            T.pool2d(x, "avg", 3)
         with T.no_grad():
-            out = T.pool2d(x, "avg", 3, 1, "same")
+            out = T.pool2d(x, "avg", 3)
         assert np.array_equal(out.data, x.data)
 
 
@@ -175,12 +187,12 @@ class TestActivations:
         assert T.silu(Tensor(np.zeros(3))).data.tolist() == [0.0, 0.0, 0.0]
 
     def test_silu_one(self):
-        out = T.activation(Tensor(np.array([1.0])), "silu")
+        out = T.silu(Tensor(np.array([1.0])))
         assert out.data[0] == pytest.approx(1.0 / (1.0 + np.exp(-1.0)), abs=1e-7)
         assert out.data[0] == pytest.approx(0.7311, abs=1e-4)
 
     def test_softmax_equal_logits(self):
-        out = T.activation(Tensor(np.zeros((2, 4))), "softmax_over_axis", axis=-1)
+        out = T.softmax(Tensor(np.zeros((2, 4))), axis=-1)
         assert np.allclose(out.data, 0.25)
 
     def test_softmax_rows_sum_to_one(self):
@@ -233,7 +245,7 @@ class TestInvariants:
             h = T.conv2d(Tensor(x), Tensor(w))
             h = T.group_norm(h, groups=2)
             h = T.silu(h)
-            return T.pool2d(h, "avg", 3, 1, "same").data
+            return T.pool2d(h, "avg", 3).data
         assert np.array_equal(run(), run())
 
     def test_nonfinite_forward_raises_with_scope(self):
@@ -253,6 +265,12 @@ class TestInvariants:
     def test_mismatched_binary_shapes_rejected(self):
         with pytest.raises(TensorError, match="same-shape"):
             T.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
+
+    def test_size1_operand_of_higher_rank_rejected(self):
+        with pytest.raises(TensorError, match="more dimensions"):
+            T.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((1, 1, 1))))
+        with pytest.raises(TensorError, match="more dimensions"):
+            T.mul(Tensor(np.ones((1, 1))), Tensor(np.zeros(3)))
 
 
 def test_gradcheck_smoke_every_op():

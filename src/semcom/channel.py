@@ -1,10 +1,9 @@
 """AWGN channel parameterized by PSNR, plus the full-image baseline path.
 
 PSNR = 10 log10(P / sigma^2) dB, so sigma = sqrt(P * 10^(-PSNR/10)). A PSNR
-of 100 or more is an exact noiseless switch. Noise is derived per symbol
-index from the seed (Philox counter blocks of four uniforms, mapped through
-the inverse normal CDF), which makes chunked/parallel transmission
-reproducible and keeps seeds portable at the statistical level; bitwise
+of 100 or more is an exact noiseless switch. The noise of a frame is drawn
+from a Philox stream keyed by the seed (uniforms mapped through the inverse
+normal CDF), so a fixed seed gives the same noise on every run; bitwise
 reproducibility is promised within this implementation only.
 """
 from __future__ import annotations
@@ -15,7 +14,6 @@ import numpy as np
 from scipy.special import ndtri
 
 NOISELESS_PSNR = 100.0
-_BLOCK = 4  # uniforms per Philox counter increment
 
 
 class ChannelError(ValueError):
@@ -48,48 +46,33 @@ def psnr_to_sigma(psnr_db, power=1.0):
     return float(np.sqrt(power * 10.0 ** (-psnr_db / 10.0)))
 
 
-def noise_for_indices(seed, start, count, sigma):
-    """Gaussian noise for symbol indices [start, start+count).
-
-    noise[i] is a pure function of (seed, start+i): uniforms come from the
-    Philox block holding that index, normals via inverse CDF.
-    """
-    if count == 0:
-        return np.zeros(0)
-    block0 = start // _BLOCK
-    offset = start - block0 * _BLOCK
-    blocks = (offset + count + _BLOCK - 1) // _BLOCK
-    bitgen = np.random.Philox(key=np.uint64(seed), counter=[block0, 0, 0, 0])
-    u = np.random.Generator(bitgen).random(blocks * _BLOCK)[offset:offset + count]
+def noise_for_indices(seed, count, sigma):
+    """Gaussian noise for symbol indices [0, count): a pure function of the seed."""
+    u = np.random.Generator(np.random.Philox(key=np.uint64(seed))).random(count)
     u = np.maximum(u, 2.0 ** -53)  # ndtri(0) = -inf
     return sigma * ndtri(u)
 
 
-def transmit(frame, cfg, start_index=0, check_power=True):
-    """Add i.i.d. Gaussian noise of std sigma to a power-normalized frame.
+def transmit(frame, cfg):
+    """Add i.i.d. Gaussian noise of std sigma to a power-normalized ChannelFrame.
 
-    `frame` is a ChannelFrame or a flat symbol array already normalized to
-    cfg.power; a mismatch beyond 1e-6 is a contract violation. `start_index`
-    offsets the per-index noise stream; chunks of a larger frame pass their
-    offset and `check_power=False` (the power constraint binds whole frames).
+    The frame's mean-square power must match cfg.power within 1e-6; a
+    mismatch is a contract violation.
     """
-    symbols = np.asarray(getattr(frame, "symbols", frame), dtype=np.float64)
-    if check_power:
-        ms = float(np.mean(symbols * symbols))
-        if abs(ms - cfg.power) > 1e-6 * max(1.0, cfg.power):
-            raise ChannelError(
-                f"frame mean-square power {ms:.9g} does not match configured {cfg.power:.9g}")
+    symbols = np.asarray(frame.symbols, dtype=np.float64)
+    ms = float(np.mean(symbols * symbols))
+    if abs(ms - cfg.power) > 1e-6 * max(1.0, cfg.power):
+        raise ChannelError(
+            f"frame mean-square power {ms:.9g} does not match configured {cfg.power:.9g}")
     if cfg.noiseless:
         return symbols.copy()
-    return symbols + noise_for_indices(cfg.seed, start_index, symbols.size, cfg.sigma)
+    return symbols + noise_for_indices(cfg.seed, symbols.size, cfg.sigma)
 
 
-def transmit_image(rgb, cfg, clamp=True):
-    """Classical full-image baseline: normalize, corrupt, denormalize, clamp.
+def transmit_image(rgb, cfg):
+    """Classical full-image baseline: normalize, corrupt, denormalize, clamp to [0, 1].
 
-    Values must lie in [0, 1]; the result is clamped back to [0, 1] unless
-    `clamp=False` (useful to verify the raw MSE = sigma^2/scale^2 identity,
-    which clamping distorts at very low PSNR).
+    Values must lie in [0, 1].
     """
     img = np.asarray(rgb, dtype=np.float64)
     if img.min() < 0.0 or img.max() > 1.0:
@@ -101,10 +84,8 @@ def transmit_image(rgb, cfg, clamp=True):
     if ms == 0.0:
         raise ChannelError("cannot transmit an all-black image (zero power)")
     scale = np.sqrt(cfg.power / ms)
-    noisy = (flat * scale + noise_for_indices(cfg.seed, 0, flat.size, cfg.sigma)) / scale
-    if clamp:
-        noisy = np.clip(noisy, 0.0, 1.0)
-    return noisy.reshape(img.shape)
+    noisy = (flat * scale + noise_for_indices(cfg.seed, flat.size, cfg.sigma)) / scale
+    return np.clip(noisy, 0.0, 1.0).reshape(img.shape)
 
 
 def derive_seed(*entropy):

@@ -25,6 +25,7 @@ import numpy as np
 MAGIC = b"SCPM"
 VERSION = 1
 MAX_PIXELS = 1 << 24  # largest height * width that rle_unpack decodes
+MAX_STACK_BYTES = 1 << 26  # largest C_p * height * width (uint8 planes) that rle_unpack decodes
 
 
 class CodecError(ValueError):
@@ -128,9 +129,13 @@ def one_hot_encode(class_map, c_total):
     cmap = np.asarray(class_map)
     if cmap.ndim != 2:
         raise CodecError(f"semantic map must be 2-d, got shape {cmap.shape}")
+    if cmap.size == 0:
+        raise CodecError(f"semantic map is empty, got shape {cmap.shape}")
+    if cmap.dtype.kind not in "biu":
+        raise CodecError(f"class ids must be integers, got dtype {cmap.dtype}")
     if cmap.min() < 0 or cmap.max() >= c_total:
         raise CodecError(f"class id {int(cmap.max())} out of range [0, {c_total})")
-    present = tuple(int(c) for c in np.unique(cmap))
+    present = tuple(np.flatnonzero(np.bincount(cmap.ravel(), minlength=c_total)).tolist())
     planes = np.stack([(cmap == c) for c in present]).astype(np.uint8)
     return OneHotStack(present, planes, int(c_total))
 
@@ -148,10 +153,9 @@ def pad_planes(planes, present_classes, c_total):
     return full
 
 
-def pad_stack(stack, planes=None):
-    """Expand C_p planes to the full C_total stack, zeros for absent classes."""
-    src = stack.planes if planes is None else planes
-    return pad_planes(src, stack.present_classes, stack.c_total)
+def pad_stack(stack):
+    """Expand the stack's C_p planes to the full C_total stack, zeros for absent classes."""
+    return pad_planes(stack.planes, stack.present_classes, stack.c_total)
 
 
 # -- run-length wire format ------------------------------------------------------
@@ -238,6 +242,9 @@ def rle_unpack(payload):
         raise FormatError(f"{payload.height}x{payload.width} map exceeds {MAX_PIXELS} pixels")
     if pixels and not payload.present_classes:
         raise FormatError("no class planes for a non-empty map")
+    if len(payload.present_classes) * pixels > MAX_STACK_BYTES:
+        raise FormatError(f"{len(payload.present_classes)} planes of {payload.height}x{payload.width} "
+                          f"exceed the {MAX_STACK_BYTES}-byte stack bound")
     planes = []
     pos = 0
     for _ in payload.present_classes:
@@ -264,10 +271,9 @@ def power_normalize(stack, power=1.0):
     return ChannelFrame(flat * scale, float(power), scale)
 
 
-def inverse_normalize(symbols, scale, shape=None):
-    """Undo power normalization; reshape to planes when a shape is given."""
-    values = np.asarray(symbols, dtype=np.float64) / scale
-    return values.reshape(shape) if shape is not None else values
+def inverse_normalize(symbols, scale):
+    """Undo power normalization."""
+    return np.asarray(symbols, dtype=np.float64) / scale
 
 
 # -- bandwidth accounting --------------------------------------------------------------
@@ -276,11 +282,3 @@ def raw_rgb_bits(height, width):
     """Bit budget of an uncompressed 8-bit RGB image."""
     return height * width * 3 * 8
 
-
-def bit_budget(item):
-    """Bits on the wire: a payload's exact size, or the raw RGB budget."""
-    if isinstance(item, TransmitPayload):
-        return item.bit_count
-    if isinstance(item, tuple) and len(item) == 2:
-        return raw_rgb_bits(*item)
-    raise CodecError(f"bit_budget expects a TransmitPayload or (H, W) tuple, got {type(item)}")

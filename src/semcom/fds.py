@@ -29,7 +29,6 @@ class FdsConfig:
     avg_kernel: int = 3
     max_kernel: int = 3
     threshold: float = 0.8
-    enforce_partition: bool = False
 
     def __post_init__(self):
         if self.avg_kernel % 2 == 0 or self.max_kernel % 2 == 0:
@@ -66,10 +65,6 @@ def fds(noisy_planes, present_classes, c_total, cfg=FdsConfig()):
         raise FdsError(f"header class ids {present} out of range [0, {c_total})")
     pooled = pooled_planes(planes, cfg)
     bits = (pooled > cfg.threshold).astype(np.uint8)
-    if cfg.enforce_partition:
-        winner = np.argmax(pooled, axis=0)  # ties to the lower class id
-        bits = np.zeros_like(bits)
-        np.put_along_axis(bits, winner[None], 1, axis=0)
     return codec.pad_planes(bits, present, c_total)
 
 

@@ -1,10 +1,12 @@
 """Sender -> channel -> receiver glue shared by training and evaluation.
 
-The sender one-hot encodes a map, packs it (for bandwidth accounting), and
-power-normalizes the planes. The channel corrupts the normalized symbols.
-The receiver undoes the power scale with the out-of-band header, then either
-applies the fast denoiser (inference) or feeds the raw noisy planes to the
-model (training), always padding absent classes with clean zero planes.
+The sender one-hot encodes a map and power-normalizes the planes. The channel
+corrupts the normalized symbols. The receiver undoes the power scale with the
+out-of-band header, then either applies the fast denoiser (inference) or feeds
+the raw noisy planes to the model (training), always padding absent classes
+with clean zero planes. The packed wire size depends only on the map, so a
+caller that reports bits on the wire takes `codec.rle_pack(stack).bit_count`
+once per map rather than once per channel draw.
 """
 from __future__ import annotations
 
@@ -20,20 +22,16 @@ from . import fds as fds_mod
 @dataclass(frozen=True)
 class LinkResult:
     stack: codec.OneHotStack       # clean sender-side stack
-    payload_bits: int              # compressed wire size (header + body)
     received_raw: np.ndarray       # noisy symbols reshaped to planes (still scaled)
     received_planes: np.ndarray    # de-scaled planes, approximately {0, 1} + noise
 
 
-def transmit_map(class_map, c_total, cfg, power=1.0):
-    """Run one map through encode -> pack -> normalize -> AWGN -> de-scale."""
+def transmit_map(class_map, c_total, cfg):
+    """Run one map through encode -> normalize to cfg.power -> AWGN -> de-scale."""
     stack = codec.one_hot_encode(class_map, c_total)
-    payload = codec.rle_pack(stack)
-    frame = codec.power_normalize(stack, power)
-    noisy = ch.transmit(frame, cfg)
-    raw = noisy.reshape(stack.planes.shape)
-    planes = codec.inverse_normalize(raw, frame.scale)
-    return LinkResult(stack, payload.bit_count, raw, planes)
+    frame = codec.power_normalize(stack, cfg.power)
+    raw = ch.transmit(frame, cfg).reshape(stack.planes.shape)
+    return LinkResult(stack, raw, codec.inverse_normalize(raw, frame.scale))
 
 
 def receiver_condition(link, c_total, fds_cfg=None):

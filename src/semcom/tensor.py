@@ -5,7 +5,8 @@ each with one way to call it:
 
 - add/sub/mul/div take operands of the same shape, or one operand of size 1
   (a python scalar included) whose rank is no higher than the other's. Any
-  other broadcast goes through broadcast_to, so the gradient surface stays small.
+  other broadcast goes through broadcast_to, at equal rank only, so the
+  gradient surface stays small.
 - conv2d (zero padding, optional stride) and pool2d (edge padding, stride 1)
   pad "same" and take odd kernels only.
 - Avg/max pooling (the receiver's map denoiser) is forward only and refuses
@@ -291,6 +292,8 @@ def transpose(x, axes):
 
 def broadcast_to(x, shape):
     shape = tuple(shape)
+    if len(shape) != x.ndim:
+        raise TensorError(f"broadcast_to: {x.shape} -> {shape}: ranks differ")
     try:
         data = np.broadcast_to(x.data, shape)
     except ValueError as e:
@@ -298,9 +301,6 @@ def broadcast_to(x, shape):
     out = _make(data, (x,), "broadcast_to")
     if out._parents:
         def bwd(g):
-            extra = g.ndim - x.ndim
-            if extra:
-                g = g.sum(axis=tuple(range(extra)), dtype=g.dtype)
             keep = tuple(i for i, (sx, sg) in enumerate(zip(x.shape, g.shape)) if sx == 1 and sg != 1)
             if keep:
                 g = g.sum(axis=keep, keepdims=True, dtype=g.dtype)

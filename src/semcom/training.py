@@ -207,7 +207,7 @@ class Trainer:
         ch_cfg = ChannelConfig(
             psnr_db=psnr_db, power=self.cfg.power,
             seed=derive_seed(self.cfg.seed, self.step_index, sample_tag))
-        link = transmit_map(cmap, self.c_total, ch_cfg, self.cfg.power)
+        link = transmit_map(cmap, self.c_total, ch_cfg)
         # training consumes raw noisy maps: the fast denoiser stays inference-only
         return receiver_condition(link, self.c_total, fds_cfg=None)
 
@@ -246,7 +246,10 @@ class Trainer:
         else:
             norm = clip_gradients(self.model.params, cfg.grad_clip)
             self.opt.step(self.model.params)
-            ema_update(self.ema, self.model.params, cfg.ema_decay)
+            # warm-up, so the shadow leaves the initialization; opt.t counts
+            # applied updates only, so skipped steps do not advance it
+            decay = min(cfg.ema_decay, (1 + self.opt.t) / (10 + self.opt.t))
+            ema_update(self.ema, self.model.params, decay)
         self.step_index += 1
         metrics = RunMetrics(self.step_index, comps["L_d"], comps["L_KL"], comps["total"],
                              norm, 1e3 * (time.perf_counter() - t0), psnr_counts)

@@ -12,11 +12,11 @@ from semcom.codec import (
     FormatError,
     OneHotStack,
     TransmitPayload,
-    bit_budget,
     one_hot_encode,
     plane_runs,
     power_normalize,
     inverse_normalize,
+    raw_rgb_bits,
     rle_pack,
     rle_unpack,
     stack_to_map,
@@ -45,6 +45,19 @@ class TestOneHotEncode:
     def test_out_of_range_id_rejected(self):
         with pytest.raises(CodecError, match="out of range"):
             one_hot_encode(np.array([[9]]), c_total=8)
+
+    def test_present_classes_match_unique_ids(self):
+        rng = np.random.default_rng(5)
+        for dtype in (np.uint8, np.int32, np.int64):
+            cmap = rng.choice([1, 4, 6], size=(9, 7)).astype(dtype)
+            assert one_hot_encode(cmap, c_total=8).present_classes == tuple(np.unique(cmap).tolist())
+
+    @pytest.mark.parametrize("cmap, match", [(np.zeros((0, 4), int), "empty"),
+                                             (np.zeros((4, 0), int), "empty"),
+                                             (np.zeros((2, 2)), "integers")])
+    def test_empty_or_non_integer_map_rejected(self, cmap, match):
+        with pytest.raises(CodecError, match=match):
+            one_hot_encode(cmap, c_total=5)
 
     def test_violated_partition_rejected(self):
         planes = np.ones((2, 2, 2), np.uint8)  # both planes claim every pixel
@@ -157,7 +170,7 @@ class TestPowerNormalize:
         cmap = np.random.default_rng(3).integers(0, 4, size=(6, 6))
         stack = one_hot_encode(cmap, 4)
         frame = power_normalize(stack, power=1.0)
-        planes = inverse_normalize(frame.symbols, frame.scale, stack.planes.shape)
+        planes = inverse_normalize(frame.symbols, frame.scale).reshape(stack.planes.shape)
         assert np.max(np.abs(planes - stack.planes)) < 1e-9
 
     def test_all_zero_rejected(self):
@@ -167,7 +180,7 @@ class TestPowerNormalize:
 
 class TestBitBudget:
     def test_raw_rgb(self):
-        assert bit_budget((256, 512)) == 3_145_728
+        assert raw_rgb_bits(256, 512) == 3_145_728
 
     def test_paper_reported_reduction(self):
         # Reported full-image vs semantic payload budgets; the ~92% reduction
@@ -180,7 +193,7 @@ class TestBitBudget:
         cmap[4:12, 6:20] = 1
         cmap[18:28, 10:18] = 3
         payload = rle_pack(one_hot_encode(cmap, 5))
-        assert bit_budget(payload) <= 0.10 * bit_budget((32, 32))
+        assert payload.bit_count <= 0.10 * raw_rgb_bits(32, 32)
 
     def test_budget_decreases_with_simplicity(self):
         base = np.zeros((32, 32), int)
@@ -188,8 +201,8 @@ class TestBitBudget:
         base[18:28, 10:18] = 2
         simpler = base.copy()
         simpler[18:28, 10:18] = 0  # drop one class/shape
-        bits_base = bit_budget(rle_pack(one_hot_encode(base, 5)))
-        bits_simpler = bit_budget(rle_pack(one_hot_encode(simpler, 5)))
+        bits_base = rle_pack(one_hot_encode(base, 5)).bit_count
+        bits_simpler = rle_pack(one_hot_encode(simpler, 5)).bit_count
         assert bits_simpler < bits_base
 
 
@@ -254,6 +267,32 @@ class TestDecodeBounds:
         wider = one_hot_encode(np.arange(20).reshape(4, 5) % 3, c_total=3)
         with pytest.raises(FormatError, match="exceeds"):
             rle_unpack(rle_pack(wider).to_bytes())
+
+    def test_many_planes_over_large_map_refused_before_decoding(self, monkeypatch):
+        # 8 horizontal bands of a 4096x4096 map: 126 bytes that would decode to 2^27
+        side = 4096
+        band = side * side // 8
+        planes = [[k * band, band, (7 - k) * band] for k in range(8)]
+        planes[-1].pop()  # the last band ends its plane
+        body = b"".join(_varint(r) for runs in planes for r in runs + [0])
+        raw = _header(side, side, 8, tuple(range(8))) + body
+        assert len(raw) < 128
+
+        def no_decode(*args):
+            raise AssertionError("a plane was decoded")
+
+        monkeypatch.setattr(codec, "decode_plane", no_decode)
+        with pytest.raises(FormatError, match="stack bound"):
+            rle_unpack(raw)
+
+    def test_stack_bound_is_inclusive(self, monkeypatch):
+        stack = one_hot_encode(np.arange(20).reshape(4, 5) % 3, c_total=3)
+        raw = rle_pack(stack).to_bytes()
+        monkeypatch.setattr(codec, "MAX_STACK_BYTES", 3 * 20)
+        assert np.array_equal(rle_unpack(raw).planes, stack.planes)
+        monkeypatch.setattr(codec, "MAX_STACK_BYTES", 3 * 20 - 1)
+        with pytest.raises(FormatError, match="stack bound"):
+            rle_unpack(raw)
 
     def test_empty_map_without_planes_decodes(self):
         back = rle_unpack(_header(0, 7, 3, ()))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from semcom.channel import ChannelConfig, transmit
-from semcom.codec import one_hot_encode, pad_stack, power_normalize, stack_to_map
+from semcom.codec import one_hot_encode, pad_planes, power_normalize, stack_to_map
 from semcom.data import (
     DataError,
     ShapesSpec,
@@ -125,7 +125,7 @@ class TestPixelMetrics:
         rng = np.random.default_rng(9)
         img = rng.uniform(0.3, 0.7, size=(3, 128, 128))
         from semcom.channel import transmit_image
-        out = transmit_image(img, ChannelConfig(psnr_db=15.0, seed=21), clamp=False)
+        out = transmit_image(img, ChannelConfig(psnr_db=15.0, seed=21))
         # measured against the *channel* power normalization (P/sigma^2)
         mse, _ = pixel_metrics(np.clip(out, 0, 1), img)
         scale2 = 1.0 / np.mean(img**2)
@@ -158,5 +158,5 @@ def test_closed_loop_through_noiseless_channel():
         received = transmit(frame, ChannelConfig(psnr_db=100.0, seed=0))
         planes = (received / frame.scale).reshape(stack.planes.shape)
         assert np.array_equal(planes.astype(np.uint8), stack.planes)  # bitwise exact
-        full = pad_stack(stack, planes.astype(np.uint8))
+        full = pad_planes(planes.astype(np.uint8), stack.present_classes, stack.c_total)
         assert np.array_equal(np.argmax(full, axis=0), cmap)

@@ -86,12 +86,6 @@ class TestFds:
                 assert np.all(out <= prev)  # raising threshold never flips 0 -> 1
             prev = out
 
-    def test_enforce_partition_option(self):
-        rng = np.random.default_rng(2)
-        planes = rng.uniform(0.4, 1.0, size=(3, 6, 6))
-        out = fds(planes, [0, 1, 2], 4, FdsConfig(enforce_partition=True))
-        assert np.array_equal(out.sum(axis=0), np.ones((6, 6)))
-
     def test_even_kernel_rejected(self):
         with pytest.raises(FdsError, match="odd"):
             FdsConfig(avg_kernel=2)

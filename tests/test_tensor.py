@@ -272,6 +272,10 @@ class TestInvariants:
         with pytest.raises(TensorError, match="more dimensions"):
             T.mul(Tensor(np.ones((1, 1))), Tensor(np.zeros(3)))
 
+    def test_broadcast_to_other_rank_rejected(self):
+        with pytest.raises(TensorError, match="ranks differ"):
+            T.broadcast_to(Tensor(np.zeros(3), requires_grad=True), (4, 3))
+
 
 def test_gradcheck_smoke_every_op():
     """One randomized case per op; the full 50-case sweep runs in acceptance."""

@@ -117,6 +117,18 @@ class TestEma:
 
 
 class TestTrainStep:
+    def test_ema_tracks_params_after_warm_up(self):
+        tr = _trainer(4, ema_decay=0.9999)
+        init = {k: v.copy() for k, v in tr.ema.items()}
+        for _ in range(30):
+            tr.train_step()
+
+        def dist(a, b):
+            return np.sqrt(sum(np.sum((a[k] - b[k]) ** 2, dtype=np.float64) for k in a))
+
+        params = {k: p.data for k, p in tr.model.params.items()}
+        assert dist(tr.ema, params) < dist(tr.ema, init)
+
     def test_step0_deterministic_across_reruns(self):
         a = _trainer(0).train_step()
         b = _trainer(0).train_step()

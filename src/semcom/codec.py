@@ -37,7 +37,7 @@ class FormatError(CodecError):
 
 
 class DegenerateInputError(CodecError):
-    """Input that cannot be processed (e.g. all-zero stack)."""
+    """Input that cannot be processed (e.g. a stack with no pixels)."""
 
 
 @dataclass(frozen=True)
@@ -133,8 +133,9 @@ def one_hot_encode(class_map, c_total):
         raise CodecError(f"semantic map is empty, got shape {cmap.shape}")
     if cmap.dtype.kind not in "biu":
         raise CodecError(f"class ids must be integers, got dtype {cmap.dtype}")
-    if cmap.min() < 0 or cmap.max() >= c_total:
-        raise CodecError(f"class id {int(cmap.max())} out of range [0, {c_total})")
+    lo, hi = int(cmap.min()), int(cmap.max())
+    if lo < 0 or hi >= c_total:
+        raise CodecError(f"class id {lo if lo < 0 else hi} out of range [0, {c_total})")
     present = tuple(np.flatnonzero(np.bincount(cmap.ravel(), minlength=c_total)).tolist())
     planes = np.stack([(cmap == c) for c in present]).astype(np.uint8)
     return OneHotStack(present, planes, int(c_total))
@@ -238,9 +239,11 @@ def rle_unpack(payload):
     if isinstance(payload, (bytes, bytearray)):
         payload = TransmitPayload.from_bytes(payload)
     pixels = payload.height * payload.width
+    if not pixels:
+        raise FormatError(f"{payload.height}x{payload.width} map has no pixels")
     if pixels > MAX_PIXELS:
         raise FormatError(f"{payload.height}x{payload.width} map exceeds {MAX_PIXELS} pixels")
-    if pixels and not payload.present_classes:
+    if not payload.present_classes:
         raise FormatError("no class planes for a non-empty map")
     if len(payload.present_classes) * pixels > MAX_STACK_BYTES:
         raise FormatError(f"{len(payload.present_classes)} planes of {payload.height}x{payload.width} "
@@ -252,21 +255,20 @@ def rle_unpack(payload):
         planes.append(plane)
     if pos != len(payload.body):
         raise FormatError(f"{len(payload.body) - pos} trailing bytes after last plane")
-    planes = np.stack(planes) if planes else np.zeros((0, payload.height, payload.width), np.uint8)
-    return OneHotStack(payload.present_classes, planes, payload.c_total)
+    return OneHotStack(payload.present_classes, np.stack(planes), payload.c_total)
 
 
 # -- power normalization -----------------------------------------------------------
 
 def power_normalize(stack, power=1.0):
-    """Scale plane values so the flat symbol vector has mean square `power`."""
+    """Scale the planes of a OneHotStack so the flat symbol vector has mean square `power`."""
     if power <= 0:
         raise CodecError(f"power must be positive, got {power}")
-    planes = stack.planes if isinstance(stack, OneHotStack) else np.asarray(stack)
-    flat = planes.reshape(-1).astype(np.float64)
+    if not stack.planes.size:
+        raise DegenerateInputError(f"cannot power-normalize a {stack.height}x{stack.width} stack "
+                                   "with no pixels")
+    flat = stack.planes.reshape(-1).astype(np.float64)
     ms = float(np.mean(flat * flat))
-    if ms == 0.0:
-        raise DegenerateInputError("cannot power-normalize an all-zero stack")
     scale = float(np.sqrt(power / ms))
     return ChannelFrame(flat * scale, float(power), scale)
 

@@ -154,14 +154,14 @@ def gaussian_kl(mean_p, logvar_p, mean_q, logvar_q):
     return T.mul(T.add(T.sub(lq, logvar_p), T.add(ratio, -1.0)), 0.5)
 
 
-def total_loss(model, x0, y, t, eps, sched, lambda_kl=0.001, ld_norm="mse"):
-    """Combined denoising + variance loss: L = L_d + lambda * L_KL.
+def total_loss(model, x0, y, t, eps, sched, lambda_kl=0.001):
+    """Hybrid loss of improved DDPM: L = L_d + lambda * L_KL.
 
-    L_d compares the injected and predicted noise (mean-square by default, or
-    the literal per-sample l2 norm with ld_norm="l2"). L_KL is the Gaussian KL
-    between the predicted reverse transition and the forward posterior, with
-    the predicted mean detached so only the variance head learns from it.
-    Returns (loss Tensor, components dict).
+    L_d = mean((eps - eps_hat)^2), the mean-square error between the injected
+    and the predicted noise over every element of the batch. L_KL is the
+    Gaussian KL between the predicted reverse transition and the forward
+    posterior, with the predicted mean detached so only the variance head
+    learns from it. Returns (loss Tensor, components dict).
     """
     x0 = np.asarray(x0, dtype=np.float32)
     t = _check_t(t, sched.steps)
@@ -169,14 +169,7 @@ def total_loss(model, x0, y, t, eps, sched, lambda_kl=0.001, ld_norm="mse"):
     eps_pred, var_raw = model.forward(x_t, y, t)
 
     target = Tensor(np.asarray(eps, dtype=np.float32))
-    diff = T.sub(eps_pred, target)
-    if ld_norm == "mse":
-        l_d = T.mean(T.square(diff))
-    elif ld_norm == "l2":
-        per = T.sqrt(T.sum_(T.square(diff), axis=(1, 2, 3)))
-        l_d = T.mean(per)
-    else:
-        raise DiffusionError(f"ld_norm must be 'mse' or 'l2', got {ld_norm!r}")
+    l_d = T.mean(T.square(T.sub(eps_pred, target)))
 
     # variance-only KL: means enter as constants
     mean_p = eps_to_mean(eps_pred.data, x_t, t, sched)

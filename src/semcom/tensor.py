@@ -593,41 +593,3 @@ def upsample_nearest2(x):
             x._accum(g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5), dtype=g.dtype))
         out._bwd = bwd
     return out
-
-
-# -- gradient checking ---------------------------------------------------------------------
-
-def gradcheck(fn, inputs, rtol=1e-4, h=1e-5, atol=1e-7):
-    """Compare analytic gradients of scalar fn(*inputs) with central differences.
-
-    Inputs are promoted to float64. Returns the worst relative error; raises
-    AssertionError when any element violates |a - n| <= atol + rtol*|n|.
-    """
-    ts = [Tensor(np.asarray(i.data if isinstance(i, Tensor) else i, dtype=np.float64).copy(),
-                 requires_grad=True) for i in inputs]
-    out = fn(*ts)
-    out.backward()
-    worst = 0.0
-    for t in ts:
-        analytic = np.zeros_like(t.data) if t.grad is None else t.grad
-        numeric = np.zeros_like(t.data)
-        flat = t.data.reshape(-1)
-        nflat = numeric.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = fn(*[Tensor(u.data) for u in ts]).item()
-            flat[i] = orig - h
-            fm = fn(*[Tensor(u.data) for u in ts]).item()
-            flat[i] = orig
-            nflat[i] = (fp - fm) / (2.0 * h)
-        err = np.abs(analytic - numeric)
-        bound = atol + rtol * np.abs(numeric)
-        if np.any(err > bound):
-            k = int(np.argmax(err - bound))
-            raise AssertionError(
-                f"gradcheck failed: analytic {analytic.reshape(-1)[k]:.8g} vs numeric "
-                f"{numeric.reshape(-1)[k]:.8g} (|diff| {err.reshape(-1)[k]:.3g})")
-        denom = np.maximum(np.abs(numeric), 1.0)
-        worst = max(worst, float(np.max(err / denom)))
-    return worst

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor as T
 from .channel import ChannelConfig, derive_seed
 from .checkpoint import load_checkpoint, save_checkpoint
 from .diffusion import total_loss
@@ -33,9 +32,7 @@ DEFAULT_PSNR_WEIGHTS = (1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 4.0)
 class TrainConfig:
     batch_size: int = 8
     learning_rate: float = 1e-4
-    steps: int = 5000
     lambda_kl: float = 0.001
-    ld_norm: str = "mse"
     ema_decay: float = 0.9999
     cond_drop_prob: float = 0.2
     psnr_pool: tuple = DEFAULT_PSNR_POOL
@@ -43,7 +40,6 @@ class TrainConfig:
     seed: int = 0
     weight_decay: float = 0.0
     grad_clip: float = 1.0
-    power: float = 1.0
     checkpoint_every: int = 1000
 
     def __post_init__(self):
@@ -69,17 +65,12 @@ class RunMetrics:
     wall_ms: float
     psnr_counts: dict = field(default_factory=dict)
 
-    def finite(self):
-        return all(np.isfinite(v) for v in (self.L_d, self.L_KL, self.total, self.grad_norm))
 
-
-def sample_channel_condition(rng, psnr_pool, weights=None):
+def sample_channel_condition(rng, psnr_pool, weights):
     """Categorical draw of a channel PSNR from the (normalized) weighted pool."""
     pool = list(psnr_pool)
     if not pool:
         raise TrainError("psnr_pool must not be empty")
-    if weights is None:
-        weights = [1.0] * len(pool)
     p = np.asarray(weights, dtype=np.float64)
     p /= p.sum()
     return float(pool[rng.choice(len(pool), p=p)])
@@ -141,23 +132,22 @@ class AdamW:
 
 
 def ema_update(shadow, params, decay):
-    """shadow <- decay * shadow + (1 - decay) * params, per entry."""
-    for name, value in params.items():
-        data = value.data if isinstance(value, T.Tensor) else np.asarray(value)
-        shadow[name] = decay * shadow[name] + (1.0 - decay) * data
+    """shadow <- decay * shadow + (1 - decay) * params, per {name: Tensor} entry."""
+    for name, p in params.items():
+        shadow[name] = decay * shadow[name] + (1.0 - decay) * p.data
     return shadow
 
 
-def global_grad_norm(params):
+def clip_gradients(params, max_norm):
+    """Scale the gradients down to global L2 norm max_norm; returns the norm before.
+
+    The norm is summed in float64, so it is finite exactly when every gradient is.
+    """
     total = 0.0
     for p in params.values():
         if p.grad is not None:
             total += float(np.sum(p.grad.astype(np.float64) ** 2))
-    return float(np.sqrt(total))
-
-
-def clip_gradients(params, max_norm):
-    norm = global_grad_norm(params)
+    norm = float(np.sqrt(total))
     if max_norm and norm > max_norm and np.isfinite(norm):
         scale = max_norm / norm
         for p in params.values():
@@ -200,13 +190,11 @@ class Trainer:
         self.ema = {name: p.data.copy() for name, p in model.params.items()}
         self.step_index = 0
         self.skipped = 0
-        self.history = []
 
     # -- conditioning -------------------------------------------------------
     def _condition(self, cmap, psnr_db, sample_tag):
         ch_cfg = ChannelConfig(
-            psnr_db=psnr_db, power=self.cfg.power,
-            seed=derive_seed(self.cfg.seed, self.step_index, sample_tag))
+            psnr_db=psnr_db, seed=derive_seed(self.cfg.seed, self.step_index, sample_tag))
         link = transmit_map(cmap, self.c_total, ch_cfg)
         # training consumes raw noisy maps: the fast denoiser stays inference-only
         return receiver_condition(link, self.c_total, fds_cfg=None)
@@ -232,58 +220,43 @@ class Trainer:
         eps = self.rng.standard_normal(x0.shape, dtype=np.float32)
 
         self.model.zero_grad()
-        loss, comps = total_loss(self.model, x0, y, t, eps, self.sched,
-                                 lambda_kl=cfg.lambda_kl, ld_norm=cfg.ld_norm)
+        loss, comps = total_loss(self.model, x0, y, t, eps, self.sched, lambda_kl=cfg.lambda_kl)
         loss.backward()
         del loss
 
-        grads_finite = all(
-            p.grad is None or np.isfinite(float(p.grad.sum()))
-            for p in self.model.params.values())
-        if not grads_finite:
-            self.skipped += 1
-            norm = float("nan")
-        else:
-            norm = clip_gradients(self.model.params, cfg.grad_clip)
+        norm = clip_gradients(self.model.params, cfg.grad_clip)
+        if np.isfinite(norm):
             self.opt.step(self.model.params)
             # warm-up, so the shadow leaves the initialization; opt.t counts
             # applied updates only, so skipped steps do not advance it
             decay = min(cfg.ema_decay, (1 + self.opt.t) / (10 + self.opt.t))
             ema_update(self.ema, self.model.params, decay)
+        else:
+            self.skipped += 1
+            norm = float("nan")
         self.step_index += 1
-        metrics = RunMetrics(self.step_index, comps["L_d"], comps["L_KL"], comps["total"],
-                             norm, 1e3 * (time.perf_counter() - t0), psnr_counts)
-        self.history.append(metrics)
-        return metrics
+        return RunMetrics(self.step_index, comps["L_d"], comps["L_KL"], comps["total"],
+                          norm, 1e3 * (time.perf_counter() - t0), psnr_counts)
 
     # -- checkpointing -------------------------------------------------------
-    def _trainer_extra(self):
-        return {
-            "kind": "train",
-            "step": self.step_index,
-            "skipped": self.skipped,
-            "opt_t": self.opt.t,
-            "rng_state": self.rng.bit_generator.state,
-        }
-
-    def save(self, path, ema=False):
-        arrays = dict(self.ema) if ema else self.model.state()
-        extra = self._trainer_extra()
-        extra["ema"] = bool(ema)
-        if not ema:
-            arrays = dict(arrays)
-            arrays.update(self.opt.state_arrays())
-            arrays.update({f"ema.{k}": v for k, v in self.ema.items()})
-        save_checkpoint(path, arrays, self.config_hash, extra)
+    def save(self, path):
+        """Model, optimizer moments (`opt.*`), EMA shadow (`ema.*`), counters and RNG."""
+        arrays = self.model.state()
+        arrays.update(self.opt.state_arrays())
+        arrays.update({f"ema.{k}": v for k, v in self.ema.items()})
+        save_checkpoint(path, arrays, self.config_hash, {
+            "step": self.step_index, "skipped": self.skipped, "opt_t": self.opt.t,
+            "rng_state": self.rng.bit_generator.state})
 
     def restore(self, path):
         arrays, manifest = load_checkpoint(path)
         if manifest["config_hash"] != self.config_hash:
             raise TrainError(f"checkpoint config hash {manifest['config_hash']!r} does not match "
                              f"this run's {self.config_hash!r}")
+        if {k[len("ema."):] for k in arrays if k.startswith("ema.")} != set(self.model.params):
+            raise TrainError("checkpoint EMA entries do not match the model's parameters; "
+                             "only a training checkpoint can be resumed")
         extra = manifest["extra"]
-        if extra.get("ema"):
-            raise TrainError("cannot resume from an EMA-only checkpoint")
         model_arrays = {k: v for k, v in arrays.items()
                         if not k.startswith(("opt.", "ema."))}
         self.model.load_state(model_arrays)

@@ -42,7 +42,6 @@ class ModelConfig:
     num_res_blocks: int = 2
     attention_resolutions: tuple = (16, 8)
     head_channels: int = 32
-    attention_scale: float = 1.0
     spade_hidden: int = 64
     groups: int = 8
 
@@ -135,10 +134,10 @@ class TimeEmbed:
         self.w1, self.b1 = store.dense("time.fc1", base_dim, emb_dim)
         self.w2, self.b2 = store.dense("time.fc2", emb_dim, emb_dim)
 
-    def __call__(self, t, t_max=None):
+    def __call__(self, t):
         t = np.atleast_1d(np.asarray(t))
-        if np.any(t < 0) or (t_max is not None and np.any(t > t_max)):
-            raise ValueError(f"timestep out of range [0, {t_max}]: {t}")
+        if np.any(t < 0):
+            raise ValueError(f"timestep out of range [0, inf): {t}")
         h = Tensor(sinusoid_embedding(t, self.base_dim))
         h = _dense(h, self.w1, self.b1)
         h = T.silu(h)
@@ -234,7 +233,6 @@ class AttentionBlock:
         self.wg, _ = store.conv(f"{name}.wg", channels, channels, 1, bias=False)
         self.wh, self.bh = store.conv(f"{name}.wh", channels, channels, 1)
         self.wv, self.bv = store.conv(f"{name}.wv", channels, channels, 1, init="zero")
-        self.alpha = float(cfg.attention_scale)
 
     def _heads(self, t, n, hw):
         dh = self.channels // self.heads
@@ -255,7 +253,7 @@ class AttentionBlock:
     def __call__(self, x):
         n, c, h, w = x.shape
         m = self.similarity(x)
-        attn = T.softmax(T.mul(m, self.alpha), axis=-1)
+        attn = T.softmax(m, axis=-1)
         hv = self._heads(T.conv2d(x, self.wh, self.bh), n, h * w)
         out = T.matmul(hv, T.transpose(attn, (0, 1, 3, 2)))  # sum_v attn(u,v) h(x_v)
         out = T.reshape(out, (n, c, h, w))
@@ -281,7 +279,7 @@ class Upsample:
 class UNet:
     """Encoder/decoder noise-and-variance predictor conditioned through SPADE."""
 
-    def __init__(self, config, seed=0, params=None):
+    def __init__(self, config, seed=0):
         self.config = config
         store = ParamStore(np.random.default_rng(seed))
         cfg = config
@@ -329,8 +327,6 @@ class UNet:
 
         self.out_w, self.out_b = store.conv("out.conv", 2 * cfg.in_channels, chans[0], 3, init="zero")
         self.params = store.params
-        if params is not None:
-            self.load_state(params)
 
     # -- parameter plumbing ---------------------------------------------------
     def state(self):
@@ -369,7 +365,7 @@ class UNet:
     def encode(self, x_t, t):
         """Time embedding, encoder and mid block: returns (h, skips, temb)."""
         cfg = self.config
-        x = x_t if isinstance(x_t, Tensor) else Tensor(np.asarray(x_t, dtype=np.float32))
+        x = Tensor(np.asarray(x_t, dtype=np.float32))
         if x.ndim != 4 or x.shape[1] != cfg.in_channels or x.shape[2] != cfg.image_size:
             raise ValueError(f"input shape {x.shape} does not match config "
                              f"[N,{cfg.in_channels},{cfg.image_size},{cfg.image_size}]")

@@ -46,6 +46,11 @@ class TestOneHotEncode:
         with pytest.raises(CodecError, match="out of range"):
             one_hot_encode(np.array([[9]]), c_total=8)
 
+    @pytest.mark.parametrize("cmap, bad", [([[-1, 3]], -1), ([[0, 5]], 5), ([[2, -4, 1]], -4)])
+    def test_error_names_the_out_of_range_id(self, cmap, bad):
+        with pytest.raises(CodecError, match=rf"class id {bad} out of range"):
+            one_hot_encode(np.array(cmap), c_total=5)
+
     def test_present_classes_match_unique_ids(self):
         rng = np.random.default_rng(5)
         for dtype in (np.uint8, np.int32, np.int64):
@@ -175,7 +180,7 @@ class TestPowerNormalize:
 
     def test_all_zero_rejected(self):
         with pytest.raises(DegenerateInputError):
-            power_normalize(np.zeros((2, 3, 3)), power=1.0)
+            power_normalize(OneHotStack((), np.zeros((0, 0, 3), np.uint8), 3), power=1.0)
 
 
 class TestBitBudget:
@@ -294,9 +299,10 @@ class TestDecodeBounds:
         with pytest.raises(FormatError, match="stack bound"):
             rle_unpack(raw)
 
-    def test_empty_map_without_planes_decodes(self):
-        back = rle_unpack(_header(0, 7, 3, ()))
-        assert back.planes.shape == (0, 0, 7)
+    def test_empty_map_rejected(self):
+        for height, width, ids in [(0, 7, ()), (7, 0, ()), (0, 0, (1,))]:
+            with pytest.raises(FormatError, match="no pixels"):
+                rle_unpack(_header(height, width, 3, ids))
 
 
 class TestDecodeFuzz:

@@ -174,13 +174,11 @@ class TestTotalLoss:
         assert np.allclose(eps_param2, eps_param.grad, atol=1e-7)
         assert var_param.grad is not None and np.abs(var_param.grad).max() > 0
 
-    def test_l2_norm_option(self):
+    def test_ld_is_mean_square(self):
         sched, x0, y, eps, t = self._setup()
         model = StubModel(lambda x, yy, tt: np.zeros_like(x), lambda x, yy, tt: np.zeros_like(x))
-        _, mse = total_loss(model, x0, y, t, eps, sched, ld_norm="mse")
-        _, l2 = total_loss(model, x0, y, t, eps, sched, ld_norm="l2")
-        assert mse["L_d"] == pytest.approx(np.mean(eps**2), rel=1e-5)
-        assert l2["L_d"] == pytest.approx(np.mean(np.sqrt((eps**2).sum(axis=(1, 2, 3)))), rel=1e-5)
+        _, comps = total_loss(model, x0, y, t, eps, sched)
+        assert comps["L_d"] == pytest.approx(np.mean(eps**2), rel=1e-5)
 
 
 class TestVarianceInterpolation:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from semcom import tensor as T
+from semcom import training
+from semcom.checkpoint import save_checkpoint
 from semcom.data import ShapesSpec, generate_shapes
 from semcom.diffusion import build_schedule
 from semcom.tensor import Tensor
@@ -25,7 +26,7 @@ TINY_DATA = ShapesSpec(canvas=16, palette=((0.1, 0.1, 0.12), (0.9, 0.15, 0.15), 
 
 
 def _trainer(steps_seed=0, config_hash="testhash", **kw):
-    defaults = dict(batch_size=2, learning_rate=3e-4, steps=10, ema_decay=0.99,
+    defaults = dict(batch_size=2, learning_rate=3e-4, ema_decay=0.99,
                     seed=steps_seed, psnr_pool=(10.0, 100.0), psnr_weights=(1.0, 1.0))
     defaults.update(kw)
     cfg = TrainConfig(**defaults)
@@ -35,10 +36,29 @@ def _trainer(steps_seed=0, config_hash="testhash", **kw):
     return Trainer(model, sched, cfg, pairs, config_hash=config_hash)
 
 
+def _poison_gradient(monkeypatch, trainer, value):
+    """After the real backward of every step, fill the first parameter's gradient with `value`."""
+    param = next(iter(trainer.model.params.values()))
+    real = training.total_loss
+
+    class PoisonedLoss:
+        def __init__(self, loss):
+            self.loss = loss
+
+        def backward(self):
+            self.loss.backward()
+            param.grad = np.full_like(param.grad, value)
+
+    def total_loss(*args, **kwargs):
+        loss, comps = real(*args, **kwargs)
+        return PoisonedLoss(loss), comps
+    monkeypatch.setattr(training, "total_loss", total_loss)
+
+
 class TestSampleChannelCondition:
     def test_single_entry_pool(self):
         rng = np.random.default_rng(0)
-        assert all(sample_channel_condition(rng, [15.0]) == 15.0 for _ in range(20))
+        assert all(sample_channel_condition(rng, [15.0], [1.0]) == 15.0 for _ in range(20))
 
     def test_default_weights_frequency(self):
         from semcom.training import DEFAULT_PSNR_POOL, DEFAULT_PSNR_WEIGHTS
@@ -51,7 +71,7 @@ class TestSampleChannelCondition:
 
     def test_empty_pool_rejected(self):
         with pytest.raises(TrainError):
-            sample_channel_condition(np.random.default_rng(0), [])
+            sample_channel_condition(np.random.default_rng(0), [], [])
 
 
 class TestAdamW:
@@ -138,7 +158,7 @@ class TestTrainStep:
     def test_metrics_finite_and_counted(self):
         tr = _trainer(1)
         m = tr.train_step()
-        assert m.finite()
+        assert np.isfinite([m.L_d, m.L_KL, m.total, m.grad_norm]).all()
         assert sum(m.psnr_counts.values()) == tr.cfg.batch_size
         assert tr.skipped == 0
 
@@ -155,10 +175,34 @@ class TestTrainStep:
         """Median first-vs-last loss trend over 5 seeds, 500 steps each."""
         gains = []
         for seed in range(5):
-            tr = _trainer(seed, steps=500, batch_size=2, learning_rate=3e-4)
+            tr = _trainer(seed, batch_size=2, learning_rate=3e-4)
             losses = [tr.train_step().L_d for _ in range(500)]
             gains.append(np.mean(losses[:50]) - np.mean(losses[-50:]))
         assert np.median(gains) > 0
+
+    def test_non_finite_gradient_skips_the_step(self, monkeypatch):
+        tr = _trainer(5)
+        _poison_gradient(monkeypatch, tr, np.nan)
+        params = {k: p.data.copy() for k, p in tr.model.params.items()}
+        ema = {k: v.copy() for k, v in tr.ema.items()}
+        m = tr.train_step()
+        assert tr.skipped == 1 and tr.step_index == 1 and tr.opt.t == 0
+        assert np.isnan(m.grad_norm)
+        assert np.isfinite([m.L_d, m.L_KL, m.total]).all()
+        for name, arr in params.items():
+            assert np.array_equal(arr, tr.model.params[name].data), name
+            assert np.array_equal(ema[name], tr.ema[name]), name
+
+    def test_large_finite_gradient_is_clipped_and_applied(self, monkeypatch):
+        tr = _trainer(5)
+        _poison_gradient(monkeypatch, tr, 1e37)
+        params = {k: p.data.copy() for k, p in tr.model.params.items()}
+        m = tr.train_step()
+        assert tr.skipped == 0 and tr.opt.t == 1
+        assert np.isfinite(m.grad_norm) and m.grad_norm > 1e37
+        first = next(iter(params))
+        assert not np.array_equal(params[first], tr.model.params[first].data)
+        assert all(np.isfinite(p.data).all() for p in tr.model.params.values())
 
     def test_training_keeps_fds_off(self):
         """The conditioning path never binarizes during training."""
@@ -194,21 +238,13 @@ class TestCheckpointResume:
         c.model.load_state({k: np.zeros_like(v.data) for k, v in c.model.params.items()})
         c.restore(path)
         assert c.step_index == 3 and c.opt.t == 3
+        assert set(c.ema) == set(b.ema)
+        for name, arr in b.ema.items():
+            assert np.array_equal(arr, c.ema[name]), name
         for _ in range(3):
             c.train_step()
         for name, arr in final_a.items():
             assert np.array_equal(arr, c.model.params[name].data), name
-
-    def test_ema_checkpoint_round_trip(self, tmp_path):
-        tr = _trainer(8)
-        tr.train_step()
-        tr.save(tmp_path / "ema.ckpt", ema=True)
-        from semcom.checkpoint import load_checkpoint
-        arrays, manifest = load_checkpoint(tmp_path / "ema.ckpt")
-        assert manifest["extra"]["ema"] is True
-        assert set(arrays) == set(tr.model.params)
-        for name in arrays:
-            assert np.array_equal(arrays[name], tr.ema[name].astype(np.float32))
 
     def test_resume_under_other_config_hash_rejected(self, tmp_path):
         a = _trainer(10, config_hash="a")
@@ -223,11 +259,19 @@ class TestCheckpointResume:
             assert np.array_equal(arr, b.model.params[name].data), name
 
     def test_resume_from_ema_rejected(self, tmp_path):
+        """An EMA-only file (weights under the bare parameter names) is not a training state."""
         tr = _trainer(9)
         tr.train_step()
-        tr.save(tmp_path / "ema.ckpt", ema=True)
+        path = tmp_path / "ema.ckpt"
+        save_checkpoint(path, tr.ema, tr.config_hash, {"step": tr.step_index})
+        params = {k: p.data.copy() for k, p in tr.model.params.items()}
+        ema = {k: v.copy() for k, v in tr.ema.items()}
         with pytest.raises(TrainError, match="EMA"):
-            tr.restore(tmp_path / "ema.ckpt")
+            tr.restore(path)
+        assert tr.step_index == 1 and tr.opt.t == 1
+        for name, arr in params.items():
+            assert np.array_equal(arr, tr.model.params[name].data), name
+            assert np.array_equal(ema[name], tr.ema[name]), name
 
 
 def test_metrics_writer_schema(tmp_path):

@@ -200,31 +200,47 @@ def null_condition(y):
     return np.zeros((1,) + y.shape[1:], dtype=y.dtype)
 
 
+def guidance_conditions(model, y, s):
+    """Decoder conditions of both guidance branches for the stack y.
+
+    Returns (model.condition(y), model.condition(null_condition(y))); the
+    null branch is None at s=0, where guidance never evaluates it.
+    """
+    y = np.asarray(y, dtype=np.float32)
+    with T.no_grad():
+        return model.condition(y), (model.condition(null_condition(y)) if s else None)
+
+
 def guided_eps(model, x_t, y, t, s):
     """Classifier-free guidance: eps_c + s * (eps_c - eps_u).
 
-    Returns (eps_hat, var_raw) as arrays; the variance comes from the
-    conditional pass. The encoder never sees the stack, so x_t is encoded
-    once and only the decoder runs per branch. s=0 never evaluates the
-    unconditional branch, so it is bitwise identical to conditional-only
+    y is a semantic stack, or its `guidance_conditions`, which a sampler
+    computes once per run. Returns (eps_hat, var_raw) as arrays; the variance
+    comes from the conditional pass. The encoder never sees the stack, so x_t
+    is encoded once and only the decoder runs per branch. s=0 never evaluates
+    the unconditional branch, so it is bitwise identical to conditional-only
     prediction.
     """
     if s < 0:
         raise DiffusionError(f"guidance scale must be >= 0, got {s}")
+    if not isinstance(y, tuple):
+        y = guidance_conditions(model, y, s)
+    cond, null = y
     with T.no_grad():
         features = model.encode(x_t, t)
-        eps_c, var_raw = model.decode(features, y)
+        eps_c, var_raw = model.decode(features, cond)
         if s == 0:
             return eps_c.data, var_raw.data
-        eps_u, _ = model.decode(features, null_condition(y))
+        eps_u, _ = model.decode(features, null)
     return eps_c.data + s * (eps_c.data - eps_u.data), var_raw.data
 
 
 def p_sample_loop(model, y, sched, cfg, callback=None):
     """Ancestral sampling from t=T down to 1; deterministic given cfg.seed.
 
-    y is a [N, C_total, H, W] conditioning stack. Returns float32 images in
-    model space (approximately [-1, 1]); callers map to display range.
+    y is a [N, C_total, H, W] conditioning stack; its decoder conditions are
+    computed once, before the first step. Returns float32 images in model
+    space (approximately [-1, 1]); callers map to display range.
     """
     y = np.asarray(y, dtype=np.float32)
     if y.ndim != 4:
@@ -234,10 +250,11 @@ def p_sample_loop(model, y, sched, cfg, callback=None):
     shape = (n, model.config.in_channels, model.config.image_size, model.config.image_size)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed)))
     x = rng.standard_normal(shape, dtype=np.float32)
+    conds = guidance_conditions(model, y, cfg.guidance_scale)
     for i in reversed(range(sub.steps)):
         t_model = np.full(n, sub.timestep_map[i], dtype=np.int64)
         t_sub = np.full(n, i + 1, dtype=np.int64)
-        eps_hat, var_raw = guided_eps(model, x, y, t_model, cfg.guidance_scale)
+        eps_hat, var_raw = guided_eps(model, x, conds, t_model, cfg.guidance_scale)
         mean = eps_to_mean(eps_hat, x, t_sub, sub)
         if i > 0:
             logvar = model_log_variance(var_raw, t_sub, sub)

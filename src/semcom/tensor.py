@@ -409,8 +409,12 @@ def _same_pad(kernel, op):
 def conv2d(x, w, b=None, stride=1):
     """Cross-correlation with "same" zero padding; differentiable in x, w, b.
 
-    Patches are gathered into an [N, C*k*k, Ho*Wo] matrix whose reshapes are
-    all free (axis-aligned copies only), then contracted with BLAS.
+    Patches are gathered channels-first into a [C*k*k, n*Ho*Wo] matrix whose
+    reshapes are all free (axis-aligned copies only), then contracted with
+    BLAS. The forward runs one GEMM per sample: the patch matrix is then one
+    sample big instead of N, and each sample's [F, Ho*Wo] product is written
+    straight into the NCHW output, with no transposed copy. The backward keeps
+    whole-batch GEMMs, since the weight gradient contracts over every sample.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise TensorError(f"conv2d: need 4-d input and weight, got {x.shape} and {w.shape}")
@@ -426,44 +430,43 @@ def conv2d(x, w, b=None, stride=1):
     s = stride
     ho = (h - 1) // s + 1
     wo = (wd - 1) // s + 1
-    # channels-first patch matrix [C*k*k, N*M]: the transpose is paid once on
-    # an input-sized array, every patch copy is axis-aligned, and the whole
-    # contraction is a single fat GEMM instead of N skinny ones
-    def im2col_cn(src_cn):
-        if kh == 1 and s == 1:
-            return src_cn.reshape(c, n * ho * wo)
-        cols = np.empty((c, kh, kw, n, ho, wo), dtype=src_cn.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                cols[:, i, j] = src_cn[:, :, i:i + s * ho:s, j:j + s * wo:s]
-        return cols.reshape(c * kh * kw, n * ho * wo)
 
     def pad_cn(arr):
+        """[m, C, H, W] -> zero-padded channels-first [C, m, Hp, Wp]."""
         xcn = arr.transpose(1, 0, 2, 3)
         if not p:
             return np.ascontiguousarray(xcn)
-        padded = np.zeros((c, n, h + 2 * p, wd + 2 * p), dtype=arr.dtype)
+        padded = np.zeros((c, arr.shape[0], h + 2 * p, wd + 2 * p), dtype=arr.dtype)
         padded[:, :, p:-p, p:-p] = xcn
         return padded
 
-    xcn = pad_cn(x.data)
-    cols2 = im2col_cn(xcn)
-    w2 = w.data.reshape(f, c * kh * kw)
-    out2 = w2 @ cols2  # [F, N*M]
-    if b is not None:
-        out2 += b.data[:, None]
-    data = out2.reshape(f, n, ho, wo).transpose(1, 0, 2, 3)
-    parents = (x, w) if b is None else (x, w, b)
-    out = _make(np.ascontiguousarray(data), parents, "conv2d")
-    if out._parents:
-        del cols2, xcn, data  # rebuilt in backward; retaining them per-conv is costly
+    def im2col(src):
+        """Patch matrix [C*k*k, m*Ho*Wo] of a padded slice [C, m, Hp, Wp]."""
+        m = src.shape[1]
+        if kh == 1 and s == 1:
+            return src.reshape(c, m * ho * wo)
+        cols = np.empty((c, kh, kw, m, ho, wo), dtype=src.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                cols[:, i, j] = src[:, :, i:i + s * ho:s, j:j + s * wo:s]
+        return cols.reshape(c * kh * kw, m * ho * wo)
 
+    w2 = w.data.reshape(f, c * kh * kw)
+    data = np.empty((n, f, ho, wo), dtype=np.result_type(x.data, w.data))
+    for k in range(n):
+        out_k = data[k].reshape(f, ho * wo)
+        np.matmul(w2, im2col(pad_cn(x.data[k:k + 1])), out=out_k)
+        if b is not None:
+            out_k += b.data[:, None]
+    parents = (x, w) if b is None else (x, w, b)
+    out = _make(data, parents, "conv2d")
+    if out._parents:
         def bwd(g):
             gt = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(f, n * ho * wo)
             if b is not None and b._tracked:
                 b._accum(gt.sum(axis=1, dtype=g.dtype))
             if w._tracked:
-                gw = gt @ im2col_cn(pad_cn(x.data)).T.astype(g.dtype, copy=False)
+                gw = gt @ im2col(pad_cn(x.data)).T.astype(g.dtype, copy=False)
                 w._accum(gw.reshape(f, c, kh, kw))
             if x._tracked:
                 gcols = w2.T.astype(g.dtype, copy=False) @ gt

@@ -9,13 +9,20 @@ The semantic stack conditions the decoder only; the encoder never sees it.
 Two output heads of the input image shape: predicted noise and raw variance
 coefficients. Both final projections are zero-initialized.
 
-`UNet.forward` is `decode(encode(x_t, t), y)`. `encode` runs the time
-embedding, the encoder and the mid block; `decode` runs the SPADE decoder and
-the output heads on those features and leaves them intact, so one encoding
-can be decoded under several stacks (the conditional and the null branch of
-classifier-free guidance). A stack of batch 1 conditions every sample of the
-batch: SPADE computes its scale and shift at batch 1 and broadcasts them over
-the feature maps.
+`UNet.forward` is `decode(encode(x_t, t), condition(y))`, in three parts:
+
+- `encode` runs the time embedding, the encoder and the mid block on x_t.
+- `condition` runs every stack-only part of the decoder: it builds the
+  condition pyramid and returns each decoder SPADE's modulation (gamma + 1,
+  beta). It depends on the stack and the weights, never on x_t or t, so a
+  sampler computes it once per run, not once per step.
+- `decode` runs the SPADE decoder and the output heads on the features and
+  a condition, and leaves the features intact, so one encoding can be
+  decoded under several conditions (the conditional and the null branch of
+  classifier-free guidance).
+
+A stack of batch 1 conditions every sample of the batch: its modulation is
+computed at batch 1 and broadcast over the feature maps.
 """
 from __future__ import annotations
 
@@ -161,7 +168,10 @@ class Film:
 
 
 class Spade:
-    """Group-normalize, then modulate with maps conditioned on the semantics."""
+    """Group-normalize, then modulate with maps conditioned on the semantics.
+
+    `modulation(y)` is the stack-only part; calling the block applies it.
+    """
 
     def __init__(self, store, name, channels, cond_channels, hidden, groups):
         self.groups = groups
@@ -169,15 +179,19 @@ class Spade:
         self.gamma_w, self.gamma_b = store.conv(f"{name}.gamma", channels, hidden, 3, init="zero")
         self.beta_w, self.beta_b = store.conv(f"{name}.beta", channels, hidden, 3, init="zero")
 
-    def __call__(self, a, y):
-        """a: features [N, C, H, W]; y: semantic stack of batch N or 1."""
-        if y.shape[2:] != a.shape[2:]:
-            raise ValueError(
-                f"SPADE conditioning resolution {y.shape[2:]} does not match features {a.shape[2:]}")
-        norm = T.group_norm(a, self.groups)
+    def modulation(self, y):
+        """(gamma + 1, beta) from a semantic stack y of batch N or 1."""
         s = T.silu(T.conv2d(y, self.shared_w, self.shared_b))
         scale = T.add(T.conv2d(s, self.gamma_w, self.gamma_b), 1.0)
-        beta = T.conv2d(s, self.beta_w, self.beta_b)
+        return scale, T.conv2d(s, self.beta_w, self.beta_b)
+
+    def __call__(self, a, mod):
+        """a: features [N, C, H, W]; mod: `modulation` of a stack of batch N or 1."""
+        scale, beta = mod
+        if scale.shape[2:] != a.shape[2:]:
+            raise ValueError(
+                f"SPADE conditioning resolution {scale.shape[2:]} does not match features {a.shape[2:]}")
+        norm = T.group_norm(a, self.groups)
         if scale.shape != norm.shape:
             scale = T.broadcast_to(scale, norm.shape)
             beta = T.broadcast_to(beta, norm.shape)
@@ -187,7 +201,8 @@ class Spade:
 class ResBlock:
     """conv -> norm -> time scale/shift -> SiLU -> conv -> norm -> SiLU, residual skip.
 
-    Decoder blocks pass a semantic stack and use SPADE in place of group norm.
+    Decoder blocks use SPADE in place of group norm, and take the modulation
+    pair of their two SPADEs.
     """
 
     def __init__(self, store, name, cin, cout, emb_dim, cfg, conditioned):
@@ -204,18 +219,18 @@ class ResBlock:
         else:
             self.skip_w = None
 
-    def _norm(self, which, h, y):
+    def _norm(self, which, h, mods):
         if self.conditioned:
-            return (self.norm1 if which == 1 else self.norm2)(h, y)
+            return (self.norm1 if which == 1 else self.norm2)(h, mods[which - 1])
         return T.group_norm(h, self.groups)
 
-    def __call__(self, x, temb, y=None):
+    def __call__(self, x, temb, mods=None):
         h = T.conv2d(x, self.conv1_w, self.conv1_b)
-        h = self._norm(1, h, y)
+        h = self._norm(1, h, mods)
         h = self.film(h, temb)
         h = T.silu(h)
         h = T.conv2d(h, self.conv2_w, self.conv2_b)
-        h = self._norm(2, h, y)
+        h = self._norm(2, h, mods)
         h = T.silu(h)
         skip = x if self.skip_w is None else T.conv2d(x, self.skip_w, self.skip_b)
         return T.add(h, skip)
@@ -337,11 +352,13 @@ class UNet:
         extra = set(arrays) - set(self.params)
         if missing or extra:
             raise ModelConfigError(f"parameter mismatch: missing {sorted(missing)[:3]}, extra {sorted(extra)[:3]}")
-        for name, t in self.params.items():
-            arr = np.asarray(arrays[name], dtype=np.float32)
-            if arr.shape != t.data.shape:
-                raise ModelConfigError(f"{name}: shape {arr.shape} != {t.data.shape}")
-            t.data = arr.copy()
+        # check every array before assigning any, so a rejected state leaves the model as it was
+        loaded = {name: np.array(arrays[name], dtype=np.float32) for name in self.params}
+        for name, arr in loaded.items():
+            if arr.shape != self.params[name].shape:
+                raise ModelConfigError(f"{name}: shape {arr.shape} != {self.params[name].shape}")
+        for name, arr in loaded.items():
+            self.params[name].data = arr
 
     def param_count(self):
         return sum(t.size for t in self.params.values())
@@ -351,16 +368,9 @@ class UNet:
             t.grad = None
 
     # -- forward ----------------------------------------------------------------
-    def _cond_pyramid(self, y):
-        levels = {}
-        for res in self.config.level_resolutions:
-            f = self.config.image_size // res
-            levels[res] = Tensor(np.ascontiguousarray(y[:, :, ::f, ::f]))
-        return levels
-
     def forward(self, x_t, y, t):
         """Returns (eps_pred, var_raw), each shaped like the input image batch."""
-        return self.decode(self.encode(x_t, t), y)
+        return self.decode(self.encode(x_t, t), self.condition(y))
 
     def encode(self, x_t, t):
         """Time embedding, encoder and mid block: returns (h, skips, temb)."""
@@ -386,32 +396,50 @@ class UNet:
                 h = mod(h, temb) if isinstance(mod, ResBlock) else mod(h)
         return h, skips, temb
 
-    def decode(self, features, y):
+    def condition(self, y):
+        """Modulation of every decoder SPADE from a semantic stack of batch N or 1.
+
+        The condition pyramid samples the stack at each level's resolution.
+        Returns one (spade1, spade2) modulation pair per decoder block, in
+        `decode` order.
+        """
+        cfg = self.config
+        y = np.asarray(y, dtype=np.float32)
+        if y.shape[1:] != (cfg.cond_channels, cfg.image_size, cfg.image_size):
+            raise ValueError(f"conditioning shape {y.shape} does not match "
+                             f"[N or 1,{cfg.cond_channels},{cfg.image_size},{cfg.image_size}]")
+        cond = []
+        for i, level, _ in self.dec:
+            y_i = Tensor(np.ascontiguousarray(y[:, :, ::1 << i, ::1 << i]))
+            for j, block in enumerate(level):
+                with T.scope(f"dec.l{i}.b{j}.cond"):
+                    res = block[0]
+                    cond.append((res.norm1.modulation(y_i), res.norm2.modulation(y_i)))
+        return cond
+
+    def decode(self, features, cond):
         """SPADE decoder and output heads on `encode` features, which it leaves intact.
 
-        y is the semantic stack, of the features' batch or of batch 1.
+        cond is `condition(y)` of a stack of the features' batch or of batch 1.
         Returns (eps_pred, var_raw).
         """
         cfg = self.config
         h, skips, temb = features
-        y = np.asarray(y, dtype=np.float32)
-        if (y.shape[1:] != (cfg.cond_channels, cfg.image_size, cfg.image_size)
-                or y.shape[0] not in (1, h.shape[0])):
-            raise ValueError(f"conditioning shape {y.shape} does not match "
-                             f"[N or 1,{cfg.cond_channels},{cfg.image_size},{cfg.image_size}]")
-        cond = self._cond_pyramid(y)
+        batch = cond[0][0][0].shape[0]  # gamma + 1 of the first SPADE
+        if batch not in (1, h.shape[0]):
+            raise ValueError(f"conditioning batch {batch} is neither 1 nor the features' batch {h.shape[0]}")
+        mods = iter(cond)
         skip = reversed(skips)
         for i, level, up in self.dec:
-            y_i = cond[cfg.level_resolutions[i]]
             for j, block in enumerate(level):
                 with T.scope(f"dec.l{i}.b{j}"):
                     h = T.concat([h, next(skip)], axis=1)
                     for mod in block:
-                        h = mod(h, temb, y_i) if isinstance(mod, ResBlock) else mod(h)
+                        h = mod(h, temb, next(mods)) if isinstance(mod, ResBlock) else mod(h)
             if up is not None:
                 with T.scope(f"dec.l{i}.up"):
                     h = up(h)
-        assert next(skip, None) is None
+        assert next(skip, None) is None and next(mods, None) is None
         with T.scope("out"):
             h = T.silu(T.group_norm(h, cfg.groups))
             h = T.conv2d(h, self.out_w, self.out_b)

@@ -9,6 +9,7 @@ from semcom.diffusion import (
     SamplerConfig,
     SamplingError,
     build_schedule,
+    guidance_conditions,
     guided_eps,
     model_log_variance,
     p_sample_loop,
@@ -23,7 +24,8 @@ from semcom.unet import ModelConfig, UNet
 
 class StubModel:
     """Fixed-response model for loss/guidance contracts, with the UNet's
-    encode/decode protocol: the features are (x, t)."""
+    encode/condition/decode protocol: the features are (x, t) and the
+    condition is the stack itself."""
 
     def __init__(self, eps_fn, var_fn, image_size=8, channels=3, cond_channels=2):
         self.eps_fn = eps_fn
@@ -39,13 +41,16 @@ class StubModel:
         self.encodes += 1
         return np.asarray(x_t.data if isinstance(x_t, Tensor) else x_t), t
 
+    def condition(self, y):
+        return np.asarray(y)
+
     def decode(self, features, y):
         x, t = features
         self.decodes.append(np.asarray(y).copy())
         return Tensor(self.eps_fn(x, y, t)), Tensor(self.var_fn(x, y, t))
 
     def forward(self, x_t, y, t):
-        return self.decode(self.encode(x_t, t), y)
+        return self.decode(self.encode(x_t, t), self.condition(y))
 
 
 class TestBuildSchedule:
@@ -347,6 +352,53 @@ class TestPSampleLoop:
                             callback=lambda i, x: calls.append(i))
         assert len(calls) == 10
         assert out.shape == (1, 3, 8, 8)
+
+    def _randomized_unet(self, seed):
+        model = UNet(self.UNET_CFG, seed=seed)
+        rng = np.random.default_rng(seed)
+        for p in model.params.values():  # nonzero heads, so both branches matter
+            p.data = rng.normal(0, 0.05, p.shape).astype(np.float32)
+        return model
+
+    @pytest.mark.parametrize("s, batches", [(1.5, [2, 1]), (0.0, [2])])
+    def test_conditions_once_per_run(self, monkeypatch, s, batches):
+        """One condition for the stack, and one for the batch-1 null stack only when s > 0."""
+        model = self._randomized_unet(6)
+        calls = []
+        real = UNet.condition
+
+        def counting(self, y):
+            calls.append(np.asarray(y).shape[0])
+            return real(self, y)
+        monkeypatch.setattr(UNet, "condition", counting)
+        y = np.ones((2, 2, 8, 8), np.float32)
+        p_sample_loop(model, y, build_schedule(10, 1e-3, 0.1), SamplerConfig(guidance_scale=s, seed=1))
+        assert calls == batches
+
+    def test_guided_eps_called_through_the_module_once_per_step(self, monkeypatch):
+        from semcom import diffusion
+        model = self._randomized_unet(7)
+        calls = []
+        real = diffusion.guided_eps
+
+        def counting(*args):
+            calls.append(args[3][0])  # the step's timestep
+            return real(*args)
+        monkeypatch.setattr(diffusion, "guided_eps", counting)
+        y = np.ones((1, 2, 8, 8), np.float32)
+        p_sample_loop(model, y, build_schedule(10, 1e-3, 0.1), SamplerConfig(guidance_scale=1.5, seed=2))
+        assert calls == list(range(10, 0, -1))
+
+    @pytest.mark.parametrize("s", [0.0, 2.0])
+    def test_guided_eps_of_a_stack_equals_precomputed_conditions(self, s):
+        model = self._randomized_unet(8)
+        rng = np.random.default_rng(80)
+        x = rng.standard_normal((3, 3, 8, 8)).astype(np.float32)
+        y = (rng.uniform(size=(3, 2, 8, 8)) < 0.4).astype(np.float32)
+        t = np.array([3, 5, 7])
+        eps_a, var_a = guided_eps(model, x, y, t, s)
+        eps_b, var_b = guided_eps(model, x, guidance_conditions(model, y, s), t, s)
+        assert np.array_equal(eps_a, eps_b) and np.array_equal(var_a, var_b)
 
     def test_respace_preserves_alpha_bars(self):
         sched = build_schedule(100, 1e-3, 0.1)

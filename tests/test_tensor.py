@@ -74,6 +74,68 @@ class TestConv2d:
         assert out.shape == (2, 5, 4, 4)
 
 
+def _conv2d_whole_batch(x, w, b, stride):
+    """The former conv2d forward: one [F, C*k*k] @ [C*k*k, N*Ho*Wo] GEMM over
+    the whole batch, then the transpose to NCHW."""
+    n, c, h, wd = x.shape
+    f, _, k, _ = w.shape
+    p = (k - 1) // 2
+    ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
+    xcn = np.zeros((c, n, h + 2 * p, wd + 2 * p), x.dtype)
+    xcn[:, :, p:p + h, p:p + wd] = x.transpose(1, 0, 2, 3)
+    cols = np.empty((c, k, k, n, ho, wo), x.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[:, i, j] = xcn[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
+    out = w.reshape(f, c * k * k) @ cols.reshape(c * k * k, n * ho * wo)
+    out += b[:, None]
+    return np.ascontiguousarray(out.reshape(f, n, ho, wo).transpose(1, 0, 2, 3))
+
+
+class TestConv2dPerSampleForward:
+    """conv2d runs one forward GEMM per sample instead of one over the batch."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c", [5, 32, 128])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_equals_whole_batch_gemm_bitwise(self, n, k, stride, c, dtype):
+        """At the U-Net's feature sizes (32x32 and 16x16 maps, 32 filters).
+
+        Per-sample GEMMs under about 10^6 multiply-adds can go to the BLAS
+        small-matrix kernel while the whole-batch GEMM does not; with a long
+        contraction (C*k*k of several hundred) the two then sum in another
+        order and may differ in the last bit.
+        """
+        rng = np.random.default_rng(1000 * c + 10 * n + k)
+        x = rng.standard_normal((n, c, 32, 32)).astype(dtype)
+        w = rng.standard_normal((32, c, k, k)).astype(dtype)
+        b = rng.standard_normal(32).astype(dtype)
+        out = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride).data
+        expect = _conv2d_whole_batch(x, w, b, stride)
+        assert out.dtype == expect.dtype and out.flags.c_contiguous
+        assert np.array_equal(out, expect)
+
+    @pytest.mark.parametrize("size", [4, 8, 16])
+    @pytest.mark.parametrize("c", [3, 64, 128])
+    def test_each_sample_is_independent_of_the_batch(self, size, c):
+        """A sample's output does not depend on the rest of its batch, at any
+        size. On small maps it stays within float32 rounding of the
+        whole-batch GEMM, which may sum in another order there."""
+        rng = np.random.default_rng(size + c)
+        x = rng.standard_normal((3, c, size, size)).astype(np.float32)
+        w = Tensor(rng.standard_normal((8, c, 3, 3)).astype(np.float32))
+        b = Tensor(rng.standard_normal(8).astype(np.float32))
+        for stride in (1, 2):
+            batch = T.conv2d(Tensor(x), w, b, stride=stride).data
+            for i in range(3):
+                assert np.array_equal(batch[i:i + 1], T.conv2d(Tensor(x[i:i + 1]), w, b, stride=stride).data)
+            # float32 sums of up to 1,152 unit-scale products
+            np.testing.assert_allclose(batch, _conv2d_whole_batch(x, w.data, b.data, stride),
+                                       rtol=1e-5, atol=1e-3)
+
+
 class TestGroupNorm:
     def test_constant_input_gives_zeros(self):
         out = T.group_norm(Tensor(np.full((2, 4, 3, 3), 5.0)), groups=2)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from semcom import training
-from semcom.checkpoint import save_checkpoint
+from semcom.checkpoint import load_checkpoint, save_checkpoint
 from semcom.data import ShapesSpec, generate_shapes
 from semcom.diffusion import build_schedule
 from semcom.tensor import Tensor
@@ -16,7 +16,7 @@ from semcom.training import (
     ema_update,
     sample_channel_condition,
 )
-from semcom.unet import ModelConfig, UNet
+from semcom.unet import ModelConfig, ModelConfigError, UNet
 
 TINY_MODEL = ModelConfig(image_size=16, in_channels=3, cond_channels=3, base_channels=16,
                          channel_multipliers=(1, 2), num_res_blocks=1,
@@ -272,6 +272,24 @@ class TestCheckpointResume:
         for name, arr in params.items():
             assert np.array_equal(arr, tr.model.params[name].data), name
             assert np.array_equal(ema[name], tr.ema[name]), name
+
+
+    def test_restore_of_a_mis_shaped_array_leaves_the_weights(self, tmp_path):
+        tr = _trainer(11)
+        tr.train_step()
+        path = tmp_path / "good.ckpt"
+        tr.save(path)
+        arrays, manifest = load_checkpoint(path)
+        last = list(tr.model.params)[-1]
+        arrays[last] = np.zeros(arrays[last].shape + (1,), np.float32)
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, arrays, tr.config_hash, manifest["extra"])
+        tr.train_step()  # the weights now differ from those in the file
+        params = {k: p.data.copy() for k, p in tr.model.params.items()}
+        with pytest.raises(ModelConfigError, match=last):
+            tr.restore(bad)
+        for name, arr in params.items():
+            assert np.array_equal(arr, tr.model.params[name].data), name
 
 
 def test_metrics_writer_schema(tmp_path):

@@ -168,7 +168,7 @@ class TestSpade:
         sp = self._spade()
         x = Tensor(np.random.default_rng(17).normal(size=(2, 8, 4, 4)).astype(np.float32))
         y = Tensor(np.zeros((2, 4, 4, 4), np.float32))  # null label
-        out = sp(x, y)
+        out = sp(x, sp.modulation(y))
         assert np.allclose(out.data, T.group_norm(x, 4).data, atol=1e-7)
 
     def test_identity_modulation_equals_group_norm(self):
@@ -178,7 +178,7 @@ class TestSpade:
         x = Tensor(rng.normal(size=(1, 8, 4, 4)).astype(np.float32))
         y = Tensor(rng.normal(size=(1, 4, 4, 4)).astype(np.float32))
         # gamma/beta heads still zero-initialized: effective gamma 1, beta 0
-        assert np.allclose(sp(x, y).data, T.group_norm(x, 4).data, atol=1e-7)
+        assert np.allclose(sp(x, sp.modulation(y)).data, T.group_norm(x, 4).data, atol=1e-7)
 
     def test_different_conditioning_changes_output(self):
         sp = self._spade(seed=20)
@@ -189,12 +189,13 @@ class TestSpade:
         x = Tensor(rng.normal(size=(1, 8, 4, 4)).astype(np.float32))
         y1 = Tensor(rng.normal(size=(1, 4, 4, 4)).astype(np.float32))
         y2 = Tensor(rng.normal(size=(1, 4, 4, 4)).astype(np.float32))
-        assert not np.allclose(sp(x, y1).data, sp(x, y2).data)
+        assert not np.allclose(sp(x, sp.modulation(y1)).data, sp(x, sp.modulation(y2)).data)
 
     def test_resolution_mismatch_rejected(self):
         sp = self._spade(seed=22)
         with pytest.raises(ValueError, match="resolution"):
-            sp(Tensor(np.zeros((1, 8, 4, 4), np.float32)), Tensor(np.zeros((1, 4, 8, 8), np.float32)))
+            sp(Tensor(np.zeros((1, 8, 4, 4), np.float32)),
+               sp.modulation(Tensor(np.zeros((1, 4, 8, 8), np.float32))))
 
 
 class TestUNet:
@@ -288,8 +289,8 @@ class TestUNet:
         x, y, t = self._inputs(n=3)
         with T.no_grad():
             features = model.encode(x, t)
-            one = model.decode(features, y[:1])
-            full = model.decode(features, np.repeat(y[:1], 3, axis=0))
+            one = model.decode(features, model.condition(y[:1]))
+            full = model.decode(features, model.condition(np.repeat(y[:1], 3, axis=0)))
         for a, b in zip(one, full):
             assert np.array_equal(a.data, b.data)
 
@@ -299,6 +300,24 @@ class TestUNet:
         x[0, 0, 0, 0] = np.nan
         with pytest.raises(T.NonFiniteError, match="enc.in"):
             model.forward(x, y, t)
+
+    def test_nan_stack_aborts_with_decoder_block_name(self):
+        model = UNet(TOY, seed=9)
+        x, y, t = self._inputs()
+        y[0, 0, 0, 0] = np.nan
+        with pytest.raises(T.NonFiniteError, match=r"dec\.l\d\.b\d\.cond"):
+            model.forward(x, y, t)
+
+    def test_rejected_load_state_leaves_every_parameter_unchanged(self):
+        model = UNet(TOY, seed=13)
+        before = {k: p.data.copy() for k, p in model.params.items()}
+        arrays = {k: np.full(p.shape, 0.5, np.float32) for k, p in model.params.items()}
+        last = list(arrays)[-1]
+        arrays[last] = np.zeros(arrays[last].shape + (1,), np.float32)
+        with pytest.raises(ModelConfigError, match=last):
+            model.load_state(arrays)
+        for name, arr in before.items():
+            assert np.array_equal(arr, model.params[name].data), name
 
 
 class TestCheckpoint:

@@ -12,6 +12,10 @@ each with one way to call it:
 - Avg/max pooling (the receiver's map denoiser) is forward only and refuses
   an input that would need a gradient.
 
+A graph is consumed by its backward, which frees each node once its
+gradient rule has run; a second backward through it raises. Leaves
+(parameters) keep accumulating .grad across graphs.
+
 Every forward result is checked for NaN/Inf. Training runs in float32;
 gradient checking promotes to float64.
 """
@@ -95,7 +99,8 @@ class Tensor:
 
     @property
     def _tracked(self):
-        return self.requires_grad or bool(self._parents)
+        # every interior node has a rule, and keeps one once released
+        return self.requires_grad or self._bwd is not None
 
     def _accum(self, g):
         # grad arrays are never mutated in place, so aliasing the first
@@ -106,9 +111,13 @@ class Tensor:
             self.grad = self.grad + g
 
     def backward(self):
-        """Populate .grad on every tracked ancestor of this scalar.
+        """Populate .grad on every tracked ancestor of this scalar, consuming the graph.
 
-        Repeated calls without clearing .grad accumulate gradients.
+        Each interior node is released as soon as its rule has run: its .grad,
+        its rule and its parent links are dropped, so activations and interior
+        gradients are freed while the walk goes on. A released node stays
+        tracked, and a later backward through it raises TensorError before any
+        gradient is written. Leaves keep accumulating .grad across graphs.
         """
         if self.size != 1:
             raise TensorError(f"backward requires a scalar loss, got shape {self.shape}")
@@ -126,15 +135,25 @@ class Tensor:
                     advanced = True
                     break
             if not advanced:
+                if node._bwd is _released:
+                    _released(None)
                 topo.append(node)
                 stack.pop()
-        for node in topo:
-            if node._parents:  # leaves keep accumulating across backward calls
-                node.grad = None
         self._accum(np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._bwd is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._bwd is None:  # a leaf
+                continue
+            if node.grad is not None:
                 node._bwd(node.grad)
+            node.grad = None
+            node._bwd = _released
+            node._parents = ()
+
+
+def _released(g):
+    """The rule a released node keeps: a gradient reaching it would be lost."""
+    raise TensorError("backward through a graph that an earlier backward consumed")
 
 
 def _make(data, parents, op):
@@ -365,14 +384,17 @@ def silu(x):
 def softmax(x, axis):
     if not -x.ndim <= axis < x.ndim:
         raise TensorError(f"softmax: axis {axis} invalid for shape {x.shape}")
-    z = x.data - np.max(x.data, axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / np.sum(e, axis=axis, keepdims=True)
+    # max-subtract, exp and normalize in one buffer
+    y = x.data - np.max(x.data, axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= np.sum(y, axis=axis, keepdims=True)
     out = _make(y, (x,), "softmax")
     if out._parents:
         def bwd(g):
-            dot = np.sum(g * y, axis=axis, keepdims=True)
-            x._accum(y * (g - dot))
+            gy = g * y
+            dot = np.sum(gy, axis=axis, keepdims=True)
+            # y * (g - dot), written into the g * y buffer once dot is taken
+            x._accum(np.multiply(y, np.subtract(g, dot, out=gy), out=gy))
         out._bwd = bwd
     return out
 

@@ -222,7 +222,6 @@ class Trainer:
         self.model.zero_grad()
         loss, comps = total_loss(self.model, x0, y, t, eps, self.sched, lambda_kl=cfg.lambda_kl)
         loss.backward()
-        del loss
 
         norm = clip_gradients(self.model.params, cfg.grad_clip)
         if np.isfinite(norm):
@@ -253,15 +252,26 @@ class Trainer:
         if manifest["config_hash"] != self.config_hash:
             raise TrainError(f"checkpoint config hash {manifest['config_hash']!r} does not match "
                              f"this run's {self.config_hash!r}")
-        if {k[len("ema."):] for k in arrays if k.startswith("ema.")} != set(self.model.params):
+        params = self.model.params
+        saved = {prefix: {k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)}
+                 for prefix in ("opt.m.", "opt.v.", "ema.")}
+        if set(saved["ema."]) != set(params):
             raise TrainError("checkpoint EMA entries do not match the model's parameters; "
                              "only a training checkpoint can be resumed")
+        if set(saved["opt.m."]) != set(saved["opt.v."]) or not set(saved["opt.m."]) <= set(params):
+            raise TrainError("checkpoint optimizer moments do not match the model's parameters")
+        # check every shape before the model assigns anything, so a rejected
+        # checkpoint leaves the whole training state as it was
+        for prefix, named in saved.items():
+            for name, arr in named.items():
+                if arr.shape != params[name].shape:
+                    raise TrainError(f"{prefix}{name}: shape {arr.shape} != {params[name].shape}")
         extra = manifest["extra"]
         model_arrays = {k: v for k, v in arrays.items()
                         if not k.startswith(("opt.", "ema."))}
         self.model.load_state(model_arrays)
         self.opt.load_state_arrays(arrays, extra["opt_t"])
-        self.ema = {k[len("ema."):]: v.copy() for k, v in arrays.items() if k.startswith("ema.")}
+        self.ema = {k: v.copy() for k, v in saved["ema."].items()}
         self.step_index = int(extra["step"])
         self.skipped = int(extra["skipped"])
         state = extra["rng_state"]

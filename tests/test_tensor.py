@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -284,11 +286,41 @@ class TestBackward:
             T.mul(x, 2.0).backward()
 
     def test_repeated_backward_accumulates(self):
+        """Leaves accumulate across graphs; each backward needs a graph of its own."""
         x = Tensor(np.ones(3), requires_grad=True)
-        loss = T.sum_(x)
-        loss.backward()
-        loss.backward()
+        T.sum_(x).backward()
+        T.sum_(x).backward()
         assert np.allclose(x.grad, 2.0)
+
+    def test_backward_frees_interior_activations(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        h = T.exp(T.mul(x, 2.0))
+        ref = weakref.ref(h.data)
+        loss = T.sum_(T.square(h))
+        del h
+        assert ref() is not None
+        loss.backward()
+        assert ref() is None and loss.grad is None
+        assert np.allclose(x.grad, 4.0 * np.exp(4.0))
+
+    def test_second_backward_on_one_graph_raises(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        loss = T.sum_(T.mul(x, 3.0))
+        loss.backward()
+        with pytest.raises(TensorError, match="consumed"):
+            loss.backward()
+        assert np.array_equal(x.grad, np.full(3, 3.0))
+
+    def test_backward_through_a_released_node_raises(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        w = Tensor(np.ones(3), requires_grad=True)
+        h = T.mul(x, 3.0)
+        T.sum_(h).backward()
+        # the new loss is tracked through h; nothing is written before the raise
+        loss = T.sum_(T.add(T.mul(w, 2.0), h))
+        with pytest.raises(TensorError, match="consumed"):
+            loss.backward()
+        assert w.grad is None and np.array_equal(x.grad, np.full(3, 3.0))
 
     def test_no_grad_builds_no_graph(self):
         x = Tensor(np.ones(3), requires_grad=True)

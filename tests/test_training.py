@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from semcom import training
 from semcom.checkpoint import load_checkpoint, save_checkpoint
 from semcom.data import ShapesSpec, generate_shapes
-from semcom.diffusion import build_schedule
+from semcom.diffusion import build_schedule, total_loss
 from semcom.tensor import Tensor
 from semcom.training import (
     AdamW,
@@ -290,6 +292,53 @@ class TestCheckpointResume:
             tr.restore(bad)
         for name, arr in params.items():
             assert np.array_equal(arr, tr.model.params[name].data), name
+
+    def test_restore_of_mis_shaped_moments_and_ema_leaves_the_state(self, tmp_path):
+        tr = _trainer(12)
+        tr.train_step()
+        path = tmp_path / "good.ckpt"
+        tr.save(path)
+        arrays, manifest = load_checkpoint(path)
+        first = next(iter(tr.model.params))
+        arrays[f"ema.{first}"] = np.zeros(1, np.float32)
+        arrays[f"opt.m.{first}"] = np.zeros(1, np.float32)
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, arrays, tr.config_hash, manifest["extra"])
+        tr.train_step()  # the state now differs from that in the file
+        params = {k: p.data.copy() for k, p in tr.model.params.items()}
+        moments = {k: v.copy() for k, v in tr.opt.state_arrays().items()}
+        ema = {k: v.copy() for k, v in tr.ema.items()}
+        with pytest.raises(TrainError, match=f"{first}: shape"):
+            tr.restore(bad)
+        assert tr.step_index == 2 and tr.opt.t == 2
+        for name, arr in params.items():
+            assert np.array_equal(arr, tr.model.params[name].data), name
+            assert np.array_equal(ema[name], tr.ema[name]), name
+        after = tr.opt.state_arrays()
+        assert set(after) == set(moments)
+        for key, arr in moments.items():
+            assert np.array_equal(arr, after[key]), key
+
+
+def test_backward_peak_stays_near_the_forward_graph():
+    """Backward frees the graph as it walks it, so its peak stays close to the graph's size."""
+    model = UNet(TINY_MODEL, seed=0)
+    sched = build_schedule(20, 1e-3, 0.1)
+    rng = np.random.default_rng(0)
+    x0 = rng.uniform(-1.0, 1.0, (2, 3, 16, 16)).astype(np.float32)
+    y = rng.uniform(0.0, 1.0, (2, 3, 16, 16)).astype(np.float32)
+    t = rng.integers(1, 21, size=2)
+    eps = rng.standard_normal(x0.shape, dtype=np.float32)
+    tracemalloc.start()
+    try:
+        loss, _ = total_loss(model, x0, y, t, eps, sched)
+        graph = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * graph, (peak, graph)
 
 
 def test_metrics_writer_schema(tmp_path):

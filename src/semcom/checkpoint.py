@@ -57,26 +57,48 @@ def save_checkpoint(path, arrays, config_hash, extra=None):
 
 
 def load_checkpoint(path):
-    """Returns (arrays dict, manifest dict)."""
+    """Returns (arrays dict, manifest dict); any damage raises CheckpointError."""
     if not os.path.exists(path):
         raise CheckpointError(f"no checkpoint at {path}")
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != MAGIC:
             raise CheckpointError(f"bad checkpoint magic {magic!r}")
-        version = f.read(1)[0]
-        if version != FORMAT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version}")
-        (mlen,) = struct.unpack("<I", f.read(4))
-        manifest = json.loads(f.read(mlen).decode("utf-8"))
+        head = f.read(5)
+        if len(head) != 5:
+            raise CheckpointError("truncated checkpoint header")
+        if head[0] != FORMAT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {head[0]}")
+        (mlen,) = struct.unpack("<I", head[1:])
+        raw = f.read(mlen)
+        if len(raw) != mlen:
+            raise CheckpointError("truncated checkpoint manifest")
+        manifest, entries = _parse_manifest(raw)
         arrays = {}
-        for entry in manifest["entries"]:
-            shape = tuple(entry["shape"])
+        for name, shape in entries:
             count = int(np.prod(shape)) if shape else 1
             raw = f.read(4 * count)
             if len(raw) != 4 * count:
-                raise CheckpointError(f"truncated data for {entry['name']}")
-            arrays[entry["name"]] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
+                raise CheckpointError(f"truncated data for {name}")
+            arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
         if f.read(1):
             raise CheckpointError("trailing bytes after last entry")
     return arrays, manifest
+
+
+def _parse_manifest(raw):
+    """The manifest dict and its entries as (name, shape) pairs."""
+    try:
+        manifest = json.loads(raw.decode("utf-8"))
+    except ValueError as e:  # bad UTF-8 or bad JSON
+        raise CheckpointError(f"checkpoint manifest is not JSON: {e}") from None
+    if not isinstance(manifest, dict) or not {"config_hash", "entries", "extra"} <= manifest.keys():
+        raise CheckpointError("checkpoint manifest lacks config_hash, entries or extra")
+    try:
+        entries = [(e["name"], tuple(e["shape"])) for e in manifest["entries"]]
+    except (TypeError, KeyError) as e:
+        raise CheckpointError(f"bad checkpoint entries: {e!r}") from None
+    for name, shape in entries:
+        if not isinstance(name, str) or not all(isinstance(d, int) and d >= 0 for d in shape):
+            raise CheckpointError(f"bad checkpoint entry {name!r} of shape {list(shape)}")
+    return manifest, entries

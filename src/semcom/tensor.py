@@ -12,6 +12,14 @@ each with one way to call it:
 - Avg/max pooling (the receiver's map denoiser) is forward only and refuses
   an input that would need a gradient.
 
+A tracked Tensor is a value (.data) plus a graph node. The node holds the
+gradient slot, the gradient rule and the nodes of the parents; each rule
+captures exactly the arrays it reads (conv2d its input and weight, silu and
+square their inputs, mul/div/matmul their operands, exp/sqrt/softmax/
+group_norm their own outputs) and never a parent Tensor. A graph therefore
+keeps its nodes plus the arrays its rules read: an output that no rule reads
+is freed as soon as the forward drops it. no_grad builds no node at all.
+
 A graph is consumed by its backward, which frees each node once its
 gradient rule has run; a second backward through it raises. Leaves
 (parameters) keep accumulating .grad across graphs.
@@ -61,18 +69,39 @@ def scope(name):
         _scope.pop()
 
 
+class _Node:
+    """A tracked value's place in the graph.
+
+    `rule` is None for a leaf; for an interior node it takes the gradient of
+    the node's value and accumulates into the parents' nodes, from the arrays
+    it captured in the forward. `parents` (tracked parents only) orders the
+    backward walk.
+    """
+    __slots__ = ("grad", "rule", "parents")
+
+    def __init__(self, parents=()):
+        self.grad = None
+        self.rule = None
+        self.parents = parents
+
+    def accum(self, g):
+        # grad arrays are never mutated in place, so aliasing the first
+        # contribution is safe and accumulation always allocates fresh
+        if self.grad is None:
+            self.grad = g if isinstance(g, np.ndarray) else np.asarray(g)
+        else:
+            self.grad = self.grad + g
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_bwd")
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         self.data = arr
-        self.grad = None
-        self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._bwd = None
+        self._node = _Node() if requires_grad else None
 
     # -- basic introspection -------------------------------------------------
     @property
@@ -91,64 +120,82 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
+    @property
+    def requires_grad(self):
+        """True for a leaf that collects a gradient (a parameter)."""
+        return self._node is not None and self._node.rule is None
+
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
     def item(self):
+        if self.size != 1:
+            raise TensorError(f"item: only a size-1 tensor converts to a scalar, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
     @property
-    def _tracked(self):
-        # every interior node has a rule, and keeps one once released
-        return self.requires_grad or self._bwd is not None
+    def grad(self):
+        return None if self._node is None else self._node.grad
 
-    def _accum(self, g):
-        # grad arrays are never mutated in place, so aliasing the first
-        # contribution is safe and accumulation always allocates fresh
-        if self.grad is None:
-            self.grad = g if isinstance(g, np.ndarray) else np.asarray(g)
-        else:
-            self.grad = self.grad + g
+    @grad.setter
+    def grad(self, g):
+        if self._node is None:
+            raise TensorError("grad: an untracked tensor has no gradient")
+        self._node.grad = g
+
+    @property
+    def _tracked(self):
+        return self._node is not None
+
+    @property
+    def _bwd(self):
+        """The gradient rule of this value's node; None for leaves and untracked values."""
+        return None if self._node is None else self._node.rule
+
+    @_bwd.setter
+    def _bwd(self, rule):
+        self._node.rule = rule
 
     def backward(self):
         """Populate .grad on every tracked ancestor of this scalar, consuming the graph.
 
         Each interior node is released as soon as its rule has run: its .grad,
-        its rule and its parent links are dropped, so activations and interior
-        gradients are freed while the walk goes on. A released node stays
-        tracked, and a later backward through it raises TensorError before any
-        gradient is written. Leaves keep accumulating .grad across graphs.
+        its rule (with the arrays it captured) and its parent links are
+        dropped, so activations and interior gradients are freed while the
+        walk goes on. A released node stays tracked, and a later backward
+        through it raises TensorError before any gradient is written. Leaves
+        keep accumulating .grad across graphs.
         """
         if self.size != 1:
             raise TensorError(f"backward requires a scalar loss, got shape {self.shape}")
+        root = self._node
+        if root is None:
+            raise TensorError("backward of a value that no tracked tensor produced")
         topo = []
-        seen = set()
-        stack = [(self, iter(self._parents))]
-        seen.add(id(self))
+        seen = {id(root)}
+        stack = [(root, iter(root.parents))]
         while stack:
             node, it = stack[-1]
-            advanced = False
             for p in it:
-                if id(p) not in seen and p._tracked:
+                if id(p) not in seen:
                     seen.add(id(p))
-                    stack.append((p, iter(p._parents)))
-                    advanced = True
+                    stack.append((p, iter(p.parents)))
                     break
-            if not advanced:
-                if node._bwd is _released:
+            else:
+                if node.rule is _released:
                     _released(None)
                 topo.append(node)
                 stack.pop()
-        self._accum(np.ones_like(self.data))
+        root.accum(np.ones_like(self.data))
         while topo:
             node = topo.pop()
-            if node._bwd is None:  # a leaf
+            if node.rule is None:  # a leaf
                 continue
             if node.grad is not None:
-                node._bwd(node.grad)
+                node.rule(node.grad)
             node.grad = None
-            node._bwd = _released
-            node._parents = ()
+            node.rule = _released
+            node.parents = ()
 
 
 def _released(g):
@@ -157,20 +204,23 @@ def _released(g):
 
 
 def _make(data, parents, op):
+    """Wrap a forward result, with a node when grad is on and a parent is tracked.
+
+    The caller then sets the node's rule (out._bwd) when out._tracked.
+    """
     # single-pass reduction: NaN/Inf propagate into the sum, so this is a
-    # cheap full check (no boolean temporary) at float magnitudes we use
-    if not np.isfinite(float(data.sum())):
+    # cheap full check (no boolean temporary); only a sum that overflows
+    # on finite values needs the exact elementwise check
+    if not np.isfinite(float(data.sum())) and not np.isfinite(data).all():
         where = "/".join(_scope) or "<top>"
         raise NonFiniteError(f"non-finite values produced by {op} in {where}")
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
-    out.requires_grad = False
-    out._bwd = None
-    if _grad_enabled and any(p._tracked for p in parents):
-        out._parents = tuple(parents)
-    else:
-        out._parents = ()
+    out._node = None
+    if _grad_enabled:
+        nodes = tuple(p._node for p in parents if p._node is not None)
+        if nodes:
+            out._node = _Node(nodes)
     return out
 
 
@@ -181,9 +231,10 @@ def _reduce_to(g, shape):
 
 # -- elementwise arithmetic ------------------------------------------------
 # Each binary op is a forward ufunc plus one gradient rule per operand,
-# g -> d(out)/d(operand) * g, applied to the operands' arrays.
+# g -> d(out)/d(operand) * g, applied to the operands' arrays. Only the
+# rules of an op that `reads` its operands keep the operands' arrays.
 
-def _binary(a, b, op, fwd, grad_a, grad_b):
+def _binary(a, b, op, fwd, grad_a, grad_b, reads):
     if not isinstance(a, Tensor):
         a = Tensor(np.asarray(a, dtype=b.dtype if isinstance(b, Tensor) else np.float32))
     if not isinstance(b, Tensor):
@@ -195,12 +246,15 @@ def _binary(a, b, op, fwd, grad_a, grad_b):
         if other.size != 1 and one.ndim > other.ndim:
             raise TensorError(f"{op}: size-1 operand {one.shape} has more dimensions than {other.shape}")
     out = _make(fwd(a.data, b.data), (a, b), op)
-    if out._parents:
+    if out._tracked:
+        an, bn, sa, sb = a._node, b._node, a.shape, b.shape
+        ad, bd = (a.data, b.data) if reads else (None, None)
+
         def bwd(g):
-            if a._tracked:
-                a._accum(_reduce_to(grad_a(g, a.data, b.data), a.shape))
-            if b._tracked:
-                b._accum(_reduce_to(grad_b(g, a.data, b.data), b.shape))
+            if an is not None:
+                an.accum(_reduce_to(grad_a(g, ad, bd), sa))
+            if bn is not None:
+                bn.accum(_reduce_to(grad_b(g, ad, bd), sb))
         out._bwd = bwd
     return out
 
@@ -230,41 +284,44 @@ def _grad_div_b(g, a, b):
 
 
 def add(a, b):
-    return _binary(a, b, "add", np.add, _grad_same, _grad_same)
+    return _binary(a, b, "add", np.add, _grad_same, _grad_same, False)
 
 
 def sub(a, b):
-    return _binary(a, b, "sub", np.subtract, _grad_same, _grad_negated)
+    return _binary(a, b, "sub", np.subtract, _grad_same, _grad_negated, False)
 
 
 def mul(a, b):
-    return _binary(a, b, "mul", np.multiply, _grad_times_b, _grad_times_a)
+    return _binary(a, b, "mul", np.multiply, _grad_times_b, _grad_times_a, True)
 
 
 def div(a, b):
-    return _binary(a, b, "div", np.divide, _grad_over_b, _grad_div_b)
+    return _binary(a, b, "div", np.divide, _grad_over_b, _grad_div_b, True)
 
 
 def square(x):
     out = _make(x.data * x.data, (x,), "square")
-    if out._parents:
-        out._bwd = lambda g: x._accum(2.0 * x.data * g)
+    if out._tracked:
+        xn, xd = x._node, x.data
+        out._bwd = lambda g: xn.accum(2.0 * xd * g)
     return out
 
 
 def sqrt(x):
     r = np.sqrt(x.data)
     out = _make(r, (x,), "sqrt")
-    if out._parents:
-        out._bwd = lambda g: x._accum(g / (2.0 * r))
+    if out._tracked:
+        xn = x._node
+        out._bwd = lambda g: xn.accum(g / (2.0 * r))
     return out
 
 
 def exp(x):
     e = np.exp(x.data)
     out = _make(e, (x,), "exp")
-    if out._parents:
-        out._bwd = lambda g: x._accum(g * e)
+    if out._tracked:
+        xn = x._node
+        out._bwd = lambda g: xn.accum(g * e)
     return out
 
 
@@ -278,10 +335,12 @@ def _axes(x, axis):
 
 def sum_(x, axis=None, keepdims=False):
     out = _make(np.sum(x.data, axis=axis, keepdims=keepdims, dtype=x.dtype), (x,), "sum")
-    if out._parents:
+    if out._tracked:
+        xn, shape, axes = x._node, x.shape, _axes(x, axis)
+
         def bwd(g):
-            gs = g if keepdims else np.expand_dims(g, _axes(x, axis))
-            x._accum(np.broadcast_to(gs, x.shape))
+            gs = g if keepdims else np.expand_dims(g, axes)
+            xn.accum(np.broadcast_to(gs, shape))
         out._bwd = bwd
     return out
 
@@ -295,8 +354,9 @@ def mean(x, axis=None, keepdims=False):
 
 def reshape(x, shape):
     out = _make(x.data.reshape(shape), (x,), "reshape")
-    if out._parents:
-        out._bwd = lambda g: x._accum(g.reshape(x.shape))
+    if out._tracked:
+        xn, xshape = x._node, x.shape
+        out._bwd = lambda g: xn.accum(g.reshape(xshape))
     return out
 
 
@@ -304,8 +364,9 @@ def transpose(x, axes):
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
     out = _make(x.data.transpose(axes), (x,), "transpose")
-    if out._parents:
-        out._bwd = lambda g: x._accum(g.transpose(inv))
+    if out._tracked:
+        xn = x._node
+        out._bwd = lambda g: xn.accum(g.transpose(inv))
     return out
 
 
@@ -318,12 +379,14 @@ def broadcast_to(x, shape):
     except ValueError as e:
         raise TensorError(f"broadcast_to: {x.shape} -> {shape}: {e}") from None
     out = _make(data, (x,), "broadcast_to")
-    if out._parents:
+    if out._tracked:
+        xn, xshape = x._node, x.shape
+
         def bwd(g):
-            keep = tuple(i for i, (sx, sg) in enumerate(zip(x.shape, g.shape)) if sx == 1 and sg != 1)
+            keep = tuple(i for i, (sx, sg) in enumerate(zip(xshape, g.shape)) if sx == 1 and sg != 1)
             if keep:
                 g = g.sum(axis=keep, keepdims=True, dtype=g.dtype)
-            x._accum(g)
+            xn.accum(g)
         out._bwd = bwd
     return out
 
@@ -331,16 +394,16 @@ def broadcast_to(x, shape):
 def concat(tensors, axis):
     tensors = list(tensors)
     out = _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, "concat")
-    if out._parents:
-        sizes = [t.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
+    if out._tracked:
+        nodes = [t._node for t in tensors]
+        offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
         def bwd(g):
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                if t._tracked:
+            for tn, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+                if tn is not None:
                     idx = [slice(None)] * g.ndim
                     idx[axis] = slice(lo, hi)
-                    t._accum(g[tuple(idx)])
+                    tn.accum(g[tuple(idx)])
         out._bwd = bwd
     return out
 
@@ -350,17 +413,18 @@ def split(x, sizes, axis):
     if sum(sizes) != x.shape[axis]:
         raise TensorError(f"split: sizes {sizes} do not cover axis {axis} of {x.shape}")
     outs = []
+    xn, xshape = x._node, x.shape
     offsets = np.cumsum([0] + list(sizes))
     for lo, hi in zip(offsets[:-1], offsets[1:]):
         idx = [slice(None)] * x.ndim
         idx[axis] = slice(int(lo), int(hi))
         idx = tuple(idx)
         piece = _make(x.data[idx], (x,), "split")
-        if piece._parents:
+        if piece._tracked:
             def bwd(g, idx=idx):
-                full = np.zeros(x.shape, dtype=g.dtype)
+                full = np.zeros(xshape, dtype=g.dtype)
                 full[idx] = g
-                x._accum(full)
+                xn.accum(full)
             piece._bwd = bwd
         outs.append(piece)
     return outs
@@ -371,12 +435,13 @@ def split(x, sizes, axis):
 def silu(x):
     s = 1.0 / (1.0 + np.exp(-x.data))
     out = _make(x.data * s, (x,), "silu")
-    if out._parents:
+    if out._tracked:
         del s  # recomputed in backward; cheaper than retaining a copy per call
+        xn, xd = x._node, x.data
 
         def bwd(g):
-            s = 1.0 / (1.0 + np.exp(-x.data))
-            x._accum(g * (s * (1.0 + x.data * (1.0 - s))))
+            s = 1.0 / (1.0 + np.exp(-xd))
+            xn.accum(g * (s * (1.0 + xd * (1.0 - s))))
         out._bwd = bwd
     return out
 
@@ -389,12 +454,14 @@ def softmax(x, axis):
     np.exp(y, out=y)
     y /= np.sum(y, axis=axis, keepdims=True)
     out = _make(y, (x,), "softmax")
-    if out._parents:
+    if out._tracked:
+        xn = x._node
+
         def bwd(g):
             gy = g * y
             dot = np.sum(gy, axis=axis, keepdims=True)
             # y * (g - dot), written into the g * y buffer once dot is taken
-            x._accum(np.multiply(y, np.subtract(g, dot, out=gy), out=gy))
+            xn.accum(np.multiply(y, np.subtract(g, dot, out=gy), out=gy))
         out._bwd = bwd
     return out
 
@@ -407,12 +474,14 @@ def matmul(a, b):
     if a.shape[-1] != b.shape[-2]:
         raise TensorError(f"matmul: inner dims differ {a.shape} @ {b.shape}")
     out = _make(a.data @ b.data, (a, b), "matmul")
-    if out._parents:
+    if out._tracked:
+        an, bn, ad, bd = a._node, b._node, a.data, b.data
+
         def bwd(g):
-            if a._tracked:
-                a._accum(g @ np.swapaxes(b.data, -1, -2))
-            if b._tracked:
-                b._accum(np.swapaxes(a.data, -1, -2) @ g)
+            if an is not None:
+                an.accum(g @ np.swapaxes(bd, -1, -2))
+            if bn is not None:
+                bn.accum(np.swapaxes(ad, -1, -2) @ g)
         out._bwd = bwd
     return out
 
@@ -482,15 +551,18 @@ def conv2d(x, w, b=None, stride=1):
             out_k += b.data[:, None]
     parents = (x, w) if b is None else (x, w, b)
     out = _make(data, parents, "conv2d")
-    if out._parents:
+    if out._tracked:
+        xn, wn, bn = x._node, w._node, None if b is None else b._node
+        xd = x.data
+
         def bwd(g):
             gt = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(f, n * ho * wo)
-            if b is not None and b._tracked:
-                b._accum(gt.sum(axis=1, dtype=g.dtype))
-            if w._tracked:
-                gw = gt @ im2col(pad_cn(x.data)).T.astype(g.dtype, copy=False)
-                w._accum(gw.reshape(f, c, kh, kw))
-            if x._tracked:
+            if bn is not None:
+                bn.accum(gt.sum(axis=1, dtype=g.dtype))
+            if wn is not None:
+                gw = gt @ im2col(pad_cn(xd)).T.astype(g.dtype, copy=False)
+                wn.accum(gw.reshape(f, c, kh, kw))
+            if xn is not None:
                 gcols = w2.T.astype(g.dtype, copy=False) @ gt
                 if kh == 1 and s == 1:
                     gx = gcols.reshape(c, n, ho, wo)
@@ -502,7 +574,7 @@ def conv2d(x, w, b=None, stride=1):
                             gx[:, :, i:i + s * ho:s, j:j + s * wo:s] += gcols[:, i, j]
                     if p:
                         gx = gx[:, :, p:-p, p:-p]
-                x._accum(gx.transpose(1, 0, 2, 3))
+                xn.accum(gx.transpose(1, 0, 2, 3))
         out._bwd = bwd
     return out
 
@@ -589,16 +661,14 @@ def group_norm(x, groups, eps=1e-5):
     inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
     y = xc * inv
     out = _make(y.reshape(n, c, h, w), (x,), "group_norm")
-    if out._parents:
-        ydata = out.data  # capture the array, not the Tensor (no reference cycle)
-        del y, xc
+    if out._tracked:
+        xn, xshape = x._node, x.shape
 
         def bwd(g):
-            yr = ydata.reshape(n, groups, m)
             gr = g.reshape(n, groups, m)
             gm = gr.mean(axis=-1, keepdims=True, dtype=g.dtype)
-            gy = np.mean(gr * yr, axis=-1, keepdims=True, dtype=g.dtype)
-            x._accum((inv * (gr - gm - yr * gy)).reshape(x.shape))
+            gy = np.mean(gr * y, axis=-1, keepdims=True, dtype=g.dtype)
+            xn.accum((inv * (gr - gm - y * gy)).reshape(xshape))
         out._bwd = bwd
     return out
 
@@ -611,10 +681,11 @@ def upsample_nearest2(x):
         raise TensorError(f"upsample_nearest2: need 4-d input, got {x.shape}")
     d = np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3)
     out = _make(d, (x,), "upsample_nearest2")
-    if out._parents:
+    if out._tracked:
+        xn = x._node
         n, c, h, w = x.shape
 
         def bwd(g):
-            x._accum(g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5), dtype=g.dtype))
+            xn.accum(g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5), dtype=g.dtype))
         out._bwd = bwd
     return out

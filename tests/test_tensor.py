@@ -326,7 +326,37 @@ class TestBackward:
         x = Tensor(np.ones(3), requires_grad=True)
         with T.no_grad():
             out = T.mul(x, 2.0)
-        assert out._parents == ()
+        assert out._node is None and out.grad is None
+
+    def test_graph_keeps_only_the_arrays_rules_read(self):
+        """exp's rule reads its own output, so its input is freed in the
+        forward; silu's rule reads its input, which lives until backward."""
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        m = T.mul(x, 2.0)
+        unread = weakref.ref(m.data)
+        e = T.exp(m)
+        del m
+        assert unread() is None
+        h = T.mul(e, 0.5)
+        read = weakref.ref(h.data)
+        loss = T.sum_(T.silu(h))
+        del e, h
+        assert read() is not None
+        loss.backward()
+        assert read() is None
+        u = 0.5 * np.exp(2.0)
+        s = 1.0 / (1.0 + np.exp(-u))
+        assert np.allclose(x.grad, s * (1.0 + u * (1.0 - s)) * u * 2.0)
+
+    def test_backward_of_an_untracked_value_raises(self):
+        with pytest.raises(TensorError, match="no tracked tensor"):
+            T.sum_(Tensor(np.ones(3))).backward()
+
+    def test_item_needs_a_single_element(self):
+        assert T.sum_(Tensor(np.full((2, 2), 0.5))).item() == 2.0
+        assert Tensor(np.full((1, 1), 3.0)).item() == 3.0
+        with pytest.raises(TensorError, match="size-1"):
+            Tensor(np.ones(2)).item()
 
 
 class TestInvariants:
@@ -347,6 +377,15 @@ class TestInvariants:
         with pytest.raises(NonFiniteError, match="enc/block0"):
             with T.scope("enc"), T.scope("block0"):
                 T.mul(x, 1.0)
+
+    def test_finite_values_whose_sum_overflows_pass_the_check(self):
+        big = Tensor(np.full(4, 2e38, np.float32))
+        with np.errstate(over="ignore"):  # the float32 sum overflows; the values do not
+            out = T.mul(big, 1.0)
+            assert np.array_equal(out.data, big.data)
+            with pytest.raises(NonFiniteError, match="enc"):
+                with T.scope("enc"):
+                    T.mul(Tensor(np.array([2e38, 2e38, np.nan], np.float32)), 1.0)
 
     def test_grad_dtype_follows_input(self):
         x = Tensor(np.ones((2, 2), dtype=np.float64), requires_grad=True)

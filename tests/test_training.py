@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -19,6 +17,8 @@ from semcom.training import (
     sample_channel_condition,
 )
 from semcom.unet import ModelConfig, ModelConfigError, UNet
+
+from memtrace import graph_and_backward_peak
 
 TINY_MODEL = ModelConfig(image_size=16, in_channels=3, cond_channels=3, base_channels=16,
                          channel_multipliers=(1, 2), num_res_blocks=1,
@@ -320,8 +320,8 @@ class TestCheckpointResume:
             assert np.array_equal(arr, after[key]), key
 
 
-def test_backward_peak_stays_near_the_forward_graph():
-    """Backward frees the graph as it walks it, so its peak stays close to the graph's size."""
+def _tiny_step_memory():
+    """(graph, backward peak) in bytes of one TINY_MODEL training loss at batch 2."""
     model = UNet(TINY_MODEL, seed=0)
     sched = build_schedule(20, 1e-3, 0.1)
     rng = np.random.default_rng(0)
@@ -329,16 +329,24 @@ def test_backward_peak_stays_near_the_forward_graph():
     y = rng.uniform(0.0, 1.0, (2, 3, 16, 16)).astype(np.float32)
     t = rng.integers(1, 21, size=2)
     eps = rng.standard_normal(x0.shape, dtype=np.float32)
-    tracemalloc.start()
-    try:
-        loss, _ = total_loss(model, x0, y, t, eps, sched)
-        graph = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        loss.backward()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return graph_and_backward_peak(lambda: total_loss(model, x0, y, t, eps, sched)[0])
+
+
+def test_backward_peak_stays_near_the_forward_graph():
+    """Backward frees the graph as it walks it, so its peak stays close to the graph's size."""
+    graph, peak = _tiny_step_memory()
     assert peak <= 1.25 * graph, (peak, graph)
+
+
+# Graph of _tiny_step_memory when every rule kept its parents' values alive.
+ALL_VALUES_GRAPH_BYTES = 5.9e6
+
+
+def test_forward_graph_keeps_only_what_backward_reads():
+    """Outputs that no gradient rule reads (conv into add or group_norm, the
+    attention logits, silu into add, ...) are freed during the forward."""
+    graph, _ = _tiny_step_memory()
+    assert graph <= 0.7 * ALL_VALUES_GRAPH_BYTES, graph
 
 
 def test_metrics_writer_schema(tmp_path):

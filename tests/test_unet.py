@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from semcom import tensor as T
-from semcom.checkpoint import load_checkpoint, save_checkpoint
+from semcom.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from semcom.tensor import Tensor
 from semcom.unet import (
     AttentionBlock,
@@ -343,6 +343,23 @@ class TestCheckpoint:
     def test_corrupt_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"XXXX" + b"\x00" * 16)
-        from semcom.checkpoint import CheckpointError
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(path)
+
+    def test_damaged_header_raises_checkpoint_error(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, UNet(TOY, seed=1).state(), config_hash="abc123", extra={"step": 5})
+        blob = path.read_bytes()
+        header = 9 + int.from_bytes(blob[5:9], "little")
+        bad = tmp_path / "bad.ckpt"
+        for cut in range(header + 1):
+            bad.write_bytes(blob[:cut])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(bad)
+        manifests = [b"\xff\xfe", b"{not json", b"[1, 2]", b'{"config_hash": "a", "extra": {}}',
+                     b'{"config_hash": "a", "extra": {}, "entries": [{"name": "w"}]}',
+                     b'{"config_hash": "a", "extra": {}, "entries": [{"name": "w", "shape": [-1]}]}']
+        for manifest in manifests:
+            bad.write_bytes(blob[:5] + len(manifest).to_bytes(4, "little") + manifest)
+            with pytest.raises(CheckpointError):
+                load_checkpoint(bad)

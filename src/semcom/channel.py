@@ -1,14 +1,15 @@
 """AWGN channel parameterized by PSNR, plus the full-image baseline path.
 
-PSNR = 10 log10(P / sigma^2) dB, so sigma = sqrt(P * 10^(-PSNR/10)). A PSNR
-of 100 or more is an exact noiseless switch. The noise of a frame is drawn
+The sender's symbols have unit power (mean square 1), so PSNR =
+10 log10(1 / sigma^2) dB and sigma = sqrt(10^(-PSNR/10)). A PSNR of 100 or
+more gives sigma = 0, an exact noiseless switch. The noise of a frame is drawn
 from a Philox stream keyed by the seed (uniforms mapped through the inverse
 normal CDF), so a fixed seed gives the same noise on every run; bitwise
 reproducibility is promised within this implementation only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -23,27 +24,18 @@ class ChannelError(ValueError):
 @dataclass(frozen=True)
 class ChannelConfig:
     psnr_db: float
-    power: float = 1.0
     seed: int = 0
-    noiseless: bool = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "noiseless", self.psnr_db >= NOISELESS_PSNR)
-        if self.power <= 0:
-            raise ChannelError(f"channel power must be positive, got {self.power}")
 
     @property
     def sigma(self):
-        return psnr_to_sigma(self.psnr_db, self.power)
+        return psnr_to_sigma(self.psnr_db)
 
 
-def psnr_to_sigma(psnr_db, power=1.0):
-    """Invert PSNR = 10 log10(P / sigma^2); exactly 0 in noiseless mode."""
-    if power <= 0:
-        raise ChannelError(f"power must be positive, got {power}")
+def psnr_to_sigma(psnr_db):
+    """Invert PSNR = 10 log10(1 / sigma^2); exactly 0 in noiseless mode."""
     if psnr_db >= NOISELESS_PSNR:
         return 0.0
-    return float(np.sqrt(power * 10.0 ** (-psnr_db / 10.0)))
+    return float(np.sqrt(10.0 ** (-psnr_db / 10.0)))
 
 
 def noise_for_indices(seed, count, sigma):
@@ -56,15 +48,14 @@ def noise_for_indices(seed, count, sigma):
 def transmit(frame, cfg):
     """Add i.i.d. Gaussian noise of std sigma to a power-normalized ChannelFrame.
 
-    The frame's mean-square power must match cfg.power within 1e-6; a
-    mismatch is a contract violation.
+    The frame's mean-square power must be 1 within 1e-6; a mismatch is a
+    contract violation.
     """
     symbols = np.asarray(frame.symbols, dtype=np.float64)
     ms = float(np.mean(symbols * symbols))
-    if abs(ms - cfg.power) > 1e-6 * max(1.0, cfg.power):
-        raise ChannelError(
-            f"frame mean-square power {ms:.9g} does not match configured {cfg.power:.9g}")
-    if cfg.noiseless:
+    if abs(ms - 1.0) > 1e-6:
+        raise ChannelError(f"frame mean-square power {ms:.9g} is not 1")
+    if cfg.sigma == 0.0:
         return symbols.copy()
     return symbols + noise_for_indices(cfg.seed, symbols.size, cfg.sigma)
 
@@ -77,13 +68,13 @@ def transmit_image(rgb, cfg):
     img = np.asarray(rgb, dtype=np.float64)
     if img.min() < 0.0 or img.max() > 1.0:
         raise ChannelError("image values must lie in [0, 1]")
-    if cfg.noiseless:
+    if cfg.sigma == 0.0:
         return img.copy()
     flat = img.reshape(-1)
     ms = float(np.mean(flat * flat))
     if ms == 0.0:
         raise ChannelError("cannot transmit an all-black image (zero power)")
-    scale = np.sqrt(cfg.power / ms)
+    scale = np.sqrt(1.0 / ms)
     noisy = (flat * scale + noise_for_indices(cfg.seed, flat.size, cfg.sigma)) / scale
     return np.clip(noisy, 0.0, 1.0).reshape(img.shape)
 

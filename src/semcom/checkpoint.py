@@ -1,14 +1,15 @@
 """Checkpoint file format.
 
 Layout: magic b"SCKP", version byte, u32 little-endian manifest length, UTF-8
-JSON manifest (format version, config hash, named entries with shapes, free-form
-extra state), then the raw parameter data: float32 little-endian, row-major,
-in manifest order. Writes are atomic (temp file + rename) so an aborted run
+JSON manifest (format version, config hash, named entries with shapes, an
+extra-state object), then the raw float32 data: little-endian, row-major, in
+manifest order. Writes are atomic (temp file + rename) so an aborted run
 leaves the previous checkpoint intact.
 """
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -74,15 +75,16 @@ def load_checkpoint(path):
         if len(raw) != mlen:
             raise CheckpointError("truncated checkpoint manifest")
         manifest, entries = _parse_manifest(raw)
-        arrays = {}
-        for name, shape in entries:
-            count = int(np.prod(shape)) if shape else 1
-            raw = f.read(4 * count)
-            if len(raw) != 4 * count:
-                raise CheckpointError(f"truncated data for {name}")
-            arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
-        if f.read(1):
-            raise CheckpointError("trailing bytes after last entry")
+        # sizes in Python integers, so a huge shape neither overflows nor wraps
+        nbytes = [4 * math.prod(shape) for _, shape in entries]
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if sum(nbytes) != left:
+            raise CheckpointError(f"checkpoint entries need {sum(nbytes)} data bytes, the file holds {left}")
+        try:
+            arrays = {name: np.frombuffer(f.read(n), dtype="<f4").reshape(shape).astype(np.float32)
+                      for (name, shape), n in zip(entries, nbytes)}
+        except ValueError as e:  # a shape numpy cannot hold, such as (0, 2**70)
+            raise CheckpointError(f"bad checkpoint entry shape: {e}") from None
     return arrays, manifest
 
 
@@ -92,8 +94,9 @@ def _parse_manifest(raw):
         manifest = json.loads(raw.decode("utf-8"))
     except ValueError as e:  # bad UTF-8 or bad JSON
         raise CheckpointError(f"checkpoint manifest is not JSON: {e}") from None
-    if not isinstance(manifest, dict) or not {"config_hash", "entries", "extra"} <= manifest.keys():
-        raise CheckpointError("checkpoint manifest lacks config_hash, entries or extra")
+    if (not isinstance(manifest, dict) or not {"config_hash", "entries", "extra"} <= manifest.keys()
+            or not isinstance(manifest["extra"], dict)):
+        raise CheckpointError("checkpoint manifest lacks config_hash, entries or an extra object")
     try:
         entries = [(e["name"], tuple(e["shape"])) for e in manifest["entries"]]
     except (TypeError, KeyError) as e:
@@ -101,4 +104,6 @@ def _parse_manifest(raw):
     for name, shape in entries:
         if not isinstance(name, str) or not all(isinstance(d, int) and d >= 0 for d in shape):
             raise CheckpointError(f"bad checkpoint entry {name!r} of shape {list(shape)}")
+    if len({name for name, _ in entries}) != len(entries):
+        raise CheckpointError("checkpoint entries repeat a name")
     return manifest, entries

@@ -118,7 +118,6 @@ class ChannelFrame:
     """Power-normalized real symbols plus the scale that undoes normalization."""
 
     symbols: np.ndarray  # float64, flat
-    power: float
     scale: float
 
 
@@ -260,17 +259,15 @@ def rle_unpack(payload):
 
 # -- power normalization -----------------------------------------------------------
 
-def power_normalize(stack, power=1.0):
-    """Scale the planes of a OneHotStack so the flat symbol vector has mean square `power`."""
-    if power <= 0:
-        raise CodecError(f"power must be positive, got {power}")
+def power_normalize(stack):
+    """Scale the planes of a OneHotStack so the flat symbol vector has mean square 1."""
     if not stack.planes.size:
         raise DegenerateInputError(f"cannot power-normalize a {stack.height}x{stack.width} stack "
                                    "with no pixels")
     flat = stack.planes.reshape(-1).astype(np.float64)
     ms = float(np.mean(flat * flat))
-    scale = float(np.sqrt(power / ms))
-    return ChannelFrame(flat * scale, float(power), scale)
+    scale = float(np.sqrt(1.0 / ms))
+    return ChannelFrame(flat * scale, scale)
 
 
 def inverse_normalize(symbols, scale):

@@ -27,9 +27,9 @@ class LinkResult:
 
 
 def transmit_map(class_map, c_total, cfg):
-    """Run one map through encode -> normalize to cfg.power -> AWGN -> de-scale."""
+    """Run one map through encode -> normalize to unit power -> AWGN -> de-scale."""
     stack = codec.one_hot_encode(class_map, c_total)
-    frame = codec.power_normalize(stack, cfg.power)
+    frame = codec.power_normalize(stack)
     raw = ch.transmit(frame, cfg).reshape(stack.planes.shape)
     return LinkResult(stack, raw, codec.inverse_normalize(raw, frame.scale))
 

@@ -208,10 +208,9 @@ def _make(data, parents, op):
 
     The caller then sets the node's rule (out._bwd) when out._tracked.
     """
-    # single-pass reduction: NaN/Inf propagate into the sum, so this is a
-    # cheap full check (no boolean temporary); only a sum that overflows
-    # on finite values needs the exact elementwise check
-    if not np.isfinite(float(data.sum())) and not np.isfinite(data).all():
+    # max and min propagate NaN, cannot overflow (so never warn or raise under
+    # np.seterr) and need no boolean temporary: an exact and cheap check
+    if data.size and not (np.isfinite(data.max()) and np.isfinite(data.min())):
         where = "/".join(_scope) or "<top>"
         raise NonFiniteError(f"non-finite values produced by {op} in {where}")
     out = Tensor.__new__(Tensor)

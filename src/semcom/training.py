@@ -6,6 +6,11 @@ normalized, corrupted, de-scaled, and fed to the model raw (the fast
 denoiser stays off during training and on at inference, asserted here).
 Non-finite gradients skip the step and are counted; a non-finite forward
 aborts the run.
+
+A training checkpoint holds exactly the entries `<name>`, `opt.m.<name>`,
+`opt.v.<name>` and `ema.<name>` for every model parameter `<name>` (the layout
+of `Trainer.state_arrays`), and the extra state `step`, `skipped`, `opt_t`
+(counters) and `rng_state`.
 """
 from __future__ import annotations
 
@@ -77,58 +82,37 @@ def sample_channel_condition(rng, psnr_pool, weights):
 
 
 class AdamW:
-    """Decoupled-weight-decay adaptive moments with bias correction."""
+    """Decoupled-weight-decay adaptive moments, with bias correction, for every parameter."""
 
-    def __init__(self, lr, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = params
         self.lr = lr
         self.weight_decay = weight_decay
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {}
-        self.v = {}
+        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
 
-    def step(self, params):
-        """One update over {name: Tensor} using the accumulated .grad fields."""
+    def step(self):
+        """One update of every parameter that has a gradient (.grad)."""
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for name, p in params.items():
+        for name, p in self.params.items():
             g = p.grad
             if g is None:
                 continue
-            m = self.m.get(name)
-            if m is None:
-                m = np.zeros_like(p.data)
-                v = np.zeros_like(p.data)
-            else:
-                v = self.v[name]
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * (g * g)
-            self.m[name] = m
-            self.v[name] = v
+            m = self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
+            v = self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)
             update = (m / b1c) / (np.sqrt(v / b2c) + self.eps)
             if self.weight_decay:
                 update = update + self.weight_decay * p.data
             p.data = p.data - self.lr * update
 
     def state_arrays(self):
-        out = {}
-        for name, arr in self.m.items():
-            out[f"opt.m.{name}"] = arr
-            out[f"opt.v.{name}"] = self.v[name]
-        return out
-
-    def load_state_arrays(self, arrays, t):
-        self.t = int(t)
-        self.m = {}
-        self.v = {}
-        for key, arr in arrays.items():
-            if key.startswith("opt.m."):
-                self.m[key[len("opt.m."):]] = np.asarray(arr, dtype=np.float32)
-            elif key.startswith("opt.v."):
-                self.v[key[len("opt.v."):]] = np.asarray(arr, dtype=np.float32)
+        return {f"opt.{k}.{name}": getattr(self, k)[name] for name in self.params for k in "mv"}
 
 
 def ema_update(shadow, params, decay):
@@ -186,7 +170,7 @@ class Trainer:
         self.maps = [cmap for _, cmap in pairs]
         self.c_total = model.config.cond_channels
         self.rng = np.random.default_rng(cfg.seed)
-        self.opt = AdamW(cfg.learning_rate, cfg.weight_decay)
+        self.opt = AdamW(model.params, cfg.learning_rate, cfg.weight_decay)
         self.ema = {name: p.data.copy() for name, p in model.params.items()}
         self.step_index = 0
         self.skipped = 0
@@ -225,7 +209,7 @@ class Trainer:
 
         norm = clip_gradients(self.model.params, cfg.grad_clip)
         if np.isfinite(norm):
-            self.opt.step(self.model.params)
+            self.opt.step()
             # warm-up, so the shadow leaves the initialization; opt.t counts
             # applied updates only, so skipped steps do not advance it
             decay = min(cfg.ema_decay, (1 + self.opt.t) / (10 + self.opt.t))
@@ -238,43 +222,45 @@ class Trainer:
                           norm, 1e3 * (time.perf_counter() - t0), psnr_counts)
 
     # -- checkpointing -------------------------------------------------------
+    def state_arrays(self):
+        """Every array of the training state by its checkpoint name."""
+        return {**self.model.state(), **self.opt.state_arrays(), **{f"ema.{k}": v for k, v in self.ema.items()}}
+
     def save(self, path):
-        """Model, optimizer moments (`opt.*`), EMA shadow (`ema.*`), counters and RNG."""
-        arrays = self.model.state()
-        arrays.update(self.opt.state_arrays())
-        arrays.update({f"ema.{k}": v for k, v in self.ema.items()})
-        save_checkpoint(path, arrays, self.config_hash, {
+        """Write `<name>`, `opt.m.<name>`, `opt.v.<name>` and `ema.<name>` for every
+        parameter, and the extra state `step`, `skipped`, `opt_t` and `rng_state`."""
+        save_checkpoint(path, self.state_arrays(), self.config_hash, {
             "step": self.step_index, "skipped": self.skipped, "opt_t": self.opt.t,
             "rng_state": self.rng.bit_generator.state})
 
     def restore(self, path):
+        """Resume from a file written by `save`. Every entry, counter and the RNG state is
+        checked before anything is assigned, so a refused file leaves the trainer as it was."""
         arrays, manifest = load_checkpoint(path)
         if manifest["config_hash"] != self.config_hash:
             raise TrainError(f"checkpoint config hash {manifest['config_hash']!r} does not match "
                              f"this run's {self.config_hash!r}")
-        params = self.model.params
-        saved = {prefix: {k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)}
-                 for prefix in ("opt.m.", "opt.v.", "ema.")}
-        if set(saved["ema."]) != set(params):
-            raise TrainError("checkpoint EMA entries do not match the model's parameters; "
-                             "only a training checkpoint can be resumed")
-        if set(saved["opt.m."]) != set(saved["opt.v."]) or not set(saved["opt.m."]) <= set(params):
-            raise TrainError("checkpoint optimizer moments do not match the model's parameters")
-        # check every shape before the model assigns anything, so a rejected
-        # checkpoint leaves the whole training state as it was
-        for prefix, named in saved.items():
-            for name, arr in named.items():
-                if arr.shape != params[name].shape:
-                    raise TrainError(f"{prefix}{name}: shape {arr.shape} != {params[name].shape}")
+        want = self.state_arrays()
+        missing, unknown = sorted(want.keys() - arrays.keys()), sorted(arrays.keys() - want.keys())
+        if missing or unknown:
+            raise TrainError(f"checkpoint is not this trainer's state (weights, AdamW moments, EMA): "
+                             f"missing {missing[:3]}, unknown {unknown[:3]}")
+        for name, arr in want.items():
+            if arrays[name].shape != arr.shape:
+                raise TrainError(f"{name}: shape {arrays[name].shape} != {arr.shape}")
         extra = manifest["extra"]
-        model_arrays = {k: v for k, v in arrays.items()
-                        if not k.startswith(("opt.", "ema."))}
-        self.model.load_state(model_arrays)
-        self.opt.load_state_arrays(arrays, extra["opt_t"])
-        self.ema = {k: v.copy() for k, v in saved["ema."].items()}
-        self.step_index = int(extra["step"])
-        self.skipped = int(extra["skipped"])
-        state = extra["rng_state"]
-        state["state"] = {k: int(v) for k, v in state["state"].items()}
-        self.rng.bit_generator.state = state
-        return manifest
+        counters = [extra.get(key) for key in ("step", "skipped", "opt_t")]
+        if not all(type(c) is int and c >= 0 for c in counters) or counters[0] != counters[1] + counters[2]:
+            raise TrainError(f"bad checkpoint counters (step, skipped, opt_t): {counters}")
+        rng = type(self.rng.bit_generator)()  # a state that parses round-trips through a fresh one
+        try:
+            rng.state = extra.get("rng_state")
+            if rng.state != extra["rng_state"]:
+                raise ValueError("it does not round-trip")
+        except (TypeError, ValueError, KeyError, OverflowError) as e:
+            raise TrainError(f"bad checkpoint RNG state: {e!r}") from None
+
+        for name, arr in want.items():  # every state array is written in place
+            arr[...] = arrays[name]
+        self.step_index, self.skipped, self.opt.t = counters
+        self.rng.bit_generator.state = rng.state

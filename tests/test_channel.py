@@ -15,25 +15,22 @@ from semcom.codec import ChannelFrame
 
 class TestPsnrToSigma:
     def test_psnr20(self):
-        assert psnr_to_sigma(20.0, 1.0) == pytest.approx(0.1)
+        assert psnr_to_sigma(20.0) == pytest.approx(0.1)
 
     def test_psnr10(self):
-        assert psnr_to_sigma(10.0, 1.0) == pytest.approx(0.31623, abs=1e-5)
+        assert psnr_to_sigma(10.0) == pytest.approx(0.31623, abs=1e-5)
 
     def test_formula_values_for_training_pool(self):
-        # Always Eq-style inversion sigma = sqrt(P)*10^(-PSNR/20); the loosely
+        # Always Eq-style inversion sigma = 10^(-PSNR/20); the loosely
         # rounded variance list floating around for these PSNRs is not asserted.
         expect = {1: 0.891251, 5: 0.562341, 10: 0.316228, 15: 0.177828,
                   20: 0.1, 30: 0.0316228, 100: 0.0}
         for psnr, sigma in expect.items():
-            assert psnr_to_sigma(float(psnr), 1.0) == pytest.approx(sigma, abs=1e-6)
-
-    def test_power_scales_sigma(self):
-        assert psnr_to_sigma(10.0, 4.0) == pytest.approx(2 * psnr_to_sigma(10.0, 1.0))
+            assert psnr_to_sigma(float(psnr)) == pytest.approx(sigma, abs=1e-6)
 
     def test_noneless_mode_flag(self):
-        assert ChannelConfig(psnr_db=100.0).noiseless
-        assert not ChannelConfig(psnr_db=99.9).noiseless
+        assert ChannelConfig(psnr_db=100.0).sigma == 0.0
+        assert ChannelConfig(psnr_db=99.9).sigma > 0.0
 
 
 class TestTransmit:
@@ -42,7 +39,7 @@ class TestTransmit:
         sym = rng.choice([0.0, 2.0], size=n, p=[0.75, 0.25])
         while abs(np.mean(sym**2) - 1.0) > 1e-12:  # exact quarter ones
             sym = rng.choice([0.0, 2.0], size=n, p=[0.75, 0.25])
-        return ChannelFrame(sym, 1.0, 2.0)
+        return ChannelFrame(sym, 2.0)
 
     def test_noiseless_identity_bitwise(self):
         frame = self._frame()
@@ -55,7 +52,7 @@ class TestTransmit:
         assert np.array_equal(transmit(frame, cfg), transmit(frame, cfg))
 
     def test_power_mismatch_rejected(self):
-        bad = ChannelFrame(np.full(16, 0.5), 1.0, 1.0)
+        bad = ChannelFrame(np.full(16, 0.5), 1.0)  # mean square 0.25
         with pytest.raises(ChannelError, match="power"):
             transmit(bad, ChannelConfig(psnr_db=10.0))
 
@@ -63,7 +60,7 @@ class TestTransmit:
         n = 1_000_000
         sym = np.ones(n)
         cfg = ChannelConfig(psnr_db=10.0, seed=7)
-        noise = transmit(ChannelFrame(sym, 1.0, 1.0), cfg) - sym
+        noise = transmit(ChannelFrame(sym, 1.0), cfg) - sym
         measured = 10 * np.log10(1.0 / np.mean(noise**2))
         assert abs(measured - 10.0) < 0.05
 

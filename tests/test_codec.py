@@ -151,7 +151,7 @@ class TestPowerNormalize:
     def test_quarter_ones_scale_two(self):
         cmap = np.repeat(np.arange(4), 4).reshape(4, 4)  # C_p=4, ones fraction 1/4
         stack = one_hot_encode(cmap, c_total=4)
-        frame = power_normalize(stack, power=1.0)
+        frame = power_normalize(stack)
         raw_ms = np.mean(stack.planes.astype(float) ** 2)
         assert raw_ms == pytest.approx(0.25)
         assert frame.scale == pytest.approx(2.0)
@@ -159,28 +159,25 @@ class TestPowerNormalize:
 
     def test_single_all_ones_plane_unchanged(self):
         stack = one_hot_encode(np.zeros((4, 4), int), c_total=2)
-        frame = power_normalize(stack, power=1.0)
+        frame = power_normalize(stack)
         assert frame.scale == pytest.approx(1.0)
         assert np.array_equal(frame.symbols, np.ones(16))
 
     def test_mean_square_is_power(self):
-        rng = np.random.default_rng(2)
-        for power in (1.0, 2.5):
-            cmap = rng.integers(0, 5, size=(8, 8))
-            frame = power_normalize(one_hot_encode(cmap, 5), power=power)
-            ms = np.mean(frame.symbols ** 2)
-            assert abs(ms - power) < 1e-9
+        cmap = np.random.default_rng(2).integers(0, 5, size=(8, 8))
+        frame = power_normalize(one_hot_encode(cmap, 5))
+        assert abs(np.mean(frame.symbols ** 2) - 1.0) < 1e-9
 
     def test_inverse_recovers_planes(self):
         cmap = np.random.default_rng(3).integers(0, 4, size=(6, 6))
         stack = one_hot_encode(cmap, 4)
-        frame = power_normalize(stack, power=1.0)
+        frame = power_normalize(stack)
         planes = inverse_normalize(frame.symbols, frame.scale).reshape(stack.planes.shape)
         assert np.max(np.abs(planes - stack.planes)) < 1e-9
 
     def test_all_zero_rejected(self):
         with pytest.raises(DegenerateInputError):
-            power_normalize(OneHotStack((), np.zeros((0, 0, 3), np.uint8), 3), power=1.0)
+            power_normalize(OneHotStack((), np.zeros((0, 0, 3), np.uint8), 3))
 
 
 class TestBitBudget:

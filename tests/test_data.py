@@ -154,7 +154,7 @@ def test_closed_loop_through_noiseless_channel():
     spec = ShapesSpec(seed=11)
     for img, cmap in generate_shapes(spec, 4):
         stack = one_hot_encode(cmap, spec.num_classes)
-        frame = power_normalize(stack, 1.0)
+        frame = power_normalize(stack)
         received = transmit(frame, ChannelConfig(psnr_db=100.0, seed=0))
         planes = (received / frame.scale).reshape(stack.planes.shape)
         assert np.array_equal(planes.astype(np.uint8), stack.planes)  # bitwise exact

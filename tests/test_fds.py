@@ -94,7 +94,7 @@ class TestFds:
 class TestFdsBeatsNaive:
     def _received(self, cmap, c_total, psnr, seed):
         stack = one_hot_encode(cmap, c_total)
-        frame = power_normalize(stack, 1.0)
+        frame = power_normalize(stack)
         noisy = transmit(frame, ChannelConfig(psnr_db=psnr, seed=seed))
         raw_planes = noisy.reshape(stack.planes.shape)           # still scaled
         descaled = raw_planes / frame.scale                      # receiver undoes the scale

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from semcom.channel import NOISELESS_PSNR, ChannelConfig
 from semcom.fds import FdsConfig
@@ -15,9 +14,8 @@ def _map():
     return cmap  # classes 0, 2 and 5 are absent
 
 
-@pytest.mark.parametrize("power", [1.0, 2.5])
-def test_noiseless_link_returns_the_planes_bitwise(power):
-    link = transmit_map(_map(), C_TOTAL, ChannelConfig(psnr_db=NOISELESS_PSNR, power=power, seed=1))
+def test_noiseless_link_returns_the_planes_bitwise():
+    link = transmit_map(_map(), C_TOTAL, ChannelConfig(psnr_db=NOISELESS_PSNR, seed=1))
     assert np.array_equal(link.received_planes, link.stack.planes)
 
 

@@ -380,7 +380,7 @@ class TestInvariants:
 
     def test_finite_values_whose_sum_overflows_pass_the_check(self):
         big = Tensor(np.full(4, 2e38, np.float32))
-        with np.errstate(over="ignore"):  # the float32 sum overflows; the values do not
+        with np.errstate(over="raise", invalid="raise"):  # the float32 sum overflows; the values do not
             out = T.mul(big, 1.0)
             assert np.array_equal(out.data, big.data)
             with pytest.raises(NonFiniteError, match="enc"):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semcom import training
-from semcom.checkpoint import load_checkpoint, save_checkpoint
+from semcom.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from semcom.data import ShapesSpec, generate_shapes
 from semcom.diffusion import build_schedule, total_loss
 from semcom.tensor import Tensor
@@ -16,7 +18,7 @@ from semcom.training import (
     ema_update,
     sample_channel_condition,
 )
-from semcom.unet import ModelConfig, ModelConfigError, UNet
+from semcom.unet import ModelConfig, UNet
 
 from memtrace import graph_and_backward_peak
 
@@ -80,8 +82,8 @@ class TestAdamW:
     def test_zero_grad_zero_decay_keeps_params(self):
         p = Tensor(np.ones(4), requires_grad=True)
         p.grad = np.zeros(4)
-        opt = AdamW(lr=0.1, weight_decay=0.0)
-        opt.step({"p": p})
+        opt = AdamW({"p": p}, lr=0.1, weight_decay=0.0)
+        opt.step()
         assert np.allclose(p.data, 1.0)
 
     def test_first_step_closed_form(self):
@@ -89,18 +91,18 @@ class TestAdamW:
         g = rng.normal(size=6)
         p = Tensor(np.zeros(6), requires_grad=True)
         p.grad = g.copy()
-        opt = AdamW(lr=0.01)
-        opt.step({"p": p})
+        opt = AdamW({"p": p}, lr=0.01)
+        opt.step()
         expect = -0.01 * g / (np.sqrt(g * g) + opt.eps)
         assert np.allclose(p.data, expect, atol=1e-12)
 
     def test_constant_gradient_step_magnitude_approaches_lr(self):
         p = Tensor(np.zeros(1, dtype=np.float64), requires_grad=True)
-        opt = AdamW(lr=0.01)
+        opt = AdamW({"p": p}, lr=0.01)
         prev = p.data.copy()
         for _ in range(500):
             p.grad = np.full(1, 0.37)
-            opt.step({"p": p})
+            opt.step()
             delta = abs(float(p.data[0] - prev[0]))
             prev = p.data.copy()
         assert delta == pytest.approx(0.01, rel=1e-3)
@@ -108,9 +110,21 @@ class TestAdamW:
     def test_decoupled_weight_decay(self):
         p = Tensor(np.full(3, 2.0), requires_grad=True)
         p.grad = np.zeros(3)
-        opt = AdamW(lr=0.1, weight_decay=0.5)
-        opt.step({"p": p})
+        opt = AdamW({"p": p}, lr=0.1, weight_decay=0.5)
+        opt.step()
         assert np.allclose(p.data, 2.0 - 0.1 * 0.5 * 2.0)
+
+    def test_every_parameter_has_zero_moments_from_the_start(self):
+        params = {"a": Tensor(np.ones(3, np.float32), requires_grad=True),
+                  "b": Tensor(np.ones((2, 2), np.float32), requires_grad=True)}
+        opt = AdamW(params, lr=0.1)
+        params["a"].grad = np.ones(3, np.float32)
+        opt.step()  # "b" has no gradient: it keeps its zero moments and its value
+        assert list(opt.state_arrays()) == ["opt.m.a", "opt.v.a", "opt.m.b", "opt.v.b"]
+        assert opt.m["a"].any() and opt.v["a"].any()
+        for arr in (opt.m["b"], opt.v["b"]):
+            assert arr.shape == (2, 2) and arr.dtype == np.float32 and not arr.any()
+        assert np.array_equal(params["b"].data, np.ones((2, 2)))
 
 
 class TestEma:
@@ -173,6 +187,7 @@ class TestTrainStep:
         for cond, i in zip(conds, [0]):
             assert np.isin(cond, (0.0, 1.0)).all()  # exact binary planes
 
+    @pytest.mark.slow
     def test_loss_decreases_on_shapes(self):
         """Median first-vs-last loss trend over 5 seeds, 500 steps each."""
         gains = []
@@ -288,7 +303,7 @@ class TestCheckpointResume:
         save_checkpoint(bad, arrays, tr.config_hash, manifest["extra"])
         tr.train_step()  # the weights now differ from those in the file
         params = {k: p.data.copy() for k, p in tr.model.params.items()}
-        with pytest.raises(ModelConfigError, match=last):
+        with pytest.raises(TrainError, match=last):
             tr.restore(bad)
         for name, arr in params.items():
             assert np.array_equal(arr, tr.model.params[name].data), name
@@ -318,6 +333,116 @@ class TestCheckpointResume:
         assert set(after) == set(moments)
         for key, arr in moments.items():
             assert np.array_equal(arr, after[key]), key
+
+    @pytest.mark.parametrize("change, missing_or_unknown", [
+        (lambda arrays: [arrays.pop(f"opt.{k}.out.conv.w") for k in "mv"], "opt.m.out.conv.w"),
+        (lambda arrays: arrays.update({"opt.m.no.such.param": np.zeros(3, np.float32)}), "no.such.param"),
+    ], ids=["missing-moment", "unknown-entry"])
+    def test_restore_of_other_entries_leaves_the_state(self, tmp_path, change, missing_or_unknown):
+        """Every parameter has its moments, so a file must hold exactly the trainer's entries."""
+        tr, good = _trained_checkpoint(tmp_path)
+        arrays, manifest = load_checkpoint(good)
+        change(arrays)
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, arrays, tr.config_hash, manifest["extra"])
+        tr.train_step()
+        before = _training_state(tr)
+        with pytest.raises(TrainError, match=missing_or_unknown):
+            tr.restore(bad)
+        _assert_same_state(before, _training_state(tr))
+
+    @pytest.mark.parametrize("damage", [
+        lambda extra: extra.pop("opt_t"),
+        lambda extra: extra.pop("step"),
+        lambda extra: extra.update(skipped="0"),
+        lambda extra: extra.update(step=extra["step"] + 1),
+        lambda extra: extra.pop("rng_state"),
+        lambda extra: extra.update(rng_state={"bit_generator": "PCG64"}),
+        lambda extra: extra.update(rng_state=dict(extra["rng_state"], bit_generator="MT19937")),
+        lambda extra: extra["rng_state"].update(state=5),
+        lambda extra: extra["rng_state"]["state"].update(state=-1),
+        lambda extra: extra["rng_state"]["state"].update(inc=0.5),
+    ], ids=["no-opt_t", "no-step", "skipped-str", "step-off", "no-rng", "rng-no-state",
+            "rng-other-kind", "rng-state-int", "rng-negative", "rng-float"])
+    def test_restore_with_damaged_extra_leaves_the_state(self, tmp_path, damage):
+        tr, good = _trained_checkpoint(tmp_path)
+        arrays, manifest = load_checkpoint(good)
+        extra = manifest["extra"]
+        damage(extra)
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, arrays, tr.config_hash, extra)
+        tr.train_step()
+        before = _training_state(tr)
+        with pytest.raises(TrainError, match="counters|RNG"):
+            tr.restore(bad)
+        _assert_same_state(before, _training_state(tr))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_damaged_files_are_refused_or_restored(self, fuzz_target, data):
+        """Mutated checkpoint bytes, mostly in the header and the manifest:
+        restore succeeds or raises CheckpointError or TrainError, and a raise
+        leaves the whole training state as it was."""
+        tr, raw, path = fuzz_target
+        raw = bytearray(raw)
+        manifest_end = 9 + int.from_bytes(raw[5:9], "little")
+        extra_at = raw.index(b'"extra"')  # the counters and the RNG state
+        regions = [(0, 9), (9, manifest_end), (extra_at, manifest_end), (extra_at, manifest_end),
+                   (0, len(raw))]
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            lo, hi = data.draw(st.sampled_from(regions), label="region")
+            at = data.draw(st.integers(min(lo, len(raw)), min(hi, len(raw))), label="at")
+            op = data.draw(st.sampled_from(["set", "set", "insert", "delete", "truncate"]), label="op")
+            byte = data.draw(st.sampled_from(b'0129",:{}[]-.e') | st.integers(0, 255), label="byte")
+            if op == "set" and at < len(raw):
+                raw[at] = byte
+            elif op == "insert":
+                raw.insert(at, byte)
+            elif op == "delete" and at < len(raw):
+                del raw[at]
+            elif op == "truncate":
+                del raw[at:]
+        path.write_bytes(raw)
+        before = _training_state(tr)
+        try:
+            tr.restore(path)
+        except (CheckpointError, TrainError):
+            _assert_same_state(before, _training_state(tr))
+
+
+def _trained_checkpoint(tmp_path, seed=13):
+    """A trainer one step in, and the checkpoint it wrote then."""
+    tr = _trainer(seed)
+    tr.train_step()
+    path = tmp_path / "good.ckpt"
+    tr.save(path)
+    return tr, path
+
+
+@pytest.fixture(scope="module")
+def fuzz_target(tmp_path_factory):
+    """One trainer, the bytes of its checkpoint and a path for damaged copies,
+    shared by every fuzz example."""
+    tr, good = _trained_checkpoint(tmp_path_factory.mktemp("fuzz"))
+    return tr, good.read_bytes(), good.with_name("damaged.ckpt")
+
+
+def _training_state(tr):
+    """A copy of everything restore may assign."""
+    sources = {"param": {k: p.data for k, p in tr.model.params.items()}, "ema": tr.ema,
+               "m": tr.opt.m, "v": tr.opt.v}
+    return {"arrays": {(kind, k): v.copy() for kind, named in sources.items() for k, v in named.items()},
+            "counters": (tr.step_index, tr.skipped, tr.opt.t),
+            "rng": repr(tr.rng.bit_generator.state)}
+
+
+def _assert_same_state(before, after):
+    assert before["counters"] == after["counters"]
+    assert before["rng"] == after["rng"]
+    assert before["arrays"].keys() == after["arrays"].keys()
+    for name, arr in before["arrays"].items():  # bitwise, so NaN from damaged data compares equal
+        other = after["arrays"][name]
+        assert arr.shape == other.shape and arr.tobytes() == other.tobytes(), name
 
 
 def _tiny_step_memory():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -358,8 +360,24 @@ class TestCheckpoint:
                 load_checkpoint(bad)
         manifests = [b"\xff\xfe", b"{not json", b"[1, 2]", b'{"config_hash": "a", "extra": {}}',
                      b'{"config_hash": "a", "extra": {}, "entries": [{"name": "w"}]}',
-                     b'{"config_hash": "a", "extra": {}, "entries": [{"name": "w", "shape": [-1]}]}']
+                     b'{"config_hash": "a", "extra": {}, "entries": [{"name": "w", "shape": [-1]}]}',
+                     b'{"config_hash": "a", "extra": [], "entries": []}']
+        # zero-size entries need no data, so these reach the shape and the name checks
+        manifests += [json.dumps({"config_hash": "a", "extra": {}, "entries": entries}).encode()
+                      for entries in ([{"name": "w", "shape": [0, 2**70]}],
+                                      [{"name": "w", "shape": [0] * 65}], [{"name": "w", "shape": [0]}] * 2)]
         for manifest in manifests:
             bad.write_bytes(blob[:5] + len(manifest).to_bytes(4, "little") + manifest)
             with pytest.raises(CheckpointError):
+                load_checkpoint(bad)
+
+    def test_huge_entry_shapes_raise_checkpoint_error(self, tmp_path):
+        """A shape whose element count overflows int64 or wraps to 0 is refused
+        for not matching the data in the file, before any of it is read."""
+        bad = tmp_path / "bad.ckpt"
+        for shape in ([2**70], [2**40, 2**40], [2**62, 4], [1000]):
+            manifest = json.dumps({"config_hash": "a", "extra": {},
+                                   "entries": [{"name": "w", "shape": shape}]}).encode()
+            bad.write_bytes(b"SCKP\x01" + len(manifest).to_bytes(4, "little") + manifest + b"\0" * 64)
+            with pytest.raises(CheckpointError, match="data bytes"):
                 load_checkpoint(bad)

@@ -26,6 +26,10 @@ class ChannelConfig:
     psnr_db: float
     seed: int = 0
 
+    def __post_init__(self):
+        if not self.psnr_db > -np.inf:
+            raise ChannelError(f"psnr_db must be a number or +inf (noiseless), got {self.psnr_db}")
+
     @property
     def sigma(self):
         return psnr_to_sigma(self.psnr_db)

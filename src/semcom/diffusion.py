@@ -190,8 +190,10 @@ class SamplerConfig:
     steps: int = 0               # 0 means the full schedule
 
     def __post_init__(self):
-        if self.guidance_scale < 0:
-            raise DiffusionError(f"guidance scale must be >= 0, got {self.guidance_scale}")
+        if not 0 <= self.guidance_scale < np.inf:
+            raise DiffusionError(f"guidance scale must be finite and >= 0, got {self.guidance_scale}")
+        if self.steps < 0:
+            raise DiffusionError(f"steps must be >= 0 (0 is the full schedule), got {self.steps}")
 
 
 def null_condition(y):
@@ -221,8 +223,8 @@ def guided_eps(model, x_t, y, t, s):
     the unconditional branch, so it is bitwise identical to conditional-only
     prediction.
     """
-    if s < 0:
-        raise DiffusionError(f"guidance scale must be >= 0, got {s}")
+    if not 0 <= s < np.inf:
+        raise DiffusionError(f"guidance scale must be finite and >= 0, got {s}")
     if not isinstance(y, tuple):
         y = guidance_conditions(model, y, s)
     cond, null = y

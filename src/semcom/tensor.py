@@ -8,7 +8,9 @@ each with one way to call it:
   other broadcast goes through broadcast_to, at equal rank only, so the
   gradient surface stays small.
 - conv2d (zero padding, optional stride) and pool2d (edge padding, stride 1)
-  pad "same" and take odd kernels only.
+  pad "same" and take odd kernels only. Both treat each padded plane as flat,
+  so that one kernel tap of every window is one contiguous slice: pool2d in
+  its forward, conv2d in the col2im of its input gradient.
 - Avg/max pooling (the receiver's map denoiser) is forward only and refuses
   an input that would need a gradient.
 
@@ -505,6 +507,14 @@ def conv2d(x, w, b=None, stride=1):
     sample big instead of N, and each sample's [F, Ho*Wo] product is written
     straight into the NCHW output, with no transposed copy. The backward keeps
     whole-batch GEMMs, since the weight gradient contracts over every sample.
+    The weight gradient is (cols @ gt.T).T, copied to C order. The input
+    gradient's GEMM runs on the zero-padded input grid [F, n*Hp*Wp], so that
+    its col2im is k*k contiguous adds. Both sum exactly as gt @ cols.T and a
+    strided scatter of [C*k*k, n*Ho*Wo] would, provided the BLAS sums every
+    GEMM column in one order wherever it sits. Measured with OpenBLAS 0.3.31
+    on an AVX-512 x86_64, its float32 kernels do; its float64 kernel does not
+    for the columns of a last partial tile, which may then differ in the last
+    bit.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise TensorError(f"conv2d: need 4-d input and weight, got {x.shape} and {w.shape}")
@@ -559,20 +569,37 @@ def conv2d(x, w, b=None, stride=1):
             if bn is not None:
                 bn.accum(gt.sum(axis=1, dtype=g.dtype))
             if wn is not None:
-                gw = gt @ im2col(pad_cn(xd)).T.astype(g.dtype, copy=False)
+                cols = im2col(pad_cn(xd)).astype(g.dtype, copy=False)
+                # the same sums as gt @ cols.T, faster on the U-Net's shapes;
+                # the copy keeps w.grad C-ordered, the memory order that
+                # clip_gradients and AdamW reduce in
+                gw = np.ascontiguousarray((cols @ gt.T).T)
+                del cols
                 wn.accum(gw.reshape(f, c, kh, kw))
             if xn is not None:
-                gcols = w2.T.astype(g.dtype, copy=False) @ gt
+                w2t = w2.T.astype(g.dtype, copy=False)
                 if kh == 1 and s == 1:
-                    gx = gcols.reshape(c, n, ho, wo)
+                    gx = (w2t @ gt).reshape(c, n, ho, wo)
                 else:
-                    gcols = gcols.reshape(c, kh, kw, n, ho, wo)
-                    gx = np.zeros((c, n, h + 2 * p, wd + 2 * p), dtype=g.dtype)
-                    for i in range(kh):
-                        for j in range(kw):
-                            gx[:, :, i:i + s * ho:s, j:j + s * wo:s] += gcols[:, i, j]
-                    if p:
-                        gx = gx[:, :, p:-p, p:-p]
+                    # col2im on the padded grid: with the output gradient laid
+                    # at its strided places in a zero [F, n, Hp, Wp] grid, tap
+                    # (i, j) of every output is one contiguous slice of the flat
+                    # input gradient, at offset i*Wp + j; the zero tail takes
+                    # the taps of the last plane's pad columns. Each input
+                    # element gets its taps' addends in (i, j) order plus exact
+                    # ±0 from the zero columns, which change no bit of a sum
+                    # that starts at +0.0 and so never holds -0.0.
+                    hp, wp = h + 2 * p, wd + 2 * p
+                    size = n * hp * wp
+                    gtp = np.zeros((f, n, hp, wp), dtype=g.dtype)
+                    gtp[:, :, :s * ho:s, :s * wo:s] = gt.reshape(f, n, ho, wo)
+                    gcols = (w2t @ gtp.reshape(f, size)).reshape(c, kh * kw, size)
+                    del gtp
+                    flat = np.zeros((c, size + (kh - 1) * (wp + 1)), dtype=g.dtype)
+                    for t in range(kh * kw):
+                        off = (t // kw) * wp + t % kw
+                        flat[:, off:off + size] += gcols[:, t]
+                    gx = flat[:, :size].reshape(c, n, hp, wp)[:, :, p:hp - p, p:wp - p]
                 xn.accum(gx.transpose(1, 0, 2, 3))
         out._bwd = bwd
     return out

@@ -52,8 +52,17 @@ class TrainConfig:
             raise TrainError("psnr_pool must not be empty")
         if len(self.psnr_pool) != len(self.psnr_weights):
             raise TrainError(f"{len(self.psnr_pool)} pool entries vs {len(self.psnr_weights)} weights")
-        if any(w <= 0 for w in self.psnr_weights):
-            raise TrainError("psnr weights must be positive")
+        if not all(0 < w < np.inf for w in self.psnr_weights):
+            raise TrainError(f"psnr weights must be positive and finite, got {self.psnr_weights}")
+        if not all(p > -np.inf for p in self.psnr_pool):
+            raise TrainError(f"psnr pool entries must be numbers or +inf (noiseless), got {self.psnr_pool}")
+        if self.batch_size < 1:
+            raise TrainError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise TrainError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        for name in ("lambda_kl", "weight_decay", "grad_clip"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise TrainError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if not 0.0 < self.ema_decay < 1.0:
             raise TrainError(f"ema_decay must lie in (0, 1), got {self.ema_decay}")
         if not 0.0 <= self.cond_drop_prob <= 1.0:

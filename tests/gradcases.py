@@ -124,6 +124,14 @@ def build_cases(rng):
     pc4 = proj(2, 2, 4, 4)
     cases.append(("conv2d_1x1", lambda x, w, b: pc4(T.conv2d(x, w, b)),
                   [_rand(rng, 2, 3, 4, 4), _rand(rng, 2, 3, 1, 1), _rand(rng, 2)]))
+    # batch 2 on maps of odd, unequal sides: taps of the padded-grid col2im
+    # run past a row's end and past a sample's plane into the next one
+    pc5 = proj(2, 2, 6, 7)
+    cases.append(("conv2d_5x5_batch2", lambda x, w, b: pc5(T.conv2d(x, w, b)),
+                  [_rand(rng, 2, 2, 6, 7), _rand(rng, 2, 2, 5, 5), _rand(rng, 2)]))
+    pc6 = proj(2, 3, 4, 3)
+    cases.append(("conv2d_stride2_batch2", lambda x, w, b: pc6(T.conv2d(x, w, b, stride=2)),
+                  [_rand(rng, 2, 2, 7, 5), _rand(rng, 3, 2, 3, 3), _rand(rng, 3)]))
 
     pup = proj(1, 2, 6, 6)
     cases.append(("upsample_nearest2", lambda x: pup(T.upsample_nearest2(x)),

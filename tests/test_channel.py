@@ -32,6 +32,17 @@ class TestPsnrToSigma:
         assert ChannelConfig(psnr_db=100.0).sigma == 0.0
         assert ChannelConfig(psnr_db=99.9).sigma > 0.0
 
+    def test_infinite_psnr_is_noiseless(self):
+        img = np.full((3, 2, 2), 0.5)
+        assert np.array_equal(transmit_image(img, ChannelConfig(float("inf"), seed=1)), img)
+
+    @pytest.mark.parametrize("psnr", [float("nan"), float("-inf")])
+    def test_nan_or_minus_inf_psnr_refused(self, psnr):
+        """NaN gave sigma = NaN and an all-NaN image past the [0, 1] clamp;
+        -inf gave sigma = inf."""
+        with pytest.raises(ChannelError, match="psnr_db"):
+            ChannelConfig(psnr, seed=1)
+
 
 class TestTransmit:
     def _frame(self, n=64, seed=0):

@@ -257,6 +257,19 @@ class TestGuidedEps:
             guided_eps(self._model(), np.zeros((1, 3, 8, 8)), np.ones((1, 2, 8, 8)),
                        np.array([1]), -0.5)
 
+    @pytest.mark.parametrize("s", [float("nan"), float("inf")])
+    def test_non_finite_scale_rejected(self, s):
+        with pytest.raises(DiffusionError, match="finite"):
+            guided_eps(self._model(), np.zeros((1, 3, 8, 8)), np.ones((1, 2, 8, 8)),
+                       np.array([1]), s)
+
+    @pytest.mark.parametrize("kw, match", [
+        ({"guidance_scale": float("nan")}, "guidance scale"), ({"guidance_scale": float("inf")}, "guidance scale"),
+        ({"guidance_scale": -1.0}, "guidance scale"), ({"steps": -1}, "steps")])
+    def test_sampler_config_refuses_bad_settings(self, kw, match):
+        with pytest.raises(DiffusionError, match=match):
+            SamplerConfig(**kw)
+
 
 class TestPSampleLoop:
     UNET_CFG = ModelConfig(image_size=8, in_channels=3, cond_channels=2, base_channels=8,

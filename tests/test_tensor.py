@@ -94,6 +94,64 @@ def _conv2d_whole_batch(x, w, b, stride):
     return np.ascontiguousarray(out.reshape(f, n, ho, wo).transpose(1, 0, 2, 3))
 
 
+def _conv2d_backward_reference(x, w, g, stride):
+    """The former conv2d backward: (x, w, b) gradients of an output gradient g
+    from whole-batch GEMMs, gt @ cols.T for the weights, and a col2im that adds
+    each tap's gradient through a strided slice of the padded input."""
+    n, c, h, wd = x.shape
+    f, _, k, _ = w.shape
+    p = (k - 1) // 2
+    ho, wo = g.shape[2:]
+    xcn = np.zeros((c, n, h + 2 * p, wd + 2 * p), x.dtype)
+    xcn[:, :, p:p + h, p:p + wd] = x.transpose(1, 0, 2, 3)
+    cols = np.empty((c, k, k, n, ho, wo), x.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[:, i, j] = xcn[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
+    gt = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(f, n * ho * wo)
+    gb = gt.sum(axis=1, dtype=g.dtype)
+    gw = (gt @ cols.reshape(c * k * k, n * ho * wo).T).reshape(w.shape)
+    gcols = w.reshape(f, c * k * k).T @ gt
+    if k == 1 and stride == 1:
+        return gcols.reshape(c, n, ho, wo).transpose(1, 0, 2, 3), gw, gb
+    gcols = gcols.reshape(c, k, k, n, ho, wo)
+    gx = np.zeros((c, n, h + 2 * p, wd + 2 * p), g.dtype)
+    for i in range(k):
+        for j in range(k):
+            gx[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += gcols[:, i, j]
+    return gx[:, :, p:p + h, p:p + wd].transpose(1, 0, 2, 3), gw, gb
+
+
+class TestConv2dBackward:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", [(32, 32), (7, 8)])
+    @pytest.mark.parametrize("c", [3, 32, 128])
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_equals_strided_scatter_bitwise(self, k, stride, n, c, size, dtype):
+        """col2im on the padded grid adds each input element's addends in the
+        same order, plus exact zeros; the weight GEMM is taken transposed.
+        Neither moves a bit on these shapes. This rests on the BLAS summing
+        every GEMM column in one order: OpenBLAS 0.3.31's float64 kernel sums
+        the columns of a last partial tile in another, so for map sizes where
+        a real column falls there the float64 gradients may differ in the
+        last bit."""
+        rng = np.random.default_rng(100 * k + 10 * stride + c + n)
+        h, wd = size
+        x = rng.standard_normal((n, c, h, wd)).astype(dtype)
+        w = rng.standard_normal((16, c, k, k)).astype(dtype)
+        b = rng.standard_normal(16).astype(dtype)
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        out = T.conv2d(xt, wt, bt, stride=stride)
+        g = rng.standard_normal(out.shape).astype(dtype)
+        T.sum_(T.mul(out, Tensor(g))).backward()
+        for got, expect in zip((xt.grad, wt.grad, bt.grad), _conv2d_backward_reference(x, w, g, stride)):
+            assert got.dtype == expect.dtype and got.shape == expect.shape
+            assert got.tobytes() == expect.tobytes()
+        assert wt.grad.flags.c_contiguous and bt.grad.flags.c_contiguous
+
+
 class TestConv2dPerSampleForward:
     """conv2d runs one forward GEMM per sample instead of one over the batch."""
 

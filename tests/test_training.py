@@ -78,6 +78,32 @@ class TestSampleChannelCondition:
             sample_channel_condition(np.random.default_rng(0), [], [])
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("name, value", [
+        ("learning_rate", float("nan")), ("learning_rate", 0.0), ("learning_rate", float("inf")),
+        ("lambda_kl", float("nan")), ("lambda_kl", -1e-3),
+        ("weight_decay", float("inf")), ("weight_decay", -0.1),
+        ("grad_clip", float("nan")), ("grad_clip", -1.0),
+        ("psnr_pool", (10.0, float("nan"))), ("psnr_pool", (10.0, float("-inf"))),
+        ("psnr_weights", (1.0, float("nan"))), ("psnr_weights", (1.0, float("inf"))),
+        ("batch_size", 0),
+    ])
+    def test_refuses_bad_settings(self, name, value):
+        kw = dict(psnr_pool=(10.0, 100.0), psnr_weights=(1.0, 1.0))
+        kw[name] = value
+        with pytest.raises(TrainError, match=name.replace("_", ".")):
+            TrainConfig(**kw)
+
+    def test_infinite_psnr_is_the_noiseless_mode(self):
+        assert TrainConfig(psnr_pool=(float("inf"),), psnr_weights=(1.0,)).psnr_pool == (float("inf"),)
+
+    def test_nan_psnr_pool_refused_before_the_model_runs(self):
+        """A NaN pool entry used to build a trainer and surface only in the
+        first step, as NonFiniteError from conv2d in dec.l1.b0.cond."""
+        with pytest.raises(TrainError, match="pool"):
+            _trainer(psnr_pool=(float("nan"),), psnr_weights=(1.0,))
+
+
 class TestAdamW:
     def test_zero_grad_zero_decay_keeps_params(self):
         p = Tensor(np.ones(4), requires_grad=True)
@@ -445,8 +471,8 @@ def _assert_same_state(before, after):
         assert arr.shape == other.shape and arr.tobytes() == other.tobytes(), name
 
 
-def _tiny_step_memory():
-    """(graph, backward peak) in bytes of one TINY_MODEL training loss at batch 2."""
+def _tiny_loss():
+    """A TINY_MODEL and a function that builds one training loss of it at batch 2."""
     model = UNet(TINY_MODEL, seed=0)
     sched = build_schedule(20, 1e-3, 0.1)
     rng = np.random.default_rng(0)
@@ -454,7 +480,22 @@ def _tiny_step_memory():
     y = rng.uniform(0.0, 1.0, (2, 3, 16, 16)).astype(np.float32)
     t = rng.integers(1, 21, size=2)
     eps = rng.standard_normal(x0.shape, dtype=np.float32)
-    return graph_and_backward_peak(lambda: total_loss(model, x0, y, t, eps, sched)[0])
+    return model, lambda: total_loss(model, x0, y, t, eps, sched)[0]
+
+
+def _tiny_step_memory():
+    """(graph, backward peak) in bytes of one TINY_MODEL training loss at batch 2."""
+    return graph_and_backward_peak(_tiny_loss()[1])
+
+
+def test_every_gradient_is_c_ordered():
+    """clip_gradients' float64 sum and AdamW's moments run over each gradient
+    in memory order, so a gradient in another layout (an F-ordered conv weight
+    gradient, say) would change the bits of every training run."""
+    model, loss = _tiny_loss()
+    loss().backward()
+    for name, p in model.params.items():
+        assert p.grad is not None and p.grad.flags.c_contiguous, name
 
 
 def test_backward_peak_stays_near_the_forward_graph():

@@ -11,16 +11,20 @@ each with one way to call it:
   pad "same" and take odd kernels only. Both treat each padded plane as flat,
   so that one kernel tap of every window is one contiguous slice: pool2d in
   its forward, conv2d in the col2im of its input gradient.
+- attention(f, g, v) is the whole softmax attention of [N, heads, d, S]
+  operands in one op, computed one (sample, head) block of S x S weights at
+  a time; there is no separate softmax or transpose.
 - Avg/max pooling (the receiver's map denoiser) is forward only and refuses
   an input that would need a gradient.
 
 A tracked Tensor is a value (.data) plus a graph node. The node holds the
 gradient slot, the gradient rule and the nodes of the parents; each rule
 captures exactly the arrays it reads (conv2d its input and weight, silu and
-square their inputs, mul/div/matmul their operands, exp/sqrt/softmax/
-group_norm their own outputs) and never a parent Tensor. A graph therefore
-keeps its nodes plus the arrays its rules read: an output that no rule reads
-is freed as soon as the forward drops it. no_grad builds no node at all.
+square their inputs, mul/div/matmul their operands, exp/sqrt/group_norm
+their own outputs, attention its weights and its three operands) and never a
+parent Tensor. A graph therefore keeps its nodes plus the arrays its rules
+read: an output that no rule reads is freed as soon as the forward drops it.
+no_grad builds no node at all.
 
 A graph is consumed by its backward, which frees each node once its
 gradient rule has run; a second backward through it raises. Leaves
@@ -205,16 +209,23 @@ def _released(g):
     raise TensorError("backward through a graph that an earlier backward consumed")
 
 
-def _make(data, parents, op):
+def _nonfinite(op):
+    where = "/".join(_scope) or "<top>"
+    return NonFiniteError(f"non-finite values produced by {op} in {where}")
+
+
+def _make(data, parents, op, values=None):
     """Wrap a forward result, with a node when grad is on and a parent is tracked.
 
+    A non-empty result is checked for NaN/Inf; `values`, when given, is a
+    smaller array holding exactly the result's elements, scanned instead.
     The caller then sets the node's rule (out._bwd) when out._tracked.
     """
+    scan = data if values is None else values
     # max and min propagate NaN, cannot overflow (so never warn or raise under
     # np.seterr) and need no boolean temporary: an exact and cheap check
-    if data.size and not (np.isfinite(data.max()) and np.isfinite(data.min())):
-        where = "/".join(_scope) or "<top>"
-        raise NonFiniteError(f"non-finite values produced by {op} in {where}")
+    if data.size and not (np.isfinite(scan.max()) and np.isfinite(scan.min())):
+        raise _nonfinite(op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out._node = None
@@ -361,16 +372,6 @@ def reshape(x, shape):
     return out
 
 
-def transpose(x, axes):
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    out = _make(x.data.transpose(axes), (x,), "transpose")
-    if out._tracked:
-        xn = x._node
-        out._bwd = lambda g: xn.accum(g.transpose(inv))
-    return out
-
-
 def broadcast_to(x, shape):
     shape = tuple(shape)
     if len(shape) != x.ndim:
@@ -379,7 +380,8 @@ def broadcast_to(x, shape):
         data = np.broadcast_to(x.data, shape)
     except ValueError as e:
         raise TensorError(f"broadcast_to: {x.shape} -> {shape}: {e}") from None
-    out = _make(data, (x,), "broadcast_to")
+    # every element of the input appears in a non-empty output
+    out = _make(data, (x,), "broadcast_to", values=x.data)
     if out._tracked:
         xn, xshape = x._node, x.shape
 
@@ -411,6 +413,8 @@ def concat(tensors, axis):
 
 def split(x, sizes, axis):
     """Split along `axis` into consecutive chunks of the given sizes."""
+    if any(size < 0 for size in sizes):
+        raise TensorError(f"split: sizes {sizes} include a negative size")
     if sum(sizes) != x.shape[axis]:
         raise TensorError(f"split: sizes {sizes} do not cover axis {axis} of {x.shape}")
     outs = []
@@ -447,26 +451,6 @@ def silu(x):
     return out
 
 
-def softmax(x, axis):
-    if not -x.ndim <= axis < x.ndim:
-        raise TensorError(f"softmax: axis {axis} invalid for shape {x.shape}")
-    # max-subtract, exp and normalize in one buffer
-    y = x.data - np.max(x.data, axis=axis, keepdims=True)
-    np.exp(y, out=y)
-    y /= np.sum(y, axis=axis, keepdims=True)
-    out = _make(y, (x,), "softmax")
-    if out._tracked:
-        xn = x._node
-
-        def bwd(g):
-            gy = g * y
-            dot = np.sum(gy, axis=axis, keepdims=True)
-            # y * (g - dot), written into the g * y buffer once dot is taken
-            xn.accum(np.multiply(y, np.subtract(g, dot, out=gy), out=gy))
-        out._bwd = bwd
-    return out
-
-
 # -- matmul ---------------------------------------------------------------------
 
 def matmul(a, b):
@@ -483,6 +467,81 @@ def matmul(a, b):
                 an.accum(g @ np.swapaxes(bd, -1, -2))
             if bn is not None:
                 bn.accum(np.swapaxes(ad, -1, -2) @ g)
+        out._bwd = bwd
+    return out
+
+
+# -- attention ------------------------------------------------------------------
+
+def attention(f, g, v):
+    """v @ softmax(fᵀg, axis=-1)ᵀ per sample and head of [N, heads, d, S] operands.
+
+    Works on one (sample, head) block of S x S weights at a time: the
+    similarity GEMM writes into the block, the row-max shift, exp and row-sum
+    division run in place, and a second GEMM writes straight into the output.
+    Under no_grad one scratch block serves every head; when a graph is built,
+    each block is a slice of the [N, heads, S, S] weights that the rule keeps,
+    with f, g and v. Each similarity block is checked for NaN/Inf, since the
+    softmax would absorb an -inf logit.
+
+    The output and the gradients equal, bit for bit, those of the chain
+    transpose(f) @ g, softmax, v @ transpose(weights): each block runs that
+    chain's GEMMs, reductions and elementwise rules on the same layouts. The
+    gradient of f is the transposed view of a C-ordered [N, heads, S, d]
+    array, as the chain's transpose delivered it, because the rules that
+    receive it reduce in memory order.
+    """
+    if f.ndim != 4 or f.shape != g.shape or f.shape != v.shape or not f.shape[3]:
+        raise TensorError(
+            f"attention: need f, g and v of one [N, heads, d, S] shape with S >= 1, "
+            f"got {f.shape}, {g.shape} and {v.shape}")
+    n, heads, d, s = f.shape
+    fd, gd, vd = f.data, g.data, v.data
+    dtype = np.result_type(fd, gd, vd)
+    keep = _grad_enabled and any(t._node is not None for t in (f, g, v))
+    weights = np.empty((n, heads, s, s) if keep else (s, s), dtype=dtype)
+    data = np.empty((n, heads, d, s), dtype=dtype)
+    for k in range(n):
+        for h in range(heads):
+            w = weights[k, h] if keep else weights
+            np.matmul(fd[k, h].T, gd[k, h], out=w)
+            top = w.max(axis=-1, keepdims=True)
+            # _make's check on the block, whose max is the largest row max
+            if not (np.isfinite(top.max()) and np.isfinite(w.min())):
+                raise _nonfinite("attention")
+            w -= top
+            np.exp(w, out=w)
+            w /= w.sum(axis=-1, keepdims=True)
+            np.matmul(vd[k, h], w.T, out=data[k, h])
+    # parents in the order the chain reached them, so the backward walk
+    # (and so every gradient summed from these branches) runs as it did
+    out = _make(data, (v, f, g), "attention")
+    if out._tracked:
+        fn, gn, vn = f._node, g._node, v._node
+
+        def bwd(go):
+            # all three gradients, so each block is walked once; in the
+            # U-Net every operand is tracked
+            dt = np.result_type(go, weights)
+            dv = np.empty((n, heads, d, s), dtype=dt)
+            dg = np.empty((n, heads, d, s), dtype=dt)
+            dft = np.empty((n, heads, s, d), dtype=dt)
+            dat = np.empty((s, s), dtype=dt)
+            dm = np.empty((s, s), dtype=dt)
+            for k in range(n):
+                for h in range(heads):
+                    y, gk = weights[k, h], go[k, h]
+                    np.matmul(gk, y, out=dv[k, h])
+                    # dA = (vᵀ go)ᵀ, then softmax's rule y * (dA - Σ dA·y)
+                    np.matmul(vd[k, h].T, gk, out=dat)
+                    np.multiply(dat.T, y, out=dm)
+                    dot = dm.sum(axis=-1, keepdims=True)
+                    np.multiply(y, np.subtract(dat.T, dot, out=dm), out=dm)
+                    np.matmul(fd[k, h], dm, out=dg[k, h])
+                    np.matmul(dm, gd[k, h].T, out=dft[k, h])
+            for node, grad in ((vn, dv), (gn, dg), (fn, dft.transpose(0, 1, 3, 2))):
+                if node is not None:
+                    node.accum(grad)
         out._bwd = bwd
     return out
 
@@ -526,6 +585,8 @@ def conv2d(x, w, b=None, stride=1):
         raise TensorError(f"conv2d: input channels {x.shape} do not match weight {w.shape}")
     if b is not None and b.shape != (f,):
         raise TensorError(f"conv2d: bias shape {b.shape} does not match {f} filters")
+    if stride < 1:
+        raise TensorError(f"conv2d: stride must be >= 1, got {stride}")
     p = _same_pad(kh, "conv2d")
     s = stride
     ho = (h - 1) // s + 1

@@ -237,7 +237,14 @@ class ResBlock:
 
 
 class AttentionBlock:
-    """Self-attention over spatial sites with cosine-normalized similarity."""
+    """Self-attention over spatial sites with cosine-normalized similarity.
+
+    Per head, the f and g projections of each site are scaled to unit length,
+    so the similarity fᵀg of two sites is a cosine in [-1, 1]. T.attention
+    takes its softmax over the sites v for each site u and mixes the h
+    projection with those weights; a zero-initialized 1x1 projection adds the
+    mix to the input.
+    """
 
     EPS = 1e-6
 
@@ -258,20 +265,18 @@ class AttentionBlock:
         norm = T.broadcast_to(T.add(norm, self.EPS), t.shape)
         return T.div(t, norm)
 
-    def similarity(self, x):
-        """Cosine similarity matrix between projected site features."""
+    def _projections(self, x):
+        """Unit-length f and g projections of x, each [N, heads, d, sites]."""
         n, c, h, w = x.shape
         f = self._unit(self._heads(T.conv2d(x, self.wf, None), n, h * w))
         g = self._unit(self._heads(T.conv2d(x, self.wg, None), n, h * w))
-        return T.matmul(T.transpose(f, (0, 1, 3, 2)), g)  # [n, heads, site_u, site_v]
+        return f, g
 
     def __call__(self, x):
         n, c, h, w = x.shape
-        m = self.similarity(x)
-        attn = T.softmax(m, axis=-1)
+        f, g = self._projections(x)
         hv = self._heads(T.conv2d(x, self.wh, self.bh), n, h * w)
-        out = T.matmul(hv, T.transpose(attn, (0, 1, 3, 2)))  # sum_v attn(u,v) h(x_v)
-        out = T.reshape(out, (n, c, h, w))
+        out = T.reshape(T.attention(f, g, hv), (n, c, h, w))  # sum_v attn(u,v) h(x_v)
         return T.add(x, T.conv2d(out, self.wv, self.bv))
 
 

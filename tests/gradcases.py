@@ -91,8 +91,6 @@ def build_cases(rng):
     cases.append(("mean_axis", lambda x: p142(T.mean(x, axis=(0, 2), keepdims=True)), [_rand(rng, 3, 4, 2)]))
     p46 = proj(4, 6)
     cases.append(("reshape", lambda x: p46(T.reshape(x, (4, 6))), [_rand(rng, 2, 3, 4)]))
-    p423 = proj(4, 2, 3)
-    cases.append(("transpose", lambda x: p423(T.transpose(x, (2, 0, 1))), [_rand(rng, 2, 3, 4)]))
     p435 = proj(4, 3, 5)
     cases.append(("broadcast_to", lambda x: p435(T.broadcast_to(x, (4, 3, 5))), [_rand(rng, 1, 3, 1)]))
     pcat = proj(2, 5)
@@ -109,8 +107,10 @@ def build_cases(rng):
                   [_rand(rng, 2, 2, 3, 4), _rand(rng, 2, 2, 4, 2)]))
 
     cases.append(("silu", lambda x: p34(T.silu(x)), [_rand(rng, 3, 4)]))
-    p35 = proj(3, 5)
-    cases.append(("softmax", lambda x: p35(T.softmax(x, axis=-1)), [_rand(rng, 3, 5)]))
+    # d 3 and S 4 differ, so a rule that swaps the two axes cannot pass
+    patt = proj(2, 2, 3, 4)
+    cases.append(("attention", lambda f, g, v: patt(T.attention(f, g, v)),
+                  [_rand(rng, 2, 2, 3, 4), _rand(rng, 2, 2, 3, 4), _rand(rng, 2, 2, 3, 4)]))
     pgn = proj(2, 4, 3, 3)
     cases.append(("group_norm", lambda x: pgn(T.group_norm(x, groups=2, eps=1e-5)),
                   [_rand(rng, 2, 4, 3, 3)]))

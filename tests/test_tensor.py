@@ -1,3 +1,5 @@
+import contextlib
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -7,7 +9,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from semcom import tensor as T
 from semcom.tensor import NonFiniteError, Tensor, TensorError
 
-from gradcases import build_cases, gradcheck
+from gradcases import build_cases, gradcheck, run_suite
 
 
 def _pool_oracle(x, kind, kernel):
@@ -313,18 +315,106 @@ class TestActivations:
         assert out.data[0] == pytest.approx(1.0 / (1.0 + np.exp(-1.0)), abs=1e-7)
         assert out.data[0] == pytest.approx(0.7311, abs=1e-4)
 
-    def test_softmax_equal_logits(self):
-        out = T.softmax(Tensor(np.zeros((2, 4))), axis=-1)
-        assert np.allclose(out.data, 0.25)
 
-    def test_softmax_rows_sum_to_one(self):
-        rng = np.random.default_rng(4)
-        out = T.softmax(Tensor(rng.normal(size=(3, 7))), axis=1)
-        assert np.allclose(out.data.sum(axis=1), 1.0)
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and \
+        np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
-    def test_softmax_bad_axis(self):
-        with pytest.raises(TensorError, match="axis"):
-            T.softmax(Tensor(np.zeros((2, 2))), axis=5)
+
+def _attention_chain(f, g, v, go):
+    """The former attention in numpy: matmul(transpose(f), g), softmax,
+    matmul(v, transpose(weights)), and its backward from the output gradient
+    go through the rules of those ops, expression for expression."""
+    def t(a):
+        return np.swapaxes(a, -1, -2)
+    m = t(f) @ g
+    y = m - np.max(m, axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= np.sum(y, axis=-1, keepdims=True)
+    out = v @ t(y)
+    dv = go @ y
+    da = t(t(v) @ go)
+    gy = da * y
+    dot = np.sum(gy, axis=-1, keepdims=True)
+    dm = np.multiply(y, np.subtract(da, dot, out=gy), out=gy)
+    return out, dv, t(dm @ t(g)), f @ dm
+
+
+class TestAttention:
+    @staticmethod
+    def _operands(shape, dtype=np.float32, seed=30, requires_grad=False):
+        rng = np.random.default_rng(seed)
+        return [Tensor(rng.normal(0, 0.5, shape).astype(dtype), requires_grad=requires_grad)
+                for _ in range(3)]
+
+    @pytest.mark.parametrize("shape,dtype", [((4, 2, 32, 256), np.float32),
+                                             ((2, 3, 8, 15), np.float32),
+                                             ((2, 3, 8, 15), np.float64)],
+                             ids=["desk-float32", "odd-float32", "odd-float64"])
+    def test_equals_the_softmax_chain_bitwise(self, shape, dtype):
+        f, g, v = self._operands(shape, dtype, requires_grad=True)
+        go = np.random.default_rng(31).uniform(0.2, 1.0, shape).astype(dtype)
+        out = T.attention(f, g, v)
+        T.sum_(T.mul(out, Tensor(go))).backward()
+        want = _attention_chain(f.data, g.data, v.data, go)
+        for name, got, ref in zip(("out", "v", "f", "g"), (out.data, v.grad, f.grad, g.grad), want):
+            assert _same_bits(got, ref), name
+            assert got.strides == ref.strides, name  # later rules reduce in memory order
+
+    def test_untracked_operands_get_no_gradient(self):
+        f, g, _ = self._operands((1, 2, 4, 5))
+        v = Tensor(np.ones(f.shape, np.float32), requires_grad=True)
+        T.sum_(T.attention(f, g, v)).backward()
+        assert f.grad is None and g.grad is None and v.grad.shape == v.shape
+
+    def test_equal_logits_give_the_mean_of_v(self):
+        _, g, v = self._operands((2, 2, 4, 6), np.float64)
+        out = T.attention(Tensor(np.zeros(g.shape)), g, v)
+        assert np.allclose(out.data, np.broadcast_to(v.data.mean(axis=-1, keepdims=True), v.shape))
+
+    def test_weights_sum_to_one(self):
+        f, g, _ = self._operands((2, 3, 4, 7), np.float64)
+        out = T.attention(f, g, Tensor(np.ones(f.shape)))
+        assert np.allclose(out.data, 1.0)
+
+    def test_infinite_logit_raises(self):
+        f, g, v = self._operands((1, 2, 4, 5))
+        # every logit against site 3 is -inf, which a softmax turns into a
+        # weight of 0 without a NaN or Inf in its output
+        f.data[0, 1, 2] = np.abs(f.data[0, 1, 2]) + 0.1
+        g.data[0, 1, 2, 3] = -np.inf
+        with pytest.raises(NonFiniteError, match="attention in mid"):
+            with T.scope("mid"), np.errstate(invalid="ignore"):
+                T.attention(f, g, v)
+
+    def test_mismatched_shapes_rejected(self):
+        f, g, v = self._operands((1, 2, 4, 5))
+        with pytest.raises(TensorError, match="attention"):
+            T.attention(f, Tensor(np.zeros((1, 2, 4, 6))), v)
+        with pytest.raises(TensorError, match="attention"):
+            T.attention(f, g, Tensor(np.zeros((1, 2, 3, 5))))
+        with pytest.raises(TensorError, match="attention"):
+            T.attention(*(Tensor(np.zeros((2, 4, 5))) for _ in range(3)))
+        with pytest.raises(TensorError, match="attention"):
+            T.attention(*(Tensor(np.zeros((1, 2, 4, 0))) for _ in range(3)))
+
+    def test_no_grad_allocates_no_weights_array(self):
+        shape = (2, 2, 8, 128)
+        weights = 2 * 2 * 128 * 128 * 4
+
+        def peak(build_graph):
+            f, g, v = self._operands(shape, requires_grad=True)
+            tracemalloc.start()
+            try:
+                with contextlib.nullcontext() if build_graph else T.no_grad():
+                    out = T.attention(f, g, v)
+                return tracemalloc.get_traced_memory()[1], out
+            finally:
+                tracemalloc.stop()
+        graph_peak, out = peak(True)
+        assert out._tracked and graph_peak >= weights
+        no_grad_peak, out = peak(False)
+        assert not out._tracked and no_grad_peak < weights / 2, no_grad_peak
 
 
 class TestBackward:
@@ -463,14 +553,37 @@ class TestInvariants:
         with pytest.raises(TensorError, match="more dimensions"):
             T.mul(Tensor(np.ones((1, 1))), Tensor(np.zeros(3)))
 
+    def test_broadcast_to_checks_its_input(self):
+        x = Tensor(np.array([[1.0], [np.nan]]))
+        with pytest.raises(NonFiniteError, match="broadcast_to"):
+            T.broadcast_to(x, (2, 3))
+        assert T.broadcast_to(x, (2, 0)).shape == (2, 0)  # an empty result holds no value
+
+    def test_negative_split_size_rejected(self):
+        with pytest.raises(TensorError, match="negative"):
+            T.split(Tensor(np.arange(5.0)), [6, -1], 0)
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_conv2d_stride_below_one_rejected(self, stride):
+        with pytest.raises(TensorError, match="stride"):
+            T.conv2d(Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((1, 1, 3, 3))), stride=stride)
+
     def test_broadcast_to_other_rank_rejected(self):
         with pytest.raises(TensorError, match="ranks differ"):
             T.broadcast_to(Tensor(np.zeros(3), requires_grad=True), (4, 3))
 
 
 def test_gradcheck_smoke_every_op():
-    """One randomized case per op; the full 50-case sweep runs in acceptance."""
+    """One randomized case per op; test_gradcheck_sweep runs 50 of each."""
     rng = np.random.default_rng(123)
     for name, fn, inputs in build_cases(rng):
         err = gradcheck(fn, [Tensor(np.asarray(i)) for i in inputs])
         assert err < 1e-4, f"{name}: worst rel err {err}"
+
+
+@pytest.mark.slow
+def test_gradcheck_sweep():
+    """Every gradcheck case at 50 random draws."""
+    count, worst = run_suite(50)
+    assert count == 50 * len(build_cases(np.random.default_rng(0)))
+    assert worst < 1e-4, worst

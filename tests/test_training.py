@@ -509,8 +509,10 @@ ALL_VALUES_GRAPH_BYTES = 5.9e6
 
 
 def test_forward_graph_keeps_only_what_backward_reads():
-    """Outputs that no gradient rule reads (conv into add or group_norm, the
-    attention logits, silu into add, ...) are freed during the forward."""
+    """Outputs that no gradient rule reads (conv into add or group_norm, silu
+    into add, ...) are freed during the forward. The attention logits are no
+    separate array: each block of them becomes, in place, a block of the
+    weights that attention's rule keeps."""
     graph, _ = _tiny_step_memory()
     assert graph <= 0.7 * ALL_VALUES_GRAPH_BYTES, graph
 

@@ -144,7 +144,8 @@ class TestAttention:
         blk = self._block(seed=12)
         blk.wg.data = blk.wf.data.copy()
         x = Tensor(np.random.default_rng(13).normal(size=(1, 16, 4, 4)).astype(np.float32))
-        m = blk.similarity(x).data
+        f, g = blk._projections(x)
+        m = np.swapaxes(f.data, -1, -2) @ g.data  # the logits T.attention takes the softmax of
         diag = m[:, :, np.arange(16), np.arange(16)]
         assert np.allclose(diag, 1.0, atol=1e-4)
         assert m.max() <= 1.0 + 1e-5 and m.min() >= -1.0 - 1e-5  # cosine range

@@ -226,6 +226,10 @@ def decode_plane(buf, pos, height, width):
 
 def rle_pack(stack):
     """Lossless compression of a one-hot stack into a TransmitPayload."""
+    # the header holds each as a u16; class ids and C_p are below C_total
+    for name in ("height", "width", "c_total"):
+        if getattr(stack, name) > 0xFFFF:
+            raise CodecError(f"{name} {getattr(stack, name)} does not fit the u16 SCPM header")
     body = bytearray()
     for plane in stack.planes:
         body += encode_plane(plane)

@@ -1,20 +1,17 @@
 """Synthetic shapes dataset with an exact class-color palette, plus metrics.
 
 Images are flat palette colors per class region with a low-amplitude seeded
-texture, quantized to 8 bits so the on-disk and in-memory pipelines agree
-bit for bit. Because palette colors are well separated, nearest-color lookup
-recovers the exact class map from any image perturbed by less than half the
-minimum palette separation; that makes mIoU an exact metric here instead of
-depending on a pretrained segmenter.
+texture, quantized to 8 bits: the 8-bit RGB image that `codec.raw_rgb_bits`
+counts as the classical baseline. Because palette colors are well separated,
+nearest-color lookup recovers the exact class map from any image perturbed by
+less than half the minimum palette separation; that makes mIoU an exact
+metric here instead of depending on a pretrained segmenter.
 """
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from . import pnm
 
 MIN_PALETTE_SEPARATION = 0.3
 
@@ -27,6 +24,8 @@ DEFAULT_PALETTE = (
     (0.95, 0.85, 0.10),  # 4: yellow
 )
 
+SHAPE_TYPES = ("rectangle", "disk")
+
 
 class DataError(ValueError):
     pass
@@ -36,7 +35,7 @@ class DataError(ValueError):
 class ShapesSpec:
     canvas: int = 32
     palette: tuple = DEFAULT_PALETTE
-    shape_types: tuple = ("rectangle", "disk")
+    shape_types: tuple = SHAPE_TYPES
     shapes_min: int = 1
     shapes_max: int = 3
     texture_amplitude: float = 0.05
@@ -44,8 +43,8 @@ class ShapesSpec:
 
     def __post_init__(self):
         pal = np.asarray(self.palette, dtype=np.float64)
-        if pal.ndim != 2 or pal.shape[1] != 3:
-            raise DataError(f"palette must be K x 3, got {pal.shape}")
+        if pal.ndim != 2 or pal.shape[1] != 3 or len(pal) < 2:  # background plus a shape color
+            raise DataError(f"palette must be K x 3 with K >= 2, got {pal.shape}")
         for i in range(len(pal)):
             for j in range(i + 1, len(pal)):
                 d = float(np.linalg.norm(pal[i] - pal[j]))
@@ -55,6 +54,13 @@ class ShapesSpec:
                         f"< {MIN_PALETTE_SEPARATION}")
         if not 1 <= self.shapes_min <= self.shapes_max:
             raise DataError(f"bad shape count range [{self.shapes_min}, {self.shapes_max}]")
+        if self.canvas < 4:  # smallest canvas where every shape covers a pixel
+            raise DataError(f"canvas must be >= 4, got {self.canvas}")
+        if not self.shape_types or not set(self.shape_types) <= set(SHAPE_TYPES):
+            raise DataError(f"shape_types must be a non-empty choice from {SHAPE_TYPES}, "
+                            f"got {self.shape_types}")
+        if not 0.0 <= self.texture_amplitude < np.inf:
+            raise DataError(f"texture_amplitude must be finite and >= 0, got {self.texture_amplitude}")
 
     @property
     def num_classes(self):
@@ -105,7 +111,7 @@ def generate_shapes(spec, n):
         if spec.texture_amplitude > 0:
             img = img + rng.uniform(-spec.texture_amplitude, spec.texture_amplitude,
                                     size=img.shape)
-        # quantize so files and memory carry identical values
+        # quantize to 8-bit RGB, the image that raw_rgb_bits counts
         img = np.clip(np.round(np.clip(img, 0.0, 1.0) * 255.0), 0, 255) / 255.0
         pairs.append((img.astype(np.float32), cmap))
     return pairs
@@ -155,50 +161,3 @@ def pixel_metrics(a, b):
     if mse == 0.0:
         return 0.0, PSNR_IDENTICAL
     return mse, float(10.0 * np.log10(1.0 / mse))
-
-
-# -- on-disk dataset ---------------------------------------------------------
-
-MANIFEST_NAME = "manifest.txt"
-
-
-def save_dataset(dirpath, spec, pairs):
-    """Images as P6 pixmaps, maps as P5 graymaps, plus a manifest with the palette."""
-    os.makedirs(dirpath, exist_ok=True)
-    lines = ["shapes.v1"]
-    for cid, color in enumerate(spec.palette):
-        lines.append("class %d %.6f %.6f %.6f" % (cid, *color))
-    for i, (img, cmap) in enumerate(pairs):
-        img_name = f"img_{i:05d}.ppm"
-        map_name = f"map_{i:05d}.pgm"
-        pnm.write_ppm(os.path.join(dirpath, img_name), img)
-        pnm.write_pgm(os.path.join(dirpath, map_name), cmap)
-        lines.append(f"pair {img_name} {map_name}")
-    with open(os.path.join(dirpath, MANIFEST_NAME), "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def load_dataset(dirpath):
-    """Returns (palette array, list of (image, map) pairs)."""
-    path = os.path.join(dirpath, MANIFEST_NAME)
-    if not os.path.exists(path):
-        raise DataError(f"no dataset manifest at {path}")
-    palette = []
-    pairs = []
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().strip()
-        if header != "shapes.v1":
-            raise DataError(f"unsupported dataset manifest {header!r}")
-        for line in f:
-            tok = line.split()
-            if not tok:
-                continue
-            if tok[0] == "class":
-                palette.append((float(tok[2]), float(tok[3]), float(tok[4])))
-            elif tok[0] == "pair":
-                img = pnm.read_ppm(os.path.join(dirpath, tok[1]))
-                cmap = pnm.read_pgm(os.path.join(dirpath, tok[2]))
-                pairs.append((img, cmap))
-            else:
-                raise DataError(f"unknown manifest entry {tok[0]!r}")
-    return np.asarray(palette, dtype=np.float64), pairs

@@ -58,6 +58,14 @@ class ModelConfig:
             raise ModelConfigError(f"image_size must be a power of two >= 8, got {s}")
         if not self.channel_multipliers:
             raise ModelConfigError("need at least one channel multiplier")
+        for name in ("in_channels", "cond_channels", "base_channels", "spade_hidden",
+                     "head_channels", "groups"):
+            if getattr(self, name) < 1:
+                raise ModelConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if min(self.channel_multipliers) < 1:
+            raise ModelConfigError(f"channel multipliers must be >= 1, got {self.channel_multipliers}")
+        if self.num_res_blocks < 0:
+            raise ModelConfigError(f"num_res_blocks must be >= 0, got {self.num_res_blocks}")
         realized = set(self.level_resolutions)
         extra = set(self.attention_resolutions) - realized
         if extra:
@@ -381,7 +389,7 @@ class UNet:
         """Time embedding, encoder and mid block: returns (h, skips, temb)."""
         cfg = self.config
         x = Tensor(np.asarray(x_t, dtype=np.float32))
-        if x.ndim != 4 or x.shape[1] != cfg.in_channels or x.shape[2] != cfg.image_size:
+        if x.ndim != 4 or x.shape[1:] != (cfg.in_channels, cfg.image_size, cfg.image_size):
             raise ValueError(f"input shape {x.shape} does not match config "
                              f"[N,{cfg.in_channels},{cfg.image_size},{cfg.image_size}]")
         with T.scope("time"):

@@ -1,0 +1,77 @@
+"""Caller audit: every public name in `src/semcom` is used by the program.
+
+A public top-level function or class, or a public method or class field, is
+used when its name appears in the code of `src/semcom/*.py` or `bench/*.py`
+as an identifier, an attribute, an imported name, a keyword argument or a
+word of a string literal. Comments and docstrings do not count, and neither
+do tests. A name with no such use must be listed in `PENDING` with the
+ROADMAP item that gives it a caller; a name that gains a caller must leave
+`PENDING`.
+"""
+import ast
+import pathlib
+import re
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "semcom"
+
+ITEM_3 = "ROADMAP item 3: fit, evaluate and the CLI"
+ITEM_6 = "ROADMAP item 6: keep src/ to what the system runs"
+PENDING = {
+    "stack_to_map": ITEM_3,
+    "raw_rgb_bits": ITEM_3,
+    "miou": ITEM_3,
+    "pixel_metrics": ITEM_3,
+    "checkpoint_every": ITEM_3,
+    "MetricsWriter": ITEM_3,
+    "load_state": ITEM_3,
+    "separation_radius": ITEM_6,
+    "param_count": ITEM_6,
+}
+
+
+def _public_names(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    name = item.name
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    name = item.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    yield name
+
+
+def _used_words(tree):
+    docstrings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                docstrings.add(id(first.value))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+        elif isinstance(node, ast.keyword) and node.arg:
+            yield node.arg
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            yield from re.findall(r"\w+", node.value)
+
+
+def test_every_public_name_has_a_caller_or_a_pending_item():
+    sources = sorted(SRC.glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in sources + sorted((ROOT / "bench").glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        used.update(_used_words(tree))
+    defined = {name for path in sources for name in _public_names(trees[path])}
+    assert sorted(defined - used) == sorted(PENDING)

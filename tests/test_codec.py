@@ -129,6 +129,14 @@ class TestWireFormat:
         back = rle_unpack(rle_pack(stack).to_bytes())
         assert np.array_equal(stack_to_map(back), cmap)
 
+    @pytest.mark.parametrize("shape, c_total, field", [((70000, 1), 2, "height"),
+                                                       ((1, 70000), 2, "width"),
+                                                       ((1, 1), 70001, "c_total")])
+    def test_header_fields_beyond_u16_refused(self, shape, c_total, field):
+        stack = one_hot_encode(np.zeros(shape, np.int64), c_total)
+        with pytest.raises(CodecError, match=field):
+            rle_pack(stack)
+
     def test_corrupt_magic_rejected(self):
         raw = bytearray(rle_pack(one_hot_encode(np.array([[0]]), 2)).to_bytes())
         raw[0] = ord("X")

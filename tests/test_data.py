@@ -7,11 +7,9 @@ from semcom.data import (
     DataError,
     ShapesSpec,
     generate_shapes,
-    load_dataset,
     miou,
     pixel_metrics,
     recover_map,
-    save_dataset,
     PSNR_IDENTICAL,
 )
 
@@ -38,6 +36,25 @@ class TestGenerateShapes:
     def test_palette_separation_enforced(self):
         with pytest.raises(DataError, match="separated"):
             ShapesSpec(palette=((0, 0, 0), (0.1, 0.1, 0.1)))
+
+    @pytest.mark.parametrize("settings, field", [
+        ({"shape_types": ("triangle",)}, "shape_types"),
+        ({"shape_types": ()}, "shape_types"),
+        ({"canvas": 3}, "canvas"),
+        ({"palette": ((0.1, 0.1, 0.1),)}, "palette"),
+        ({"texture_amplitude": -0.5}, "texture_amplitude"),
+        ({"texture_amplitude": float("nan")}, "texture_amplitude"),
+        ({"texture_amplitude": float("inf")}, "texture_amplitude"),
+    ])
+    def test_undrawable_spec_refused(self, settings, field):
+        with pytest.raises(DataError, match=field):
+            ShapesSpec(**settings)
+
+    def test_smallest_canvas_paints_every_shape(self):
+        # canvas 4: every rectangle and disk covers at least one pixel
+        for seed in range(20):
+            spec = ShapesSpec(canvas=4, shapes_max=1, seed=seed)
+            assert all(cmap.any() for _, cmap in generate_shapes(spec, 8))
 
 
 class TestRecoverMap:
@@ -131,22 +148,6 @@ class TestPixelMetrics:
         scale2 = 1.0 / np.mean(img**2)
         measured = 10 * np.log10((1.0 / scale2) / mse)
         assert abs(measured - 15.0) < 0.3
-
-
-class TestDatasetIO:
-    def test_round_trip_bytes(self, tmp_path):
-        spec = ShapesSpec(seed=10)
-        pairs = generate_shapes(spec, 3)
-        save_dataset(tmp_path / "ds", spec, pairs)
-        palette, loaded = load_dataset(tmp_path / "ds")
-        assert np.allclose(palette, spec.palette_array, atol=1e-6)
-        for (img, cmap), (limg, lmap) in zip(pairs, loaded):
-            assert np.allclose(limg, img, atol=1e-7)  # 8-bit quantized source
-            assert np.array_equal(lmap, cmap)
-
-    def test_missing_manifest(self, tmp_path):
-        with pytest.raises(DataError, match="manifest"):
-            load_dataset(tmp_path)
 
 
 def test_closed_loop_through_noiseless_channel():

@@ -50,6 +50,20 @@ class TestModelConfig:
         with pytest.raises(ModelConfigError, match="power of two"):
             ModelConfig(image_size=20)
 
+    @pytest.mark.parametrize("settings, field", [
+        ({"in_channels": 0}, "in_channels"),
+        ({"cond_channels": 0}, "cond_channels"),
+        ({"base_channels": 0}, "base_channels"),
+        ({"spade_hidden": 0}, "spade_hidden"),
+        ({"head_channels": 0}, "head_channels"),
+        ({"groups": 0}, "groups"),
+        ({"channel_multipliers": (1, 0, 2)}, "multipliers"),
+        ({"num_res_blocks": -1}, "num_res_blocks"),
+    ])
+    def test_sizes_below_minimum_refused(self, settings, field):
+        with pytest.raises(ModelConfigError, match=field):
+            ModelConfig(**settings)
+
 
 class TestTimeEmbed:
     def test_deterministic(self):
@@ -283,6 +297,8 @@ class TestUNet:
             model.forward(x, y[:, :2], t)
         with pytest.raises(ValueError, match="input shape"):
             model.forward(x[:, :1], y, t)
+        with pytest.raises(ValueError, match="input shape"):
+            model.forward(x[..., :TOY.image_size // 2], y, t)  # width checked too
         with pytest.raises(ValueError, match="conditioning"):
             model.forward(x, y[:1].repeat(3, axis=0), t)  # neither batch 1 nor N
 

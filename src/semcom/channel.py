@@ -29,6 +29,8 @@ class ChannelConfig:
     def __post_init__(self):
         if not self.psnr_db > -np.inf:
             raise ChannelError(f"psnr_db must be a number or +inf (noiseless), got {self.psnr_db}")
+        if not 0 <= self.seed < 2**64:
+            raise ChannelError(f"seed must lie in [0, 2**64), got {self.seed}")
 
     @property
     def sigma(self):
@@ -70,7 +72,7 @@ def transmit_image(rgb, cfg):
     Values must lie in [0, 1].
     """
     img = np.asarray(rgb, dtype=np.float64)
-    if img.min() < 0.0 or img.max() > 1.0:
+    if not (img.min() >= 0.0 and img.max() <= 1.0):  # NaN fails both
         raise ChannelError("image values must lie in [0, 1]")
     if cfg.sigma == 0.0:
         return img.copy()

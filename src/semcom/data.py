@@ -70,13 +70,6 @@ class ShapesSpec:
     def palette_array(self):
         return np.asarray(self.palette, dtype=np.float64)
 
-    @property
-    def separation_radius(self):
-        pal = self.palette_array
-        dists = [np.linalg.norm(pal[i] - pal[j])
-                 for i in range(len(pal)) for j in range(i + 1, len(pal))]
-        return 0.5 * min(dists)
-
 
 def _paint_shape(cmap, rng, spec):
     h = w = spec.canvas
@@ -122,7 +115,7 @@ def recover_map(image, palette):
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 3 or img.shape[0] != 3:
         raise DataError(f"image must be 3 x H x W, got {img.shape}")
-    if img.min() < 0.0 or img.max() > 1.0:
+    if not (img.min() >= 0.0 and img.max() <= 1.0):  # NaN fails both
         raise DataError("image values must lie in [0, 1]")
     pal = np.asarray(palette, dtype=np.float64)
     d2 = np.sum((img[None, ...] - pal[:, :, None, None]) ** 2, axis=1)

@@ -136,8 +136,8 @@ def model_log_variance(var_raw, t, sched):
     log_lo = _at(sched.log_posterior_clipped, t, ndim)
     if isinstance(var_raw, Tensor):
         v = T.mul(T.add(var_raw, 1.0), 0.5)
-        lo = Tensor(np.broadcast_to(log_lo, var_raw.shape).astype(var_raw.dtype))
-        hi = Tensor(np.broadcast_to(log_hi, var_raw.shape).astype(var_raw.dtype))
+        lo = Tensor(log_lo.astype(var_raw.dtype))
+        hi = Tensor(log_hi.astype(var_raw.dtype))
         return T.add(T.mul(v, hi), T.mul(T.sub(1.0, v), lo))
     v = np.clip((np.asarray(var_raw, dtype=np.float64) + 1.0) / 2.0, 0.0, 1.0)
     return v * log_hi + (1.0 - v) * log_lo
@@ -194,6 +194,8 @@ class SamplerConfig:
             raise DiffusionError(f"guidance scale must be finite and >= 0, got {self.guidance_scale}")
         if self.steps < 0:
             raise DiffusionError(f"steps must be >= 0 (0 is the full schedule), got {self.steps}")
+        if not 0 <= self.seed < 2**64:
+            raise DiffusionError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 def null_condition(y):

@@ -3,10 +3,11 @@
 Supplies exactly the operations the conditional U-Net and its losses need,
 each with one way to call it:
 
-- add/sub/mul/div take operands of the same shape, or one operand of size 1
-  (a python scalar included) whose rank is no higher than the other's. Any
-  other broadcast goes through broadcast_to, at equal rank only, so the
-  gradient surface stays small.
+- add/sub/mul/div take operands of the same shape, one operand of size 1
+  (a python scalar included) whose rank is no higher than the other's, or
+  operands of equal rank where one operand's every axis is 1 or the other's
+  extent. The result has the larger operand's shape; two operands that would
+  each broadcast along some axis are refused.
 - conv2d (zero padding, optional stride) and pool2d (edge padding, stride 1)
   pad "same" and take odd kernels only. Both treat each padded plane as flat,
   so that one kernel tap of every window is one contiguous slice: pool2d in
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 
 import numpy as np
 
@@ -214,17 +216,15 @@ def _nonfinite(op):
     return NonFiniteError(f"non-finite values produced by {op} in {where}")
 
 
-def _make(data, parents, op, values=None):
+def _make(data, parents, op):
     """Wrap a forward result, with a node when grad is on and a parent is tracked.
 
-    A non-empty result is checked for NaN/Inf; `values`, when given, is a
-    smaller array holding exactly the result's elements, scanned instead.
-    The caller then sets the node's rule (out._bwd) when out._tracked.
+    A non-empty result is checked for NaN/Inf. The caller then sets the
+    node's rule (out._bwd) when out._tracked.
     """
-    scan = data if values is None else values
     # max and min propagate NaN, cannot overflow (so never warn or raise under
     # np.seterr) and need no boolean temporary: an exact and cheap check
-    if data.size and not (np.isfinite(scan.max()) and np.isfinite(scan.min())):
+    if data.size and not (np.isfinite(data.max()) and np.isfinite(data.min())):
         raise _nonfinite(op)
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -237,8 +237,21 @@ def _make(data, parents, op, values=None):
 
 
 def _reduce_to(g, shape):
-    """Sum a gradient down to `shape`: its own, or that of a size-1 operand."""
-    return g if g.shape == shape else np.sum(g, dtype=g.dtype).reshape(shape)
+    """Sum a gradient down to `shape`: its own, that of a size-1 operand, or
+    that of an equal-rank operand, over the axes where that operand is 1."""
+    if g.shape == shape:
+        return g
+    if math.prod(shape) == 1:
+        return np.sum(g, dtype=g.dtype).reshape(shape)
+    keep = tuple(i for i, (sx, sg) in enumerate(zip(shape, g.shape)) if sx == 1 and sg != 1)
+    return g.sum(axis=keep, keepdims=True, dtype=g.dtype)
+
+
+def _broadcasts(small, big):
+    """True when `small` broadcasts to `big` as _binary allows."""
+    if small.size == 1:
+        return small.ndim <= big.ndim
+    return small.ndim == big.ndim and all(s in (1, b) for s, b in zip(small.shape, big.shape))
 
 
 # -- elementwise arithmetic ------------------------------------------------
@@ -251,12 +264,9 @@ def _binary(a, b, op, fwd, grad_a, grad_b, reads):
         a = Tensor(np.asarray(a, dtype=b.dtype if isinstance(b, Tensor) else np.float32))
     if not isinstance(b, Tensor):
         b = Tensor(np.asarray(b, dtype=a.dtype))
-    if a.shape != b.shape:
-        if a.size != 1 and b.size != 1:
-            raise TensorError(f"{op}: shapes {a.shape} and {b.shape} differ (only same-shape or scalar operands)")
-        one, other = (a, b) if a.size == 1 else (b, a)
-        if other.size != 1 and one.ndim > other.ndim:
-            raise TensorError(f"{op}: size-1 operand {one.shape} has more dimensions than {other.shape}")
+    if a.shape != b.shape and not (_broadcasts(a, b) or _broadcasts(b, a)):
+        raise TensorError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast "
+                          "(one operand must be size 1 or of equal rank with axes 1 or equal)")
     out = _make(fwd(a.data, b.data), (a, b), op)
     if out._tracked:
         an, bn, sa, sb = a._node, b._node, a.shape, b.shape
@@ -369,28 +379,6 @@ def reshape(x, shape):
     if out._tracked:
         xn, xshape = x._node, x.shape
         out._bwd = lambda g: xn.accum(g.reshape(xshape))
-    return out
-
-
-def broadcast_to(x, shape):
-    shape = tuple(shape)
-    if len(shape) != x.ndim:
-        raise TensorError(f"broadcast_to: {x.shape} -> {shape}: ranks differ")
-    try:
-        data = np.broadcast_to(x.data, shape)
-    except ValueError as e:
-        raise TensorError(f"broadcast_to: {x.shape} -> {shape}: {e}") from None
-    # every element of the input appears in a non-empty output
-    out = _make(data, (x,), "broadcast_to", values=x.data)
-    if out._tracked:
-        xn, xshape = x._node, x.shape
-
-        def bwd(g):
-            keep = tuple(i for i, (sx, sg) in enumerate(zip(xshape, g.shape)) if sx == 1 and sg != 1)
-            if keep:
-                g = g.sum(axis=keep, keepdims=True, dtype=g.dtype)
-            xn.accum(g)
-        out._bwd = bwd
     return out
 
 
@@ -654,6 +642,7 @@ def conv2d(x, w, b=None, stride=1):
                     size = n * hp * wp
                     gtp = np.zeros((f, n, hp, wp), dtype=g.dtype)
                     gtp[:, :, :s * ho:s, :s * wo:s] = gt.reshape(f, n, ho, wo)
+                    del gt
                     gcols = (w2t @ gtp.reshape(f, size)).reshape(c, kh * kw, size)
                     del gtp
                     flat = np.zeros((c, size + (kh - 1) * (wp + 1)), dtype=g.dtype)

@@ -127,7 +127,7 @@ class ParamStore:
 
 def _dense(x, w, b):
     out = T.matmul(x, w)
-    return T.add(out, T.broadcast_to(T.reshape(b, (1, b.shape[0])), out.shape))
+    return T.add(out, T.reshape(b, (1, b.shape[0])))
 
 
 def sinusoid_embedding(t, dim):
@@ -170,8 +170,8 @@ class Film:
         n, c = h.shape[0], self.channels
         wb = _dense(T.silu(temb), self.w, self.b)
         w, b = T.split(wb, [c, c], axis=1)
-        w = T.broadcast_to(T.reshape(w, (n, c, 1, 1)), h.shape)
-        b = T.broadcast_to(T.reshape(b, (n, c, 1, 1)), h.shape)
+        w = T.reshape(w, (n, c, 1, 1))
+        b = T.reshape(b, (n, c, 1, 1))
         return T.add(T.mul(h, T.add(w, 1.0)), b)
 
 
@@ -199,11 +199,7 @@ class Spade:
         if scale.shape[2:] != a.shape[2:]:
             raise ValueError(
                 f"SPADE conditioning resolution {scale.shape[2:]} does not match features {a.shape[2:]}")
-        norm = T.group_norm(a, self.groups)
-        if scale.shape != norm.shape:
-            scale = T.broadcast_to(scale, norm.shape)
-            beta = T.broadcast_to(beta, norm.shape)
-        return T.add(T.mul(norm, scale), beta)
+        return T.add(T.mul(T.group_norm(a, self.groups), scale), beta)
 
 
 class ResBlock:
@@ -270,8 +266,7 @@ class AttentionBlock:
 
     def _unit(self, t):
         norm = T.sqrt(T.sum_(T.square(t), axis=2, keepdims=True))
-        norm = T.broadcast_to(T.add(norm, self.EPS), t.shape)
-        return T.div(t, norm)
+        return T.div(t, T.add(norm, self.EPS))
 
     def _projections(self, x):
         """Unit-length f and g projections of x, each [N, heads, d, sites]."""
@@ -318,7 +313,7 @@ class UNet:
         resos = cfg.level_resolutions
         self.in_w, self.in_b = store.conv("enc.in", chans[0], cfg.in_channels, 3)
 
-        self.enc = []          # list of (kind, module) in execution order
+        self.enc = []          # list of blocks, each a list of modules, in execution order
         skip_chans = [chans[0]]
         ch = chans[0]
         for i, (cout, res) in enumerate(zip(chans, resos)):
@@ -372,9 +367,6 @@ class UNet:
                 raise ModelConfigError(f"{name}: shape {arr.shape} != {self.params[name].shape}")
         for name, arr in loaded.items():
             self.params[name].data = arr
-
-    def param_count(self):
-        return sum(t.size for t in self.params.values())
 
     def zero_grad(self):
         for t in self.params.values():

@@ -92,7 +92,11 @@ def build_cases(rng):
     p46 = proj(4, 6)
     cases.append(("reshape", lambda x: p46(T.reshape(x, (4, 6))), [_rand(rng, 2, 3, 4)]))
     p435 = proj(4, 3, 5)
-    cases.append(("broadcast_to", lambda x: p435(T.broadcast_to(x, (4, 3, 5))), [_rand(rng, 1, 3, 1)]))
+    for small in ((1, 3, 1), (4, 1, 1)):
+        cases.append((f"mul_broadcast{small}", lambda x, y: p435(T.mul(x, y)),
+                      [_rand(rng, 4, 3, 5), _rand(rng, *small)]))
+        cases.append((f"add_broadcast{small}", lambda x, y: p435(T.add(x, y)),
+                      [_rand(rng, *small), _rand(rng, 4, 3, 5)]))
     pcat = proj(2, 5)
     cases.append(("concat", lambda x, y: pcat(T.concat([x, y], axis=1)),
                   [_rand(rng, 2, 3), _rand(rng, 2, 2)]))

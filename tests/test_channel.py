@@ -43,6 +43,12 @@ class TestPsnrToSigma:
         with pytest.raises(ChannelError, match="psnr_db"):
             ChannelConfig(psnr, seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_uint64_refused(self, seed):
+        """Such a seed failed only inside transmit, with numpy's OverflowError."""
+        with pytest.raises(ChannelError, match="seed"):
+            ChannelConfig(10.0, seed=seed)
+
 
 class TestTransmit:
     def _frame(self, n=64, seed=0):
@@ -108,6 +114,13 @@ class TestTransmitImage:
     def test_out_of_range_rejected(self):
         with pytest.raises(ChannelError, match=r"\[0, 1\]"):
             transmit_image(np.full((3, 4, 4), 1.5), ChannelConfig(psnr_db=10.0))
+
+    def test_nan_image_rejected(self):
+        """NaN fails both range comparisons; it came out as a NaN image."""
+        img = np.full((3, 4, 4), 0.5)
+        img[1, 2, 3] = np.nan
+        with pytest.raises(ChannelError, match=r"\[0, 1\]"):
+            transmit_image(img, ChannelConfig(psnr_db=10.0, seed=1))
 
     def test_low_psnr_mse_matches_prediction(self):
         # the sigma^2/scale^2 identity holds pre-clamp; at PSNR 1 the clamp

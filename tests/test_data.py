@@ -61,7 +61,9 @@ class TestRecoverMap:
     def test_noise_below_half_separation_is_harmless(self):
         spec = ShapesSpec(texture_amplitude=0.0, seed=4)
         img, cmap = generate_shapes(spec, 1)[0]
-        radius = spec.separation_radius
+        pal = spec.palette_array
+        radius = 0.5 * min(np.linalg.norm(pal[i] - pal[j])
+                           for i in range(len(pal)) for j in range(i + 1, len(pal)))
         rng = np.random.default_rng(5)
         direction = rng.normal(size=img.shape)
         direction /= np.linalg.norm(direction, axis=0, keepdims=True)
@@ -84,6 +86,13 @@ class TestRecoverMap:
         pal = np.array([[0.2, 0.2, 0.2], [0.8, 0.8, 0.8]])
         gray = np.full((3, 2, 2), 0.5)
         assert np.all(recover_map(gray, pal) == 0)
+
+    def test_nan_image_rejected(self):
+        """NaN fails both range comparisons; it came out as the all-background map."""
+        img = np.full((3, 2, 2), 0.5)
+        img[0, 1, 1] = np.nan
+        with pytest.raises(DataError, match=r"\[0, 1\]"):
+            recover_map(img, np.array([[0.2, 0.2, 0.2], [0.8, 0.8, 0.8]]))
 
 
 class TestMiou:

@@ -265,7 +265,8 @@ class TestGuidedEps:
 
     @pytest.mark.parametrize("kw, match", [
         ({"guidance_scale": float("nan")}, "guidance scale"), ({"guidance_scale": float("inf")}, "guidance scale"),
-        ({"guidance_scale": -1.0}, "guidance scale"), ({"steps": -1}, "steps")])
+        ({"guidance_scale": -1.0}, "guidance scale"), ({"steps": -1}, "steps"),
+        ({"seed": -3}, "seed"), ({"seed": 2**64}, "seed")])
     def test_sampler_config_refuses_bad_settings(self, kw, match):
         with pytest.raises(DiffusionError, match=match):
             SamplerConfig(**kw)

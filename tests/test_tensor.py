@@ -544,20 +544,16 @@ class TestInvariants:
         assert y.grad.dtype == np.float32
 
     def test_mismatched_binary_shapes_rejected(self):
-        with pytest.raises(TensorError, match="same-shape"):
+        with pytest.raises(TensorError, match="do not broadcast"):
             T.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
+        with pytest.raises(TensorError, match="do not broadcast"):  # each would broadcast
+            T.mul(Tensor(np.zeros((1, 3))), Tensor(np.zeros((4, 1))))
 
     def test_size1_operand_of_higher_rank_rejected(self):
-        with pytest.raises(TensorError, match="more dimensions"):
+        with pytest.raises(TensorError, match="do not broadcast"):
             T.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((1, 1, 1))))
-        with pytest.raises(TensorError, match="more dimensions"):
+        with pytest.raises(TensorError, match="do not broadcast"):
             T.mul(Tensor(np.ones((1, 1))), Tensor(np.zeros(3)))
-
-    def test_broadcast_to_checks_its_input(self):
-        x = Tensor(np.array([[1.0], [np.nan]]))
-        with pytest.raises(NonFiniteError, match="broadcast_to"):
-            T.broadcast_to(x, (2, 3))
-        assert T.broadcast_to(x, (2, 0)).shape == (2, 0)  # an empty result holds no value
 
     def test_negative_split_size_rejected(self):
         with pytest.raises(TensorError, match="negative"):
@@ -567,10 +563,6 @@ class TestInvariants:
     def test_conv2d_stride_below_one_rejected(self, stride):
         with pytest.raises(TensorError, match="stride"):
             T.conv2d(Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((1, 1, 3, 3))), stride=stride)
-
-    def test_broadcast_to_other_rank_rejected(self):
-        with pytest.raises(TensorError, match="ranks differ"):
-            T.broadcast_to(Tensor(np.zeros(3), requires_grad=True), (4, 3))
 
 
 def test_gradcheck_smoke_every_op():

@@ -34,14 +34,10 @@ class ChannelConfig:
 
     @property
     def sigma(self):
-        return psnr_to_sigma(self.psnr_db)
-
-
-def psnr_to_sigma(psnr_db):
-    """Invert PSNR = 10 log10(1 / sigma^2); exactly 0 in noiseless mode."""
-    if psnr_db >= NOISELESS_PSNR:
-        return 0.0
-    return float(np.sqrt(10.0 ** (-psnr_db / 10.0)))
+        """Invert PSNR = 10 log10(1 / sigma^2); exactly 0 in noiseless mode."""
+        if self.psnr_db >= NOISELESS_PSNR:
+            return 0.0
+        return float(np.sqrt(10.0 ** (-self.psnr_db / 10.0)))
 
 
 def noise_for_indices(seed, count, sigma):
@@ -72,6 +68,8 @@ def transmit_image(rgb, cfg):
     Values must lie in [0, 1].
     """
     img = np.asarray(rgb, dtype=np.float64)
+    if not img.size:
+        raise ChannelError(f"image of shape {img.shape} has no pixels")
     if not (img.min() >= 0.0 and img.max() <= 1.0):  # NaN fails both
         raise ChannelError("image values must lie in [0, 1]")
     if cfg.sigma == 0.0:

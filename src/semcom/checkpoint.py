@@ -24,8 +24,8 @@ class CheckpointError(ValueError):
     pass
 
 
-def save_checkpoint(path, arrays, config_hash, extra=None):
-    """arrays: ordered mapping name -> ndarray (stored as float32)."""
+def save_checkpoint(path, arrays, config_hash, extra):
+    """arrays: ordered mapping name -> ndarray (stored as float32); extra: a JSON object."""
     entries = []
     blobs = []
     for name, arr in arrays.items():
@@ -36,7 +36,7 @@ def save_checkpoint(path, arrays, config_hash, extra=None):
         "format_version": FORMAT_VERSION,
         "config_hash": config_hash,
         "entries": entries,
-        "extra": extra or {},
+        "extra": extra,
     }
     payload = json.dumps(manifest, sort_keys=True).encode("utf-8")
     dirname = os.path.dirname(os.path.abspath(path)) or "."

@@ -237,10 +237,9 @@ def rle_pack(stack):
                            stack.present_classes, bytes(body))
 
 
-def rle_unpack(payload):
-    """Exact inverse of rle_pack."""
-    if isinstance(payload, (bytes, bytearray)):
-        payload = TransmitPayload.from_bytes(payload)
+def rle_unpack(raw):
+    """Exact inverse of rle_pack, from the wire bytes of its payload."""
+    payload = TransmitPayload.from_bytes(raw)
     pixels = payload.height * payload.width
     if not pixels:
         raise FormatError(f"{payload.height}x{payload.width} map has no pixels")

@@ -35,7 +35,6 @@ class DataError(ValueError):
 class ShapesSpec:
     canvas: int = 32
     palette: tuple = DEFAULT_PALETTE
-    shape_types: tuple = SHAPE_TYPES
     shapes_min: int = 1
     shapes_max: int = 3
     texture_amplitude: float = 0.05
@@ -56,11 +55,10 @@ class ShapesSpec:
             raise DataError(f"bad shape count range [{self.shapes_min}, {self.shapes_max}]")
         if self.canvas < 4:  # smallest canvas where every shape covers a pixel
             raise DataError(f"canvas must be >= 4, got {self.canvas}")
-        if not self.shape_types or not set(self.shape_types) <= set(SHAPE_TYPES):
-            raise DataError(f"shape_types must be a non-empty choice from {SHAPE_TYPES}, "
-                            f"got {self.shape_types}")
         if not 0.0 <= self.texture_amplitude < np.inf:
             raise DataError(f"texture_amplitude must be finite and >= 0, got {self.texture_amplitude}")
+        if not 0 <= self.seed < 2**64:
+            raise DataError(f"seed must lie in [0, 2**64), got {self.seed}")
 
     @property
     def num_classes(self):
@@ -74,7 +72,7 @@ class ShapesSpec:
 def _paint_shape(cmap, rng, spec):
     h = w = spec.canvas
     cls = int(rng.integers(1, spec.num_classes))
-    kind = spec.shape_types[int(rng.integers(0, len(spec.shape_types)))]
+    kind = SHAPE_TYPES[int(rng.integers(0, len(SHAPE_TYPES)))]
     if kind == "rectangle":
         sh = int(rng.integers(h // 4, h // 2 + 1))
         sw = int(rng.integers(w // 4, w // 2 + 1))
@@ -113,8 +111,8 @@ def generate_shapes(spec, n):
 def recover_map(image, palette):
     """Nearest palette color per pixel (L2), ties to the lower class id."""
     img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 3 or img.shape[0] != 3:
-        raise DataError(f"image must be 3 x H x W, got {img.shape}")
+    if img.ndim != 3 or img.shape[0] != 3 or not img.size:
+        raise DataError(f"image must be 3 x H x W with pixels, got {img.shape}")
     if not (img.min() >= 0.0 and img.max() <= 1.0):  # NaN fails both
         raise DataError("image values must lie in [0, 1]")
     pal = np.asarray(palette, dtype=np.float64)

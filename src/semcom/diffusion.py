@@ -13,6 +13,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
+from .unet import IMAGE_CHANNELS
 
 
 class DiffusionError(ValueError):
@@ -251,7 +252,7 @@ def p_sample_loop(model, y, sched, cfg, callback=None):
         raise DiffusionError(f"conditioning must be 4-d, got shape {y.shape}")
     sub = respace(sched, cfg.steps) if cfg.steps else sched
     n = y.shape[0]
-    shape = (n, model.config.in_channels, model.config.image_size, model.config.image_size)
+    shape = (n, IMAGE_CHANNELS, model.config.image_size, model.config.image_size)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed)))
     x = rng.standard_normal(shape, dtype=np.float32)
     conds = guidance_conditions(model, y, cfg.guidance_scale)

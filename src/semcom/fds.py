@@ -68,10 +68,10 @@ def fds(noisy_planes, present_classes, c_total, cfg=FdsConfig()):
     return codec.pad_planes(bits, present, c_total)
 
 
-def naive_threshold(raw_planes, present_classes, c_total, threshold=0.5):
+def naive_threshold(raw_planes, present_classes, c_total):
     """Baseline receiver: 0.5-threshold the raw planes, no pooling, no rescale."""
     planes = np.asarray(raw_planes, dtype=np.float64)
-    bits = (planes > threshold).astype(np.uint8)
+    bits = (planes > 0.5).astype(np.uint8)
     return codec.pad_planes(bits, present_classes, c_total)
 
 

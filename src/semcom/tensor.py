@@ -720,13 +720,11 @@ def pool2d(x, kind, kernel):
 
 # -- group normalization ---------------------------------------------------------------
 
-def group_norm(x, groups, eps=1e-5):
-    """Per (sample, group) zero-mean unit-variance normalization, no affine."""
+def group_norm(x, groups):
+    """Per (sample, group) (x - mean) / sqrt(var + 1e-5), no affine."""
     if x.ndim != 4:
         raise TensorError(f"group_norm: need 4-d input, got {x.shape}")
     n, c, h, w = x.shape
-    if eps <= 0:
-        raise TensorError(f"group_norm: eps must be > 0, got {eps}")
     if groups < 1 or c % groups != 0:
         raise TensorError(f"group_norm: {c} channels not divisible by {groups} groups")
     m = (c // groups) * h * w
@@ -734,7 +732,7 @@ def group_norm(x, groups, eps=1e-5):
     mu = xr.mean(axis=-1, keepdims=True, dtype=x.dtype)
     xc = xr - mu
     var = np.mean(xc * xc, axis=-1, keepdims=True, dtype=x.dtype)
-    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
+    inv = 1.0 / np.sqrt(var + np.asarray(1e-5, dtype=x.dtype))
     y = xc * inv
     out = _make(y.reshape(n, c, h, w), (x,), "group_norm")
     if out._tracked:

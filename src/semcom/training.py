@@ -31,20 +31,19 @@ class TrainError(ValueError):
 
 DEFAULT_PSNR_POOL = (1.0, 5.0, 10.0, 15.0, 20.0, 30.0, 100.0)
 DEFAULT_PSNR_WEIGHTS = (1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 4.0)
+GRAD_CLIP = 1.0  # global L2 norm the gradients are scaled down to
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 8
     learning_rate: float = 1e-4
-    lambda_kl: float = 0.001
     ema_decay: float = 0.9999
     cond_drop_prob: float = 0.2
     psnr_pool: tuple = DEFAULT_PSNR_POOL
     psnr_weights: tuple = DEFAULT_PSNR_WEIGHTS
     seed: int = 0
     weight_decay: float = 0.0
-    grad_clip: float = 1.0
     checkpoint_every: int = 1000
 
     def __post_init__(self):
@@ -60,9 +59,10 @@ class TrainConfig:
             raise TrainError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 < self.learning_rate < np.inf:
             raise TrainError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        for name in ("lambda_kl", "weight_decay", "grad_clip"):
-            if not 0.0 <= getattr(self, name) < np.inf:
-                raise TrainError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise TrainError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if not 0 <= self.seed < 2**64:
+            raise TrainError(f"seed must lie in [0, 2**64), got {self.seed}")
         if not 0.0 < self.ema_decay < 1.0:
             raise TrainError(f"ema_decay must lie in (0, 1), got {self.ema_decay}")
         if not 0.0 <= self.cond_drop_prob <= 1.0:
@@ -93,13 +93,14 @@ def sample_channel_condition(rng, psnr_pool, weights):
 class AdamW:
     """Decoupled-weight-decay adaptive moments, with bias correction, for every parameter."""
 
-    def __init__(self, params, lr, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params, lr, weight_decay=0.0):
         self.params = params
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
@@ -107,15 +108,15 @@ class AdamW:
     def step(self):
         """One update of every parameter that has a gradient (.grad)."""
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - self.BETA1 ** self.t
+        b2c = 1.0 - self.BETA2 ** self.t
         for name, p in self.params.items():
             g = p.grad
             if g is None:
                 continue
-            m = self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            v = self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)
-            update = (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m = self.m[name] = self.BETA1 * self.m[name] + (1.0 - self.BETA1) * g
+            v = self.v[name] = self.BETA2 * self.v[name] + (1.0 - self.BETA2) * (g * g)
+            update = (m / b1c) / (np.sqrt(v / b2c) + self.EPS)
             if self.weight_decay:
                 update = update + self.weight_decay * p.data
             p.data = p.data - self.lr * update
@@ -141,7 +142,7 @@ def clip_gradients(params, max_norm):
         if p.grad is not None:
             total += float(np.sum(p.grad.astype(np.float64) ** 2))
     norm = float(np.sqrt(total))
-    if max_norm and norm > max_norm and np.isfinite(norm):
+    if norm > max_norm and np.isfinite(norm):
         scale = max_norm / norm
         for p in params.values():
             if p.grad is not None:
@@ -213,10 +214,10 @@ class Trainer:
         eps = self.rng.standard_normal(x0.shape, dtype=np.float32)
 
         self.model.zero_grad()
-        loss, comps = total_loss(self.model, x0, y, t, eps, self.sched, lambda_kl=cfg.lambda_kl)
+        loss, comps = total_loss(self.model, x0, y, t, eps, self.sched)
         loss.backward()
 
-        norm = clip_gradients(self.model.params, cfg.grad_clip)
+        norm = clip_gradients(self.model.params, GRAD_CLIP)
         if np.isfinite(norm):
             self.opt.step()
             # warm-up, so the shadow leaves the initialization; opt.t counts

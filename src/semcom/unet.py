@@ -35,6 +35,10 @@ from . import tensor as T
 from .tensor import Tensor
 
 
+IMAGE_CHANNELS = 3  # RGB
+GROUPS = 8  # group-norm groups of every normalization
+
+
 class ModelConfigError(ValueError):
     pass
 
@@ -42,7 +46,6 @@ class ModelConfigError(ValueError):
 @dataclass(frozen=True)
 class ModelConfig:
     image_size: int = 32
-    in_channels: int = 3
     cond_channels: int = 5
     base_channels: int = 64
     channel_multipliers: tuple = (1, 2, 2)
@@ -50,7 +53,6 @@ class ModelConfig:
     attention_resolutions: tuple = (16, 8)
     head_channels: int = 32
     spade_hidden: int = 64
-    groups: int = 8
 
     def __post_init__(self):
         s = self.image_size
@@ -58,10 +60,11 @@ class ModelConfig:
             raise ModelConfigError(f"image_size must be a power of two >= 8, got {s}")
         if not self.channel_multipliers:
             raise ModelConfigError("need at least one channel multiplier")
-        for name in ("in_channels", "cond_channels", "base_channels", "spade_hidden",
-                     "head_channels", "groups"):
+        for name in ("cond_channels", "base_channels", "spade_hidden", "head_channels"):
             if getattr(self, name) < 1:
                 raise ModelConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.base_channels % 2:  # the sinusoid time embedding has base_channels entries
+            raise ModelConfigError(f"base_channels must be even, got {self.base_channels}")
         if min(self.channel_multipliers) < 1:
             raise ModelConfigError(f"channel multipliers must be >= 1, got {self.channel_multipliers}")
         if self.num_res_blocks < 0:
@@ -72,8 +75,8 @@ class ModelConfig:
             raise ModelConfigError(
                 f"attention resolutions {sorted(extra)} not among realized levels {sorted(realized)}")
         for res, ch in zip(self.level_resolutions, self.level_channels):
-            if ch % self.groups:
-                raise ModelConfigError(f"{ch} channels at {res}x{res} not divisible by {self.groups} groups")
+            if ch % GROUPS:
+                raise ModelConfigError(f"{ch} channels at {res}x{res} not divisible by {GROUPS} groups")
             if res in self.attention_resolutions and ch % self.head_channels:
                 raise ModelConfigError(
                     f"head_channels {self.head_channels} does not divide attention width {ch}")
@@ -181,8 +184,7 @@ class Spade:
     `modulation(y)` is the stack-only part; calling the block applies it.
     """
 
-    def __init__(self, store, name, channels, cond_channels, hidden, groups):
-        self.groups = groups
+    def __init__(self, store, name, channels, cond_channels, hidden):
         self.shared_w, self.shared_b = store.conv(f"{name}.shared", hidden, cond_channels, 3)
         self.gamma_w, self.gamma_b = store.conv(f"{name}.gamma", channels, hidden, 3, init="zero")
         self.beta_w, self.beta_b = store.conv(f"{name}.beta", channels, hidden, 3, init="zero")
@@ -199,7 +201,7 @@ class Spade:
         if scale.shape[2:] != a.shape[2:]:
             raise ValueError(
                 f"SPADE conditioning resolution {scale.shape[2:]} does not match features {a.shape[2:]}")
-        return T.add(T.mul(T.group_norm(a, self.groups), scale), beta)
+        return T.add(T.mul(T.group_norm(a, GROUPS), scale), beta)
 
 
 class ResBlock:
@@ -211,13 +213,12 @@ class ResBlock:
 
     def __init__(self, store, name, cin, cout, emb_dim, cfg, conditioned):
         self.conditioned = conditioned
-        self.groups = cfg.groups
         self.conv1_w, self.conv1_b = store.conv(f"{name}.conv1", cout, cin, 3)
         self.conv2_w, self.conv2_b = store.conv(f"{name}.conv2", cout, cout, 3, init="zero")
         self.film = Film(store, f"{name}.film", emb_dim, cout)
         if conditioned:
-            self.norm1 = Spade(store, f"{name}.spade1", cout, cfg.cond_channels, cfg.spade_hidden, cfg.groups)
-            self.norm2 = Spade(store, f"{name}.spade2", cout, cfg.cond_channels, cfg.spade_hidden, cfg.groups)
+            self.norm1 = Spade(store, f"{name}.spade1", cout, cfg.cond_channels, cfg.spade_hidden)
+            self.norm2 = Spade(store, f"{name}.spade2", cout, cfg.cond_channels, cfg.spade_hidden)
         if cin != cout:
             self.skip_w, self.skip_b = store.conv(f"{name}.skip", cout, cin, 1)
         else:
@@ -226,7 +227,7 @@ class ResBlock:
     def _norm(self, which, h, mods):
         if self.conditioned:
             return (self.norm1 if which == 1 else self.norm2)(h, mods[which - 1])
-        return T.group_norm(h, self.groups)
+        return T.group_norm(h, GROUPS)
 
     def __call__(self, x, temb, mods=None):
         h = T.conv2d(x, self.conv1_w, self.conv1_b)
@@ -311,7 +312,7 @@ class UNet:
 
         chans = cfg.level_channels
         resos = cfg.level_resolutions
-        self.in_w, self.in_b = store.conv("enc.in", chans[0], cfg.in_channels, 3)
+        self.in_w, self.in_b = store.conv("enc.in", chans[0], IMAGE_CHANNELS, 3)
 
         self.enc = []          # list of blocks, each a list of modules, in execution order
         skip_chans = [chans[0]]
@@ -348,7 +349,7 @@ class UNet:
             self.dec.append((i, level, up))
         assert not skip_chans
 
-        self.out_w, self.out_b = store.conv("out.conv", 2 * cfg.in_channels, chans[0], 3, init="zero")
+        self.out_w, self.out_b = store.conv("out.conv", 2 * IMAGE_CHANNELS, chans[0], 3, init="zero")
         self.params = store.params
 
     # -- parameter plumbing ---------------------------------------------------
@@ -381,9 +382,9 @@ class UNet:
         """Time embedding, encoder and mid block: returns (h, skips, temb)."""
         cfg = self.config
         x = Tensor(np.asarray(x_t, dtype=np.float32))
-        if x.ndim != 4 or x.shape[1:] != (cfg.in_channels, cfg.image_size, cfg.image_size):
+        if x.ndim != 4 or x.shape[1:] != (IMAGE_CHANNELS, cfg.image_size, cfg.image_size):
             raise ValueError(f"input shape {x.shape} does not match config "
-                             f"[N,{cfg.in_channels},{cfg.image_size},{cfg.image_size}]")
+                             f"[N,{IMAGE_CHANNELS},{cfg.image_size},{cfg.image_size}]")
         with T.scope("time"):
             temb = self.time(t)
 
@@ -428,7 +429,6 @@ class UNet:
         cond is `condition(y)` of a stack of the features' batch or of batch 1.
         Returns (eps_pred, var_raw).
         """
-        cfg = self.config
         h, skips, temb = features
         batch = cond[0][0][0].shape[0]  # gamma + 1 of the first SPADE
         if batch not in (1, h.shape[0]):
@@ -446,7 +446,7 @@ class UNet:
                     h = up(h)
         assert next(skip, None) is None and next(mods, None) is None
         with T.scope("out"):
-            h = T.silu(T.group_norm(h, cfg.groups))
+            h = T.silu(T.group_norm(h, GROUPS))
             h = T.conv2d(h, self.out_w, self.out_b)
-        eps, var_raw = T.split(h, [cfg.in_channels, cfg.in_channels], axis=1)
+        eps, var_raw = T.split(h, [IMAGE_CHANNELS, IMAGE_CHANNELS], axis=1)
         return eps, var_raw

@@ -6,7 +6,6 @@ from semcom.channel import (
     ChannelError,
     derive_seed,
     noise_for_indices,
-    psnr_to_sigma,
     transmit,
     transmit_image,
 )
@@ -15,10 +14,10 @@ from semcom.codec import ChannelFrame
 
 class TestPsnrToSigma:
     def test_psnr20(self):
-        assert psnr_to_sigma(20.0) == pytest.approx(0.1)
+        assert ChannelConfig(20.0).sigma == pytest.approx(0.1)
 
     def test_psnr10(self):
-        assert psnr_to_sigma(10.0) == pytest.approx(0.31623, abs=1e-5)
+        assert ChannelConfig(10.0).sigma == pytest.approx(0.31623, abs=1e-5)
 
     def test_formula_values_for_training_pool(self):
         # Always Eq-style inversion sigma = 10^(-PSNR/20); the loosely
@@ -26,7 +25,7 @@ class TestPsnrToSigma:
         expect = {1: 0.891251, 5: 0.562341, 10: 0.316228, 15: 0.177828,
                   20: 0.1, 30: 0.0316228, 100: 0.0}
         for psnr, sigma in expect.items():
-            assert psnr_to_sigma(float(psnr)) == pytest.approx(sigma, abs=1e-6)
+            assert ChannelConfig(float(psnr)).sigma == pytest.approx(sigma, abs=1e-6)
 
     def test_noneless_mode_flag(self):
         assert ChannelConfig(psnr_db=100.0).sigma == 0.0
@@ -121,6 +120,12 @@ class TestTransmitImage:
         img[1, 2, 3] = np.nan
         with pytest.raises(ChannelError, match=r"\[0, 1\]"):
             transmit_image(img, ChannelConfig(psnr_db=10.0, seed=1))
+
+    @pytest.mark.parametrize("shape", [(3, 0, 4), (0,)])
+    def test_image_without_pixels_rejected(self, shape):
+        """The range check's min() raised numpy's zero-size reduction ValueError."""
+        with pytest.raises(ChannelError, match="no pixels"):
+            transmit_image(np.zeros(shape), ChannelConfig(psnr_db=10.0, seed=1))
 
     def test_low_psnr_mse_matches_prediction(self):
         # the sigma^2/scale^2 identity holds pre-clamp; at PSNR 1 the clamp

@@ -116,7 +116,7 @@ class TestWireFormat:
             h, w = rng.integers(1, 24, size=2)
             cmap = rng.integers(0, 6, size=(h, w))
             stack = one_hot_encode(cmap, c_total=8)
-            back = rle_unpack(TransmitPayload.from_bytes(rle_pack(stack).to_bytes()))
+            back = rle_unpack(rle_pack(stack).to_bytes())
             assert back.present_classes == stack.present_classes
             assert np.array_equal(back.planes, stack.planes)
             assert back.c_total == stack.c_total

@@ -38,8 +38,8 @@ class TestGenerateShapes:
             ShapesSpec(palette=((0, 0, 0), (0.1, 0.1, 0.1)))
 
     @pytest.mark.parametrize("settings, field", [
-        ({"shape_types": ("triangle",)}, "shape_types"),
-        ({"shape_types": ()}, "shape_types"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 2**64}, "seed"),
         ({"canvas": 3}, "canvas"),
         ({"palette": ((0.1, 0.1, 0.1),)}, "palette"),
         ({"texture_amplitude": -0.5}, "texture_amplitude"),
@@ -93,6 +93,11 @@ class TestRecoverMap:
         img[0, 1, 1] = np.nan
         with pytest.raises(DataError, match=r"\[0, 1\]"):
             recover_map(img, np.array([[0.2, 0.2, 0.2], [0.8, 0.8, 0.8]]))
+
+    def test_image_without_pixels_rejected(self):
+        """The range check's min() raised numpy's zero-size reduction ValueError."""
+        with pytest.raises(DataError, match="with pixels"):
+            recover_map(np.zeros((3, 0, 4)), np.array([[0.2, 0.2, 0.2], [0.8, 0.8, 0.8]]))
 
 
 class TestMiou:

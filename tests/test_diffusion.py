@@ -27,11 +27,10 @@ class StubModel:
     encode/condition/decode protocol: the features are (x, t) and the
     condition is the stack itself."""
 
-    def __init__(self, eps_fn, var_fn, image_size=8, channels=3, cond_channels=2):
+    def __init__(self, eps_fn, var_fn, image_size=8, cond_channels=2):
         self.eps_fn = eps_fn
         self.var_fn = var_fn
-        self.config = ModelConfig(image_size=image_size, in_channels=channels,
-                                  cond_channels=cond_channels, base_channels=8,
+        self.config = ModelConfig(image_size=image_size, cond_channels=cond_channels, base_channels=8,
                                   channel_multipliers=(1,), attention_resolutions=(),
                                   head_channels=8, spade_hidden=8)
         self.encodes = 0
@@ -273,7 +272,7 @@ class TestGuidedEps:
 
 
 class TestPSampleLoop:
-    UNET_CFG = ModelConfig(image_size=8, in_channels=3, cond_channels=2, base_channels=8,
+    UNET_CFG = ModelConfig(image_size=8, cond_channels=2, base_channels=8,
                            channel_multipliers=(1,), num_res_blocks=1,
                            attention_resolutions=(), head_channels=8, spade_hidden=8)
 
@@ -366,6 +365,16 @@ class TestPSampleLoop:
                             callback=lambda i, x: calls.append(i))
         assert len(calls) == 10
         assert out.shape == (1, 3, 8, 8)
+
+    def test_non_finite_eps_raises_sampling_error_naming_the_step(self):
+        # eps is NaN from timestep 4 down, so step index 4 is the first non-finite sample
+        model = StubModel(lambda x, yy, tt: np.full_like(x, np.nan if tt[0] <= 4 else 0.0),
+                          lambda x, yy, tt: np.zeros_like(x))
+        seen = []
+        with pytest.raises(SamplingError, match=r"step index 4 \(t=4\)"):
+            p_sample_loop(model, np.zeros((2, 2, 8, 8), np.float32), build_schedule(10, 1e-3, 0.1),
+                          SamplerConfig(seed=5), callback=lambda i, x: seen.append(i))
+        assert seen == [9, 8, 7, 6, 5, 4]
 
     def _randomized_unet(self, seed):
         model = UNet(self.UNET_CFG, seed=seed)

@@ -22,7 +22,7 @@ from semcom.unet import ModelConfig, UNet
 
 from memtrace import graph_and_backward_peak
 
-TINY_MODEL = ModelConfig(image_size=16, in_channels=3, cond_channels=3, base_channels=16,
+TINY_MODEL = ModelConfig(image_size=16, cond_channels=3, base_channels=16,
                          channel_multipliers=(1, 2), num_res_blocks=1,
                          attention_resolutions=(8,), head_channels=8, spade_hidden=16)
 TINY_DATA = ShapesSpec(canvas=16, palette=((0.1, 0.1, 0.12), (0.9, 0.15, 0.15), (0.1, 0.8, 0.2)),
@@ -81,9 +81,9 @@ class TestSampleChannelCondition:
 class TestTrainConfig:
     @pytest.mark.parametrize("name, value", [
         ("learning_rate", float("nan")), ("learning_rate", 0.0), ("learning_rate", float("inf")),
-        ("lambda_kl", float("nan")), ("lambda_kl", -1e-3),
+        ("seed", -1), ("seed", 2**64),
         ("weight_decay", float("inf")), ("weight_decay", -0.1),
-        ("grad_clip", float("nan")), ("grad_clip", -1.0),
+        ("ema_decay", 1.0), ("cond_drop_prob", 1.5),
         ("psnr_pool", (10.0, float("nan"))), ("psnr_pool", (10.0, float("-inf"))),
         ("psnr_weights", (1.0, float("nan"))), ("psnr_weights", (1.0, float("inf"))),
         ("batch_size", 0),
@@ -119,7 +119,7 @@ class TestAdamW:
         p.grad = g.copy()
         opt = AdamW({"p": p}, lr=0.01)
         opt.step()
-        expect = -0.01 * g / (np.sqrt(g * g) + opt.eps)
+        expect = -0.01 * g / (np.sqrt(g * g) + AdamW.EPS)
         assert np.allclose(p.data, expect, atol=1e-12)
 
     def test_constant_gradient_step_magnitude_approaches_lr(self):

@@ -15,11 +15,13 @@ from semcom.unet import (
     ResBlock,
     Spade,
     TimeEmbed,
+    GROUPS,
+    IMAGE_CHANNELS,
     UNet,
     sinusoid_embedding,
 )
 
-TOY = ModelConfig(image_size=16, in_channels=3, cond_channels=4, base_channels=16,
+TOY = ModelConfig(image_size=16, cond_channels=4, base_channels=16,
                   channel_multipliers=(1, 2), num_res_blocks=1,
                   attention_resolutions=(8,), head_channels=8, spade_hidden=16)
 
@@ -44,25 +46,33 @@ class TestModelConfig:
     def test_head_channels_must_divide(self):
         with pytest.raises(ModelConfigError, match="head_channels"):
             ModelConfig(image_size=16, base_channels=24, channel_multipliers=(1,),
-                        attention_resolutions=(16,), head_channels=16, groups=8)
+                        attention_resolutions=(16,), head_channels=16)
 
     def test_image_size_power_of_two(self):
         with pytest.raises(ModelConfigError, match="power of two"):
             ModelConfig(image_size=20)
 
     @pytest.mark.parametrize("settings, field", [
-        ({"in_channels": 0}, "in_channels"),
+        ({"image_size": 4}, "image_size"),
         ({"cond_channels": 0}, "cond_channels"),
         ({"base_channels": 0}, "base_channels"),
         ({"spade_hidden": 0}, "spade_hidden"),
         ({"head_channels": 0}, "head_channels"),
-        ({"groups": 0}, "groups"),
+        ({"channel_multipliers": ()}, "multiplier"),
         ({"channel_multipliers": (1, 0, 2)}, "multipliers"),
         ({"num_res_blocks": -1}, "num_res_blocks"),
     ])
     def test_sizes_below_minimum_refused(self, settings, field):
         with pytest.raises(ModelConfigError, match=field):
             ModelConfig(**settings)
+
+    @pytest.mark.parametrize("base", [1, 3])
+    def test_odd_base_channels_refused(self, base):
+        """The sinusoid time embedding has base_channels entries, half sines and
+        half cosines; an odd width built a UNet that failed at its first forward."""
+        with pytest.raises(ModelConfigError, match="base_channels must be even"):
+            ModelConfig(image_size=8, base_channels=base, channel_multipliers=(8,),
+                        attention_resolutions=(), head_channels=8)
 
 
 class TestTimeEmbed:
@@ -102,10 +112,10 @@ class TestEncoderBlock:
 
         # manual unmodulated forward with the same params
         h = T.conv2d(x, blk.conv1_w, blk.conv1_b)
-        h = T.group_norm(h, TOY.groups)
+        h = T.group_norm(h, GROUPS)
         h = T.silu(h)
         h = T.conv2d(h, blk.conv2_w, blk.conv2_b)
-        h = T.group_norm(h, TOY.groups)
+        h = T.group_norm(h, GROUPS)
         h = T.silu(h)
         expect = T.add(h, x)
         assert np.allclose(out.data, expect.data, atol=1e-6)
@@ -179,14 +189,14 @@ class TestAttention:
 class TestSpade:
     def _spade(self, seed=16):
         store = _store(seed)
-        return Spade(store, "sp", 8, 4, 8, groups=4)
+        return Spade(store, "sp", 8, 4, 8)
 
     def test_zero_init_heads_give_plain_group_norm(self):
         sp = self._spade()
         x = Tensor(np.random.default_rng(17).normal(size=(2, 8, 4, 4)).astype(np.float32))
         y = Tensor(np.zeros((2, 4, 4, 4), np.float32))  # null label
         out = sp(x, sp.modulation(y))
-        assert np.allclose(out.data, T.group_norm(x, 4).data, atol=1e-7)
+        assert np.allclose(out.data, T.group_norm(x, GROUPS).data, atol=1e-7)
 
     def test_identity_modulation_equals_group_norm(self):
         sp = self._spade(seed=18)
@@ -195,7 +205,7 @@ class TestSpade:
         x = Tensor(rng.normal(size=(1, 8, 4, 4)).astype(np.float32))
         y = Tensor(rng.normal(size=(1, 4, 4, 4)).astype(np.float32))
         # gamma/beta heads still zero-initialized: effective gamma 1, beta 0
-        assert np.allclose(sp(x, sp.modulation(y)).data, T.group_norm(x, 4).data, atol=1e-7)
+        assert np.allclose(sp(x, sp.modulation(y)).data, T.group_norm(x, GROUPS).data, atol=1e-7)
 
     def test_different_conditioning_changes_output(self):
         sp = self._spade(seed=20)
@@ -218,7 +228,7 @@ class TestSpade:
 class TestUNet:
     def _inputs(self, n=2, cfg=TOY, seed=23):
         rng = np.random.default_rng(seed)
-        x = rng.normal(size=(n, cfg.in_channels, cfg.image_size, cfg.image_size)).astype(np.float32)
+        x = rng.normal(size=(n, IMAGE_CHANNELS, cfg.image_size, cfg.image_size)).astype(np.float32)
         y = (rng.uniform(size=(n, cfg.cond_channels, cfg.image_size, cfg.image_size)) < 0.3).astype(np.float32)
         t = rng.integers(1, 100, size=n)
         return x, y, t

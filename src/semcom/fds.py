@@ -37,6 +37,19 @@ class FdsConfig:
             raise FdsError(f"threshold must lie in (0, 1), got {self.threshold}")
 
 
+def _checked_planes(planes, present_classes, c_total):
+    """Float64 C_p x H x W planes, refused unless they match the header's classes."""
+    planes = np.asarray(planes, dtype=np.float64)
+    present = list(present_classes)
+    if planes.ndim != 3 or planes.shape[0] != len(present):
+        raise FdsError(
+            f"{planes.shape[0] if planes.ndim == 3 else '?'} planes do not match "
+            f"header with {len(present)} classes")
+    if any(c < 0 or c >= c_total for c in present):
+        raise FdsError(f"header class ids {present} out of range [0, {c_total})")
+    return planes
+
+
 def pooled_planes(noisy_planes, cfg):
     """MaxPool(AvgPool(planes)) with stride 1, edge-replicate padding."""
     planes = np.asarray(noisy_planes, dtype=np.float64)
@@ -55,22 +68,15 @@ def fds(noisy_planes, present_classes, c_total, cfg=FdsConfig()):
     Returns a binary uint8 stack of shape [C_total, H, W]; spatial shape is
     preserved for any kernel setting.
     """
-    planes = np.asarray(noisy_planes, dtype=np.float64)
-    present = list(present_classes)
-    if planes.ndim != 3 or planes.shape[0] != len(present):
-        raise FdsError(
-            f"{planes.shape[0] if planes.ndim == 3 else '?'} planes do not match "
-            f"header with {len(present)} classes")
-    if any(c < 0 or c >= c_total for c in present):
-        raise FdsError(f"header class ids {present} out of range [0, {c_total})")
+    planes = _checked_planes(noisy_planes, present_classes, c_total)
     pooled = pooled_planes(planes, cfg)
     bits = (pooled > cfg.threshold).astype(np.uint8)
-    return codec.pad_planes(bits, present, c_total)
+    return codec.pad_planes(bits, present_classes, c_total)
 
 
 def naive_threshold(raw_planes, present_classes, c_total):
     """Baseline receiver: 0.5-threshold the raw planes, no pooling, no rescale."""
-    planes = np.asarray(raw_planes, dtype=np.float64)
+    planes = _checked_planes(raw_planes, present_classes, c_total)
     bits = (planes > 0.5).astype(np.uint8)
     return codec.pad_planes(bits, present_classes, c_total)
 

@@ -93,6 +93,16 @@ class TestTransmit:
         rho = np.corrcoef(a, b)[0, 1]
         assert abs(rho) < 0.01
 
+    @pytest.mark.parametrize("m", [0, 1, 255, 256, 257, 4095])
+    def test_noise_of_an_index_does_not_depend_on_count(self, m):
+        assert np.array_equal(noise_for_indices(5, m, 0.3), noise_for_indices(5, 4096, 0.3)[:m])
+
+    def test_noise_scales_with_sigma_bitwise(self):
+        assert np.array_equal(noise_for_indices(8, 1000, 0.3), 0.3 * noise_for_indices(8, 1000, 1.0))
+
+    def test_noise_is_float64(self):
+        assert noise_for_indices(8, 10, 0.3).dtype == np.float64
+
     def test_elementwise_additivity(self):
         """transmit(z) - z is the same stream regardless of symbol values."""
         cfg = ChannelConfig(psnr_db=10.0, seed=9)

@@ -57,6 +57,15 @@ class TestFds:
         with pytest.raises(FdsError, match="header"):
             fds(np.zeros((2, 4, 4)), [1], c_total=4)
 
+    @pytest.mark.parametrize("planes, present, match", [
+        (np.zeros((2, 4, 4)), (0, 1, 2), "header"),
+        (np.zeros((1, 4, 4)), (7,), "out of range"),
+    ], ids=["plane-count", "class-id"])
+    def test_naive_threshold_checks_the_header(self, planes, present, match):
+        """The baseline receiver raised numpy's ValueError or IndexError here."""
+        with pytest.raises(FdsError, match=match):
+            naive_threshold(planes, present, 5)
+
     def test_shape_preserved_for_any_kernels(self):
         rng = np.random.default_rng(0)
         planes = rng.uniform(size=(3, 11, 7))

@@ -44,6 +44,9 @@ class ShapesSpec:
         pal = np.asarray(self.palette, dtype=np.float64)
         if pal.ndim != 2 or pal.shape[1] != 3 or len(pal) < 2:  # background plus a shape color
             raise DataError(f"palette must be K x 3 with K >= 2, got {pal.shape}")
+        if not (pal.min() >= 0.0 and pal.max() <= 1.0):  # NaN fails both
+            # generate_shapes clips the image to [0, 1], which can merge two colors
+            raise DataError(f"palette colors must lie in [0, 1], got {self.palette}")
         for i in range(len(pal)):
             for j in range(i + 1, len(pal)):
                 d = float(np.linalg.norm(pal[i] - pal[j]))

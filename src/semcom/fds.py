@@ -31,8 +31,8 @@ class FdsConfig:
     threshold: float = 0.8
 
     def __post_init__(self):
-        if self.avg_kernel % 2 == 0 or self.max_kernel % 2 == 0:
-            raise FdsError(f"kernels must be odd, got avg={self.avg_kernel} max={self.max_kernel}")
+        if any(k < 1 or k % 2 == 0 for k in (self.avg_kernel, self.max_kernel)):
+            raise FdsError(f"kernels must be odd and >= 1, got avg={self.avg_kernel} max={self.max_kernel}")
         if not 0.0 < self.threshold < 1.0:
             raise FdsError(f"threshold must lie in (0, 1), got {self.threshold}")
 

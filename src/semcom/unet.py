@@ -1,10 +1,14 @@
 """Conditional U-Net predicting noise and variance-interpolation coefficients.
 
-Encoder blocks inject the timestep by scaling and shifting the mid-block features
-(per-channel, from the time embedding); attention blocks with cosine-normalized
-similarity run at the configured resolutions; decoder blocks swap plain group
-normalization for spatially-adaptive modulation driven by the semantic stack.
-The semantic stack conditions the decoder only; the encoder never sees it.
+The network is levels of `ResBlock`s, one level per channel multiplier. Each
+block injects the timestep by scaling and shifting its features (per channel,
+from the time embedding), and at the configured resolutions ends with
+self-attention of cosine-normalized similarity. The encoder levels end in a
+stride-2 conv and the decoder levels in a nearest-neighbour upsample and a
+conv; those resampling convs are plain weights of the U-Net. Two blocks form
+the mid block. Decoder blocks swap plain group normalization for
+spatially-adaptive modulation (SPADE) driven by the semantic stack, which
+conditions the decoder only; the encoder never sees it.
 
 Two output heads of the input image shape: predicted noise and raw variance
 coefficients. Both final projections are zero-initialized.
@@ -171,10 +175,8 @@ class Film:
 
     def __call__(self, h, temb):
         n, c = h.shape[0], self.channels
-        wb = _dense(T.silu(temb), self.w, self.b)
+        wb = T.reshape(_dense(T.silu(temb), self.w, self.b), (n, 2 * c, 1, 1))
         w, b = T.split(wb, [c, c], axis=1)
-        w = T.reshape(w, (n, c, 1, 1))
-        b = T.reshape(b, (n, c, 1, 1))
         return T.add(T.mul(h, T.add(w, 1.0)), b)
 
 
@@ -202,43 +204,6 @@ class Spade:
             raise ValueError(
                 f"SPADE conditioning resolution {scale.shape[2:]} does not match features {a.shape[2:]}")
         return T.add(T.mul(T.group_norm(a, GROUPS), scale), beta)
-
-
-class ResBlock:
-    """conv -> norm -> time scale/shift -> SiLU -> conv -> norm -> SiLU, residual skip.
-
-    Decoder blocks use SPADE in place of group norm, and take the modulation
-    pair of their two SPADEs.
-    """
-
-    def __init__(self, store, name, cin, cout, emb_dim, cfg, conditioned):
-        self.conditioned = conditioned
-        self.conv1_w, self.conv1_b = store.conv(f"{name}.conv1", cout, cin, 3)
-        self.conv2_w, self.conv2_b = store.conv(f"{name}.conv2", cout, cout, 3, init="zero")
-        self.film = Film(store, f"{name}.film", emb_dim, cout)
-        if conditioned:
-            self.norm1 = Spade(store, f"{name}.spade1", cout, cfg.cond_channels, cfg.spade_hidden)
-            self.norm2 = Spade(store, f"{name}.spade2", cout, cfg.cond_channels, cfg.spade_hidden)
-        if cin != cout:
-            self.skip_w, self.skip_b = store.conv(f"{name}.skip", cout, cin, 1)
-        else:
-            self.skip_w = None
-
-    def _norm(self, which, h, mods):
-        if self.conditioned:
-            return (self.norm1 if which == 1 else self.norm2)(h, mods[which - 1])
-        return T.group_norm(h, GROUPS)
-
-    def __call__(self, x, temb, mods=None):
-        h = T.conv2d(x, self.conv1_w, self.conv1_b)
-        h = self._norm(1, h, mods)
-        h = self.film(h, temb)
-        h = T.silu(h)
-        h = T.conv2d(h, self.conv2_w, self.conv2_b)
-        h = self._norm(2, h, mods)
-        h = T.silu(h)
-        skip = x if self.skip_w is None else T.conv2d(x, self.skip_w, self.skip_b)
-        return T.add(h, skip)
 
 
 class AttentionBlock:
@@ -284,20 +249,40 @@ class AttentionBlock:
         return T.add(x, T.conv2d(out, self.wv, self.bv))
 
 
-class Downsample:
-    def __init__(self, store, name, channels):
-        self.w, self.b = store.conv(name, channels, channels, 3)
+class ResBlock:
+    """The one U-Net block: conv -> norm -> time scale/shift -> SiLU -> conv -> norm -> SiLU.
 
-    def __call__(self, x):
-        return T.conv2d(x, self.w, self.b, stride=2)
+    A residual skip (a 1x1 conv when the width changes) is added, and a block
+    built with `attention` ends with its `AttentionBlock`. A conditioned
+    (decoder) block owns two SPADEs and normalizes with them when called with
+    their modulation pair; without one it uses plain group norm, as the
+    encoder and mid blocks do.
+    """
 
+    def __init__(self, store, name, cin, cout, emb_dim, cfg, conditioned, attention):
+        self.conv1_w, self.conv1_b = store.conv(f"{name}.conv1", cout, cin, 3)
+        self.conv2_w, self.conv2_b = store.conv(f"{name}.conv2", cout, cout, 3, init="zero")
+        self.film = Film(store, f"{name}.film", emb_dim, cout)
+        if conditioned:
+            self.norm1 = Spade(store, f"{name}.spade1", cout, cfg.cond_channels, cfg.spade_hidden)
+            self.norm2 = Spade(store, f"{name}.spade2", cout, cfg.cond_channels, cfg.spade_hidden)
+        if cin != cout:
+            self.skip_w, self.skip_b = store.conv(f"{name}.skip", cout, cin, 1)
+        else:
+            self.skip_w = None
+        self.attn = AttentionBlock(store, f"{name}.attn", cout, cfg) if attention else None
 
-class Upsample:
-    def __init__(self, store, name, channels):
-        self.w, self.b = store.conv(name, channels, channels, 3)
-
-    def __call__(self, x):
-        return T.conv2d(T.upsample_nearest2(x), self.w, self.b)
+    def __call__(self, x, temb, mods=None):
+        h = T.conv2d(x, self.conv1_w, self.conv1_b)
+        h = T.group_norm(h, GROUPS) if mods is None else self.norm1(h, mods[0])
+        h = self.film(h, temb)
+        h = T.silu(h)
+        h = T.conv2d(h, self.conv2_w, self.conv2_b)
+        h = T.group_norm(h, GROUPS) if mods is None else self.norm2(h, mods[1])
+        h = T.silu(h)
+        skip = x if self.skip_w is None else T.conv2d(x, self.skip_w, self.skip_b)
+        h = T.add(h, skip)
+        return h if self.attn is None else self.attn(h)
 
 
 class UNet:
@@ -311,42 +296,36 @@ class UNet:
         self.time = TimeEmbed(store, cfg.base_channels, emb)
 
         chans = cfg.level_channels
-        resos = cfg.level_resolutions
+        attn = [res in cfg.attention_resolutions for res in cfg.level_resolutions]
         self.in_w, self.in_b = store.conv("enc.in", chans[0], IMAGE_CHANNELS, 3)
 
-        self.enc = []          # list of blocks, each a list of modules, in execution order
+        self.enc = []          # per level: (i, blocks, stride-2 conv or None)
         skip_chans = [chans[0]]
         ch = chans[0]
-        for i, (cout, res) in enumerate(zip(chans, resos)):
+        for i, cout in enumerate(chans):
+            blocks = []
             for j in range(cfg.num_res_blocks):
-                block = [ResBlock(store, f"enc.l{i}.b{j}", ch, cout, emb, cfg, conditioned=False)]
+                blocks.append(ResBlock(store, f"enc.l{i}.b{j}", ch, cout, emb, cfg, False, attn[i]))
                 ch = cout
-                if res in cfg.attention_resolutions:
-                    block.append(AttentionBlock(store, f"enc.l{i}.b{j}.attn", ch, cfg))
-                self.enc.append(block)
                 skip_chans.append(ch)
+            down = None
             if i < len(chans) - 1:
-                self.enc.append([Downsample(store, f"enc.l{i}.down", ch)])
+                down = store.conv(f"enc.l{i}.down", ch, ch, 3)
                 skip_chans.append(ch)
+            self.enc.append((i, blocks, down))
 
-        self.mid = [ResBlock(store, "mid.b0", ch, ch, emb, cfg, conditioned=False)]
-        if resos[-1] in cfg.attention_resolutions:
-            self.mid.append(AttentionBlock(store, "mid.attn", ch, cfg))
-        self.mid.append(ResBlock(store, "mid.b1", ch, ch, emb, cfg, conditioned=False))
+        self.mid = [ResBlock(store, "mid.b0", ch, ch, emb, cfg, False, attn[-1]),
+                    ResBlock(store, "mid.b1", ch, ch, emb, cfg, False, False)]
 
-        self.dec = []
+        self.dec = []          # per level, deepest first: (i, blocks, upsampling conv or None)
         for i in reversed(range(len(chans))):
-            cout, res = chans[i], resos[i]
-            level = []
+            blocks = []
             for j in range(cfg.num_res_blocks + 1):
-                cin = ch + skip_chans.pop()
-                block = [ResBlock(store, f"dec.l{i}.b{j}", cin, cout, emb, cfg, conditioned=True)]
-                ch = cout
-                if res in cfg.attention_resolutions:
-                    block.append(AttentionBlock(store, f"dec.l{i}.b{j}.attn", ch, cfg))
-                level.append(block)
-            up = Upsample(store, f"dec.l{i}.up", ch) if i > 0 else None
-            self.dec.append((i, level, up))
+                blocks.append(ResBlock(store, f"dec.l{i}.b{j}", ch + skip_chans.pop(), chans[i], emb, cfg,
+                                       True, attn[i]))
+                ch = chans[i]
+            up = store.conv(f"dec.l{i}.up", ch, ch, 3) if i > 0 else None
+            self.dec.append((i, blocks, up))
         assert not skip_chans
 
         self.out_w, self.out_b = store.conv("out.conv", 2 * IMAGE_CHANNELS, chans[0], 3, init="zero")
@@ -392,14 +371,18 @@ class UNet:
         with T.scope("enc.in"):
             h = T.conv2d(x, self.in_w, self.in_b)
         skips.append(h)
-        for idx, block in enumerate(self.enc):
-            with T.scope(f"enc.{idx}"):
-                for mod in block:
-                    h = mod(h, temb) if isinstance(mod, ResBlock) else mod(h)
-            skips.append(h)
+        for i, blocks, down in self.enc:
+            for j, block in enumerate(blocks):
+                with T.scope(f"enc.l{i}.b{j}"):
+                    h = block(h, temb)
+                skips.append(h)
+            if down is not None:
+                with T.scope(f"enc.l{i}.down"):
+                    h = T.conv2d(h, *down, stride=2)
+                skips.append(h)
         with T.scope("mid"):
-            for mod in self.mid:
-                h = mod(h, temb) if isinstance(mod, ResBlock) else mod(h)
+            for block in self.mid:
+                h = block(h, temb)
         return h, skips, temb
 
     def condition(self, y):
@@ -415,12 +398,11 @@ class UNet:
             raise ValueError(f"conditioning shape {y.shape} does not match "
                              f"[N or 1,{cfg.cond_channels},{cfg.image_size},{cfg.image_size}]")
         cond = []
-        for i, level, _ in self.dec:
+        for i, blocks, _ in self.dec:
             y_i = Tensor(np.ascontiguousarray(y[:, :, ::1 << i, ::1 << i]))
-            for j, block in enumerate(level):
+            for j, block in enumerate(blocks):
                 with T.scope(f"dec.l{i}.b{j}.cond"):
-                    res = block[0]
-                    cond.append((res.norm1.modulation(y_i), res.norm2.modulation(y_i)))
+                    cond.append((block.norm1.modulation(y_i), block.norm2.modulation(y_i)))
         return cond
 
     def decode(self, features, cond):
@@ -435,15 +417,13 @@ class UNet:
             raise ValueError(f"conditioning batch {batch} is neither 1 nor the features' batch {h.shape[0]}")
         mods = iter(cond)
         skip = reversed(skips)
-        for i, level, up in self.dec:
-            for j, block in enumerate(level):
+        for i, blocks, up in self.dec:
+            for j, block in enumerate(blocks):
                 with T.scope(f"dec.l{i}.b{j}"):
-                    h = T.concat([h, next(skip)], axis=1)
-                    for mod in block:
-                        h = mod(h, temb, next(mods)) if isinstance(mod, ResBlock) else mod(h)
+                    h = block(T.concat([h, next(skip)], axis=1), temb, next(mods))
             if up is not None:
                 with T.scope(f"dec.l{i}.up"):
-                    h = up(h)
+                    h = T.conv2d(T.upsample_nearest2(h), *up)
         assert next(skip, None) is None and next(mods, None) is None
         with T.scope("out"):
             h = T.silu(T.group_norm(h, GROUPS))

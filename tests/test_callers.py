@@ -8,6 +8,10 @@ or a word of a string literal: a bare identifier of the same name is a local
 variable, not a use. Comments and docstrings do not count, and neither do
 tests. A name with no such use must be listed in `PENDING` with the ROADMAP
 item that gives it a caller; a name that gains a caller must leave `PENDING`.
+
+Private helpers, `_`-prefixed top-level functions and classes and
+`_`-prefixed methods other than dunders, are held to the same rule with no
+pending list: a helper that a refactor leaves without a caller is deleted.
 """
 import ast
 import pathlib
@@ -47,6 +51,19 @@ def _public_names(tree):
                     yield name, True
 
 
+def _private_names(tree):
+    """(name, member) of each private definition: a `_`-prefixed top-level
+    function or class, or a `_`-prefixed method other than a dunder."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+            yield node.name, False
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef) and item.name.startswith("_")
+                        and not item.name.endswith("__")):
+                    yield item.name, True
+
+
 def _used_words(tree):
     """(word, bare) of each use; bare marks an identifier or an imported name."""
     docstrings = set()
@@ -70,7 +87,8 @@ def _used_words(tree):
                 yield word, False
 
 
-def test_every_public_name_has_a_caller_or_a_pending_item():
+def _unused(names_of):
+    """Names that `names_of(tree)` defines in `src/semcom` and no code uses."""
     sources = sorted(SRC.glob("*.py"))
     trees = {path: ast.parse(path.read_text()) for path in sources + sorted((ROOT / "bench").glob("*.py"))}
     used, used_as_member = set(), set()
@@ -79,6 +97,13 @@ def test_every_public_name_has_a_caller_or_a_pending_item():
             used.add(word)
             if not bare:
                 used_as_member.add(word)
-    unused = {name for path in sources for name, member in _public_names(trees[path])
-              if name not in (used_as_member if member else used)}
-    assert sorted(unused) == sorted(PENDING)
+    return {name for path in sources for name, member in names_of(trees[path])
+            if name not in (used_as_member if member else used)}
+
+
+def test_every_public_name_has_a_caller_or_a_pending_item():
+    assert sorted(_unused(_public_names)) == sorted(PENDING)
+
+
+def test_every_private_helper_has_a_caller():
+    assert sorted(_unused(_private_names)) == []

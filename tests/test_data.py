@@ -37,6 +37,11 @@ class TestGenerateShapes:
         with pytest.raises(DataError, match="separated"):
             ShapesSpec(palette=((0, 0, 0), (0.1, 0.1, 0.1)))
 
+    def test_palette_on_unit_cube_corners_recovers_exactly(self):
+        spec = ShapesSpec(palette=((0, 0, 0), (1, 1, 1), (1, 0, 0)), texture_amplitude=0.0, seed=1)
+        for img, cmap in generate_shapes(spec, 20):
+            assert np.array_equal(recover_map(img, spec.palette_array), cmap)
+
     @pytest.mark.parametrize("settings, field", [
         ({"seed": -1}, "seed"),
         ({"seed": 2**64}, "seed"),
@@ -45,6 +50,10 @@ class TestGenerateShapes:
         ({"texture_amplitude": -0.5}, "texture_amplitude"),
         ({"texture_amplitude": float("nan")}, "texture_amplitude"),
         ({"texture_amplitude": float("inf")}, "texture_amplitude"),
+        # colors outside [0, 1]: generate_shapes would clip (2, 2, 2) and (3, 3, 3) both to white
+        ({"palette": ((0, 0, 0), (2, 2, 2), (3, 3, 3))}, "palette colors"),
+        ({"palette": ((0, 0, 0), (float("nan"), 0.5, 0.5), (1, 1, 1))}, "palette colors"),
+        ({"palette": ((0, 0, 0), (1, 1, -0.5))}, "palette colors"),
     ])
     def test_undrawable_spec_refused(self, settings, field):
         with pytest.raises(DataError, match=field):

@@ -99,6 +99,12 @@ class TestFds:
         with pytest.raises(FdsError, match="odd"):
             FdsConfig(avg_kernel=2)
 
+    @pytest.mark.parametrize("settings", [{"avg_kernel": -1}, {"max_kernel": -3}],
+                             ids=["avg", "max"])
+    def test_kernel_below_one_rejected(self, settings):
+        with pytest.raises(FdsError, match=">= 1"):
+            FdsConfig(**settings)
+
 
 class TestFdsBeatsNaive:
     def _received(self, cmap, c_total, psnr, seed):

@@ -5,6 +5,7 @@ import pytest
 
 from semcom import tensor as T
 from semcom.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from semcom.diffusion import build_schedule, total_loss
 from semcom.tensor import Tensor
 from semcom.unet import (
     AttentionBlock,
@@ -105,7 +106,7 @@ class TestEncoderBlock:
     def test_identity_modulation_at_init(self):
         """Zero-init FiLM dense gives w(t)=1, b(t)=0: plain residual conv block."""
         store = _store(2)
-        blk = ResBlock(store, "b", 8, 8, 16, TOY, conditioned=False)
+        blk = ResBlock(store, "b", 8, 8, 16, TOY, conditioned=False, attention=False)
         temb = Tensor(np.random.default_rng(3).normal(size=(2, 16)).astype(np.float32))
         x = Tensor(np.random.default_rng(4).normal(size=(2, 8, 6, 6)).astype(np.float32))
         out = blk(x, temb)
@@ -122,14 +123,14 @@ class TestEncoderBlock:
 
     def test_zero_input_zero_biases_gives_zero(self):
         store = _store(5)
-        blk = ResBlock(store, "b", 8, 8, 16, TOY, conditioned=False)
+        blk = ResBlock(store, "b", 8, 8, 16, TOY, conditioned=False, attention=False)
         temb = Tensor(np.zeros((1, 16), np.float32))
         out = blk(Tensor(np.zeros((1, 8, 4, 4), np.float32)), temb)
         assert np.all(out.data == 0.0)
 
     def test_gradient_flows_to_time_embedding(self):
         store = _store(6)
-        blk = ResBlock(store, "b", 8, 8, 8, TOY, conditioned=False)
+        blk = ResBlock(store, "b", 8, 8, 8, TOY, conditioned=False, attention=False)
         # zero-initialized conv2/film would block the time path at init
         rng = np.random.default_rng(7)
         for p in (blk.film.w, blk.conv2_w):
@@ -330,12 +331,45 @@ class TestUNet:
         with pytest.raises(T.NonFiniteError, match="enc.in"):
             model.forward(x, y, t)
 
+    @pytest.mark.parametrize("param, where", [
+        ("enc.l0.b0.conv1.w", r"enc\.l0\.b0"),
+        ("enc.l0.down.w", r"enc\.l0\.down"),
+    ])
+    def test_nan_weight_aborts_with_encoder_block_name(self, param, where):
+        model = UNet(TOY, seed=9)
+        model.params[param].data[0, 0, 0, 0] = np.nan
+        x, y, t = self._inputs()
+        with pytest.raises(T.NonFiniteError, match=where):
+            model.forward(x, y, t)
+
     def test_nan_stack_aborts_with_decoder_block_name(self):
         model = UNet(TOY, seed=9)
         x, y, t = self._inputs()
         y[0, 0, 0, 0] = np.nan
         with pytest.raises(T.NonFiniteError, match=r"dec\.l\d\.b\d\.cond"):
             model.forward(x, y, t)
+
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_depths_other_than_one(self, depth):
+        """Skip bookkeeping with no encoder blocks per level, and with two."""
+        cfg = ModelConfig(image_size=8, cond_channels=4, base_channels=16,
+                          channel_multipliers=(1, 2), num_res_blocks=depth,
+                          attention_resolutions=(8, 4), head_channels=8, spade_hidden=8)
+        model = UNet(cfg, seed=14)
+        _randomize(model, seed=140)
+        x, y, t = self._inputs(cfg=cfg)
+        with T.no_grad():
+            whole = model.forward(x, y, t)
+            parts = model.decode(model.encode(x, t), model.condition(y))
+        for a, b in zip(whole, parts):
+            assert np.array_equal(a.data, b.data)
+
+        eps = np.random.default_rng(141).normal(size=x.shape).astype(np.float32)
+        loss, _ = total_loss(model, x, y, t, eps, build_schedule(100, 1e-4, 0.02))
+        model.zero_grad()
+        loss.backward()
+        for name, p in model.params.items():
+            assert p.grad is not None and np.all(np.isfinite(p.grad)), name
 
     def test_rejected_load_state_leaves_every_parameter_unchanged(self):
         model = UNet(TOY, seed=13)

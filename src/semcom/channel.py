@@ -52,12 +52,12 @@ def noise_for_indices(seed, count, sigma):
 def transmit(frame, cfg):
     """Add i.i.d. Gaussian noise of std sigma to a power-normalized ChannelFrame.
 
-    The frame's mean-square power must be 1 within 1e-6; a mismatch is a
-    contract violation.
+    The frame's mean-square power must be 1 within 1e-6; a mismatch, or a
+    non-finite symbol, is a contract violation.
     """
     symbols = np.asarray(frame.symbols, dtype=np.float64)
     ms = float(np.mean(symbols * symbols))
-    if abs(ms - 1.0) > 1e-6:
+    if not abs(ms - 1.0) <= 1e-6:  # NaN fails too
         raise ChannelError(f"frame mean-square power {ms:.9g} is not 1")
     if cfg.sigma == 0.0:
         return symbols.copy()

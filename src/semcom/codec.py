@@ -274,7 +274,9 @@ def power_normalize(stack):
 
 
 def inverse_normalize(symbols, scale):
-    """Undo power normalization."""
+    """Undo power normalization; the scale must be finite and positive."""
+    if not 0.0 < scale < np.inf:  # NaN fails both
+        raise CodecError(f"power scale must be finite and > 0, got {scale}")
     return np.asarray(symbols, dtype=np.float64) / scale
 
 

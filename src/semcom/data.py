@@ -146,12 +146,17 @@ PSNR_IDENTICAL = float("inf")
 
 
 def pixel_metrics(a, b):
-    """(MSE, empirical PSNR in dB); identical images report an inf sentinel."""
+    """(MSE, empirical PSNR in dB); identical images report an inf sentinel.
+
+    Images with a NaN or infinite pixel are refused.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise DataError(f"image shapes differ: {a.shape} vs {b.shape}")
     mse = float(np.mean((a - b) ** 2))
+    if not mse < np.inf:  # NaN fails too
+        raise DataError(f"images must be finite; their mean squared difference is {mse}")
     if mse == 0.0:
         return 0.0, PSNR_IDENTICAL
     return mse, float(10.0 * np.log10(1.0 / mse))

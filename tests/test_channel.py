@@ -72,6 +72,12 @@ class TestTransmit:
         with pytest.raises(ChannelError, match="power"):
             transmit(bad, ChannelConfig(psnr_db=10.0))
 
+    def test_nan_symbol_rejected(self):
+        symbols = np.ones(16)
+        symbols[3] = np.nan
+        with pytest.raises(ChannelError, match="power"):
+            transmit(ChannelFrame(symbols, 1.0), ChannelConfig(psnr_db=10.0))
+
     def test_measured_psnr_calibration(self):
         n = 1_000_000
         sym = np.ones(n)

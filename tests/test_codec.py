@@ -187,6 +187,11 @@ class TestPowerNormalize:
         with pytest.raises(DegenerateInputError):
             power_normalize(OneHotStack((), np.zeros((0, 0, 3), np.uint8), 3))
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
+    def test_inverse_rejects_bad_scale(self, scale):
+        with pytest.raises(CodecError, match="scale"):
+            inverse_normalize(np.ones(4), scale)
+
 
 class TestBitBudget:
     def test_raw_rgb(self):

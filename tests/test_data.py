@@ -161,6 +161,14 @@ class TestPixelMetrics:
         assert mse == pytest.approx(0.01)
         assert psnr == pytest.approx(20.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_image_rejected(self, bad):
+        a = np.full((3, 4, 4), 0.4)
+        b = a.copy()
+        b[1, 2, 3] = bad
+        with pytest.raises(DataError, match="finite"):
+            pixel_metrics(a, b)
+
     def test_awgn_empirical_psnr(self):
         rng = np.random.default_rng(9)
         img = rng.uniform(0.3, 0.7, size=(3, 128, 128))

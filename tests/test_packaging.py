@@ -1,9 +1,12 @@
 import importlib
 import os
 import pathlib
+import platform
 import subprocess
 import sys
 import tomllib
+
+import pytest
 
 PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -48,3 +51,46 @@ def test_bench_tracer_wraps_and_restores_every_name(monkeypatch):
         tracer.uninstall()
     for owner, attr, original in patched:
         assert vars(owner)[attr] is original, f"{owner.__name__}.{attr} not restored"
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the allocator policy is glibc's")
+def test_steady_link_sweep_faults_no_pages_in():
+    """With the package's malloc policy, a map swept across the channel reuses freed heap.
+
+    glibc's default policy unmaps large blocks and trims the heap top as soon
+    as they are freed, so each map faulted about two thousand pages back in.
+    The caller holds every result until the sweep is done, as the link-sweep
+    benchmark does. A fresh interpreter keeps other tests' heap out of it.
+    """
+    code = """
+import resource
+import semcom
+from semcom import data, link
+from semcom.channel import ChannelConfig
+from semcom.fds import FdsConfig
+
+_, cmap = data.generate_shapes(data.ShapesSpec(canvas=128, shapes_max=6, seed=3), 1)[0]
+
+def sweep():
+    held = []
+    for psnr in (1.0, 5.0, 10.0, 20.0, 100.0):
+        received = link.transmit_map(cmap, 5, ChannelConfig(psnr, seed=int(psnr)))
+        held.append((received, link.receiver_condition(received, 5, FdsConfig())))
+    return held
+
+for _ in range(3):
+    sweep()
+faults = []
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    held = sweep()
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    del held
+print(max(faults), *semcom.MALLOPT_RESULTS)
+"""
+    env = {**os.environ, "PYTHONPATH": str(PYPROJECT.parent / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout.split()
+    worst, *results = out
+    assert int(worst) < 64, f"{worst} minor faults in one steady-state map sweep"
+    assert results == ["1", "1"], f"mallopt returned {results}"

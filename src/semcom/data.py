@@ -1,11 +1,13 @@
-"""Synthetic shapes dataset with an exact class-color palette, plus metrics.
+"""Synthetic shapes dataset with one fixed class-color palette, plus metrics.
 
-Images are flat palette colors per class region with a low-amplitude seeded
-texture, quantized to 8 bits: the 8-bit RGB image that `codec.raw_rgb_bits`
-counts as the classical baseline. Because palette colors are well separated,
-nearest-color lookup recovers the exact class map from any image perturbed by
-less than half the minimum palette separation; that makes mIoU an exact
-metric here instead of depending on a pretrained segmenter.
+Images are flat `PALETTE` colors per class region (a near-black background
+and four body colors, so `NUM_CLASSES` is 5) with a uniform seeded texture of
+amplitude `TEXTURE_AMPLITUDE` per channel, quantized to 8 bits: the 8-bit RGB
+image that `codec.raw_rgb_bits` counts as the classical baseline. The palette
+colors lie pairwise at least 0.3 apart (L2), and texture plus quantization
+move a pixel by less than half of that, so nearest-color lookup recovers the
+exact class map from every generated image; that makes mIoU an exact metric
+here instead of depending on a pretrained segmenter.
 """
 from __future__ import annotations
 
@@ -13,16 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MIN_PALETTE_SEPARATION = 0.3
-
 # background + four body colors, pairwise L2 >= 0.3 in [0,1]^3
-DEFAULT_PALETTE = (
+PALETTE = (
     (0.10, 0.10, 0.12),  # 0: background, near-black
     (0.90, 0.15, 0.15),  # 1: red
     (0.10, 0.80, 0.20),  # 2: green
     (0.20, 0.30, 0.90),  # 3: blue
     (0.95, 0.85, 0.10),  # 4: yellow
 )
+NUM_CLASSES = len(PALETTE)
+TEXTURE_AMPLITUDE = 0.05  # half-width of the uniform per-channel texture
 
 SHAPE_TYPES = ("rectangle", "disk")
 
@@ -34,47 +36,26 @@ class DataError(ValueError):
 @dataclass(frozen=True)
 class ShapesSpec:
     canvas: int = 32
-    palette: tuple = DEFAULT_PALETTE
     shapes_min: int = 1
     shapes_max: int = 3
-    texture_amplitude: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
-        pal = np.asarray(self.palette, dtype=np.float64)
-        if pal.ndim != 2 or pal.shape[1] != 3 or len(pal) < 2:  # background plus a shape color
-            raise DataError(f"palette must be K x 3 with K >= 2, got {pal.shape}")
-        if not (pal.min() >= 0.0 and pal.max() <= 1.0):  # NaN fails both
-            # generate_shapes clips the image to [0, 1], which can merge two colors
-            raise DataError(f"palette colors must lie in [0, 1], got {self.palette}")
-        for i in range(len(pal)):
-            for j in range(i + 1, len(pal)):
-                d = float(np.linalg.norm(pal[i] - pal[j]))
-                if d < MIN_PALETTE_SEPARATION:
-                    raise DataError(
-                        f"palette colors {i} and {j} separated by {d:.3f} "
-                        f"< {MIN_PALETTE_SEPARATION}")
         if not 1 <= self.shapes_min <= self.shapes_max:
             raise DataError(f"bad shape count range [{self.shapes_min}, {self.shapes_max}]")
         if self.canvas < 4:  # smallest canvas where every shape covers a pixel
             raise DataError(f"canvas must be >= 4, got {self.canvas}")
-        if not 0.0 <= self.texture_amplitude < np.inf:
-            raise DataError(f"texture_amplitude must be finite and >= 0, got {self.texture_amplitude}")
         if not 0 <= self.seed < 2**64:
             raise DataError(f"seed must lie in [0, 2**64), got {self.seed}")
 
     @property
-    def num_classes(self):
-        return len(self.palette)
-
-    @property
     def palette_array(self):
-        return np.asarray(self.palette, dtype=np.float64)
+        return np.asarray(PALETTE, dtype=np.float64)
 
 
 def _paint_shape(cmap, rng, spec):
     h = w = spec.canvas
-    cls = int(rng.integers(1, spec.num_classes))
+    cls = int(rng.integers(1, NUM_CLASSES))
     kind = SHAPE_TYPES[int(rng.integers(0, len(SHAPE_TYPES)))]
     if kind == "rectangle":
         sh = int(rng.integers(h // 4, h // 2 + 1))
@@ -102,9 +83,7 @@ def generate_shapes(spec, n):
         for _ in range(int(rng.integers(spec.shapes_min, spec.shapes_max + 1))):
             _paint_shape(cmap, rng, spec)
         img = pal[cmap].transpose(2, 0, 1)
-        if spec.texture_amplitude > 0:
-            img = img + rng.uniform(-spec.texture_amplitude, spec.texture_amplitude,
-                                    size=img.shape)
+        img = img + rng.uniform(-TEXTURE_AMPLITUDE, TEXTURE_AMPLITUDE, size=img.shape)
         # quantize to 8-bit RGB, the image that raw_rgb_bits counts
         img = np.clip(np.round(np.clip(img, 0.0, 1.0) * 255.0), 0, 255) / 255.0
         pairs.append((img.astype(np.float32), cmap))

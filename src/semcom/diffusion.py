@@ -16,6 +16,9 @@ from .tensor import Tensor
 from .unet import IMAGE_CHANNELS
 
 
+LAMBDA_KL = 0.001  # weight of L_KL in the hybrid loss (improved DDPM)
+
+
 class DiffusionError(ValueError):
     pass
 
@@ -155,8 +158,8 @@ def gaussian_kl(mean_p, logvar_p, mean_q, logvar_q):
     return T.mul(T.add(T.sub(lq, logvar_p), T.add(ratio, -1.0)), 0.5)
 
 
-def total_loss(model, x0, y, t, eps, sched, lambda_kl=0.001):
-    """Hybrid loss of improved DDPM: L = L_d + lambda * L_KL.
+def total_loss(model, x0, y, t, eps, sched):
+    """Hybrid loss of improved DDPM: L = L_d + LAMBDA_KL * L_KL.
 
     L_d = mean((eps - eps_hat)^2), the mean-square error between the injected
     and the predicted noise over every element of the batch. L_KL is the
@@ -179,7 +182,7 @@ def total_loss(model, x0, y, t, eps, sched, lambda_kl=0.001):
     logvar_q = np.broadcast_to(_at(sched.log_posterior_clipped, t, x_t.ndim), x_t.shape)
     l_kl = T.mean(gaussian_kl(mean_p, logvar_p, mean_q, logvar_q))
 
-    loss = T.add(l_d, T.mul(l_kl, lambda_kl))
+    loss = T.add(l_d, T.mul(l_kl, LAMBDA_KL))
     components = {"L_d": l_d.item(), "L_KL": l_kl.item(), "total": loss.item()}
     return loss, components
 

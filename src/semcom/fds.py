@@ -37,6 +37,11 @@ class FdsConfig:
             raise FdsError(f"threshold must lie in (0, 1), got {self.threshold}")
 
 
+def _require_pixels(stack, what):
+    if stack.ndim != 3 or not stack.shape[1] * stack.shape[2]:
+        raise FdsError(f"{what} must be C x H x W with pixels, got shape {stack.shape}")
+
+
 def _checked_planes(planes, present_classes, c_total):
     """Float64 C_p x H x W planes, refused unless they match the header's classes."""
     planes = np.asarray(planes, dtype=np.float64)
@@ -47,14 +52,16 @@ def _checked_planes(planes, present_classes, c_total):
             f"header with {len(present)} classes")
     if any(c < 0 or c >= c_total for c in present):
         raise FdsError(f"header class ids {present} out of range [0, {c_total})")
+    if any(a >= b for a, b in zip(present, present[1:])):  # a repeated id would drop a plane
+        raise FdsError(f"header class ids {present} must be strictly ascending")
+    _require_pixels(planes, "planes")
     return planes
 
 
 def pooled_planes(noisy_planes, cfg):
     """MaxPool(AvgPool(planes)) with stride 1, edge-replicate padding."""
     planes = np.asarray(noisy_planes, dtype=np.float64)
-    if planes.ndim != 3:
-        raise FdsError(f"expected C_p x H x W planes, got shape {planes.shape}")
+    _require_pixels(planes, "planes")
     with T.no_grad():
         x = T.Tensor(planes[None, ...])
         x = T.pool2d(x, "avg", cfg.avg_kernel)
@@ -87,4 +94,5 @@ def stack_agreement(a, b):
     b = np.asarray(b)
     if a.shape != b.shape:
         raise FdsError(f"stack shapes differ: {a.shape} vs {b.shape}")
+    _require_pixels(a, "stacks")
     return float(np.mean((a == b).all(axis=0)))

@@ -1,11 +1,14 @@
 """Noisy-conditioning training: channel draws, AdamW, EMA, checkpointing.
 
-Each training sample gets its own channel condition drawn from a weighted
-PSNR pool (clean conditions weighted higher by default); the map is
-normalized, corrupted, de-scaled, and fed to the model raw (the fast
-denoiser stays off during training and on at inference, asserted here).
-Non-finite gradients skip the step and are counted; a non-finite forward
-aborts the run.
+Each training sample gets its own channel condition drawn from one fixed
+PSNR pool, `PSNR_POOL` with weights `PSNR_WEIGHTS`: 1 to 30 dB once each and
+the near-noiseless 100 dB four times, so 40% of the conditions are clean. The
+map is normalized, corrupted, de-scaled, and fed to the model raw (the fast
+denoiser stays off during training and on at inference, asserted here). A
+condition is then dropped to zeros with probability `COND_DROP_PROB`, which
+trains the unconditional branch of classifier-free guidance. Gradients are
+scaled down to global norm `GRAD_CLIP`. Non-finite gradients skip the step
+and are counted; a non-finite forward aborts the run.
 
 A training checkpoint holds exactly the entries `<name>`, `opt.m.<name>`,
 `opt.v.<name>` and `ema.<name>` for every model parameter `<name>` (the layout
@@ -29,8 +32,10 @@ class TrainError(ValueError):
     pass
 
 
-DEFAULT_PSNR_POOL = (1.0, 5.0, 10.0, 15.0, 20.0, 30.0, 100.0)
-DEFAULT_PSNR_WEIGHTS = (1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 4.0)
+PSNR_POOL = (1.0, 5.0, 10.0, 15.0, 20.0, 30.0, 100.0)  # channel PSNRs (dB) a condition is drawn from
+PSNR_WEIGHTS = (1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 4.0)
+_PSNR_P = np.asarray(PSNR_WEIGHTS) / sum(PSNR_WEIGHTS)
+COND_DROP_PROB = 0.2  # share of conditions zeroed for classifier-free guidance
 GRAD_CLIP = 1.0  # global L2 norm the gradients are scaled down to
 
 
@@ -39,22 +44,11 @@ class TrainConfig:
     batch_size: int = 8
     learning_rate: float = 1e-4
     ema_decay: float = 0.9999
-    cond_drop_prob: float = 0.2
-    psnr_pool: tuple = DEFAULT_PSNR_POOL
-    psnr_weights: tuple = DEFAULT_PSNR_WEIGHTS
     seed: int = 0
     weight_decay: float = 0.0
     checkpoint_every: int = 1000
 
     def __post_init__(self):
-        if not self.psnr_pool:
-            raise TrainError("psnr_pool must not be empty")
-        if len(self.psnr_pool) != len(self.psnr_weights):
-            raise TrainError(f"{len(self.psnr_pool)} pool entries vs {len(self.psnr_weights)} weights")
-        if not all(0 < w < np.inf for w in self.psnr_weights):
-            raise TrainError(f"psnr weights must be positive and finite, got {self.psnr_weights}")
-        if not all(p > -np.inf for p in self.psnr_pool):
-            raise TrainError(f"psnr pool entries must be numbers or +inf (noiseless), got {self.psnr_pool}")
         if self.batch_size < 1:
             raise TrainError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 < self.learning_rate < np.inf:
@@ -65,8 +59,6 @@ class TrainConfig:
             raise TrainError(f"seed must lie in [0, 2**64), got {self.seed}")
         if not 0.0 < self.ema_decay < 1.0:
             raise TrainError(f"ema_decay must lie in (0, 1), got {self.ema_decay}")
-        if not 0.0 <= self.cond_drop_prob <= 1.0:
-            raise TrainError(f"cond_drop_prob must lie in [0, 1], got {self.cond_drop_prob}")
 
 
 @dataclass
@@ -80,14 +72,9 @@ class RunMetrics:
     psnr_counts: dict = field(default_factory=dict)
 
 
-def sample_channel_condition(rng, psnr_pool, weights):
-    """Categorical draw of a channel PSNR from the (normalized) weighted pool."""
-    pool = list(psnr_pool)
-    if not pool:
-        raise TrainError("psnr_pool must not be empty")
-    p = np.asarray(weights, dtype=np.float64)
-    p /= p.sum()
-    return float(pool[rng.choice(len(pool), p=p)])
+def sample_channel_condition(rng):
+    """Categorical draw of a channel PSNR from `PSNR_POOL` with weights `PSNR_WEIGHTS`."""
+    return PSNR_POOL[rng.choice(len(PSNR_POOL), p=_PSNR_P)]
 
 
 class AdamW:
@@ -132,8 +119,8 @@ def ema_update(shadow, params, decay):
     return shadow
 
 
-def clip_gradients(params, max_norm):
-    """Scale the gradients down to global L2 norm max_norm; returns the norm before.
+def clip_gradients(params):
+    """Scale the gradients down to global L2 norm `GRAD_CLIP`; returns the norm before.
 
     The norm is summed in float64, so it is finite exactly when every gradient is.
     """
@@ -142,8 +129,8 @@ def clip_gradients(params, max_norm):
         if p.grad is not None:
             total += float(np.sum(p.grad.astype(np.float64) ** 2))
     norm = float(np.sqrt(total))
-    if norm > max_norm and np.isfinite(norm):
-        scale = max_norm / norm
+    if norm > GRAD_CLIP and np.isfinite(norm):
+        scale = GRAD_CLIP / norm
         for p in params.values():
             if p.grad is not None:
                 p.grad = p.grad * scale
@@ -202,10 +189,10 @@ class Trainer:
         psnr_counts = {}
         conds = []
         for j, i in enumerate(idx):
-            psnr = sample_channel_condition(self.rng, cfg.psnr_pool, cfg.psnr_weights)
+            psnr = sample_channel_condition(self.rng)
             psnr_counts[psnr] = psnr_counts.get(psnr, 0) + 1
             cond = self._condition(self.maps[i], psnr, j)
-            if self.rng.uniform() < cfg.cond_drop_prob:
+            if self.rng.uniform() < COND_DROP_PROB:
                 cond = np.zeros_like(cond)
             conds.append(cond)
         y = np.stack(conds)
@@ -217,7 +204,7 @@ class Trainer:
         loss, comps = total_loss(self.model, x0, y, t, eps, self.sched)
         loss.backward()
 
-        norm = clip_gradients(self.model.params, GRAD_CLIP)
+        norm = clip_gradients(self.model.params)
         if np.isfinite(norm):
             self.opt.step()
             # warm-up, so the shadow leaves the initialization; opt.t counts

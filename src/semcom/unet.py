@@ -44,7 +44,7 @@ GROUPS = 8  # group-norm groups of every normalization
 
 
 class ModelConfigError(ValueError):
-    pass
+    """A config, a weight state or an input that does not fit the model."""
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,7 @@ class TimeEmbed:
     def __call__(self, t):
         t = np.atleast_1d(np.asarray(t))
         if np.any(t < 0):
-            raise ValueError(f"timestep out of range [0, inf): {t}")
+            raise ModelConfigError(f"timestep out of range [0, inf): {t}")
         h = Tensor(sinusoid_embedding(t, self.base_dim))
         h = _dense(h, self.w1, self.b1)
         h = T.silu(h)
@@ -201,7 +201,7 @@ class Spade:
         """a: features [N, C, H, W]; mod: `modulation` of a stack of batch N or 1."""
         scale, beta = mod
         if scale.shape[2:] != a.shape[2:]:
-            raise ValueError(
+            raise ModelConfigError(
                 f"SPADE conditioning resolution {scale.shape[2:]} does not match features {a.shape[2:]}")
         return T.add(T.mul(T.group_norm(a, GROUPS), scale), beta)
 
@@ -362,8 +362,8 @@ class UNet:
         cfg = self.config
         x = Tensor(np.asarray(x_t, dtype=np.float32))
         if x.ndim != 4 or x.shape[1:] != (IMAGE_CHANNELS, cfg.image_size, cfg.image_size):
-            raise ValueError(f"input shape {x.shape} does not match config "
-                             f"[N,{IMAGE_CHANNELS},{cfg.image_size},{cfg.image_size}]")
+            raise ModelConfigError(f"input shape {x.shape} does not match config "
+                                   f"[N,{IMAGE_CHANNELS},{cfg.image_size},{cfg.image_size}]")
         with T.scope("time"):
             temb = self.time(t)
 
@@ -395,8 +395,8 @@ class UNet:
         cfg = self.config
         y = np.asarray(y, dtype=np.float32)
         if y.shape[1:] != (cfg.cond_channels, cfg.image_size, cfg.image_size):
-            raise ValueError(f"conditioning shape {y.shape} does not match "
-                             f"[N or 1,{cfg.cond_channels},{cfg.image_size},{cfg.image_size}]")
+            raise ModelConfigError(f"conditioning shape {y.shape} does not match "
+                                   f"[N or 1,{cfg.cond_channels},{cfg.image_size},{cfg.image_size}]")
         cond = []
         for i, blocks, _ in self.dec:
             y_i = Tensor(np.ascontiguousarray(y[:, :, ::1 << i, ::1 << i]))
@@ -414,7 +414,8 @@ class UNet:
         h, skips, temb = features
         batch = cond[0][0][0].shape[0]  # gamma + 1 of the first SPADE
         if batch not in (1, h.shape[0]):
-            raise ValueError(f"conditioning batch {batch} is neither 1 nor the features' batch {h.shape[0]}")
+            raise ModelConfigError(
+                f"conditioning batch {batch} is neither 1 nor the features' batch {h.shape[0]}")
         mods = iter(cond)
         skip = reversed(skips)
         for i, blocks, up in self.dec:

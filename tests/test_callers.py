@@ -12,6 +12,11 @@ item that gives it a caller; a name that gains a caller must leave `PENDING`.
 Private helpers, `_`-prefixed top-level functions and classes and
 `_`-prefixed methods other than dunders, are held to the same rule with no
 pending list: a helper that a refactor leaves without a caller is deleted.
+
+A setting, a field with a default in a dataclass of `src/semcom`, is used when
+some call of its class in `src/semcom/*.py` or `bench/*.py` passes it, by
+keyword or by position. A setting that only ever takes its default is a
+constant; one waiting for a caller is listed in `PENDING_SETTINGS`.
 """
 import ast
 import pathlib
@@ -31,6 +36,17 @@ PENDING = {
     "checkpoint_every": ITEM_4,
     "MetricsWriter": ITEM_4,
     "psnr_counts": ITEM_4,
+}
+ITEM_5 = "ROADMAP item 5: the receiver's map decision"
+ITEM_8 = "ROADMAP item 8: keep src/ to what the system runs"
+PENDING_SETTINGS = {
+    "FdsConfig.avg_kernel": ITEM_5,
+    "FdsConfig.max_kernel": ITEM_5,
+    "FdsConfig.threshold": ITEM_5,
+    "TrainConfig.learning_rate": ITEM_4,
+    "TrainConfig.ema_decay": ITEM_4,
+    "TrainConfig.checkpoint_every": ITEM_4,
+    "TrainConfig.weight_decay": ITEM_8,
 }
 
 
@@ -87,10 +103,16 @@ def _used_words(tree):
                 yield word, False
 
 
+def _trees():
+    """(sources, trees): the `src/semcom` files, and the parse of each program file."""
+    sources = sorted(SRC.glob("*.py"))
+    return sources, {path: ast.parse(path.read_text())
+                     for path in sources + sorted((ROOT / "bench").glob("*.py"))}
+
+
 def _unused(names_of):
     """Names that `names_of(tree)` defines in `src/semcom` and no code uses."""
-    sources = sorted(SRC.glob("*.py"))
-    trees = {path: ast.parse(path.read_text()) for path in sources + sorted((ROOT / "bench").glob("*.py"))}
+    sources, trees = _trees()
     used, used_as_member = set(), set()
     for tree in trees.values():
         for word, bare in _used_words(tree):
@@ -107,3 +129,42 @@ def test_every_public_name_has_a_caller_or_a_pending_item():
 
 def test_every_private_helper_has_a_caller():
     assert sorted(_unused(_private_names)) == []
+
+
+def _is_dataclass(node):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+               for d in node.decorator_list)
+
+
+def _unpassed_settings():
+    """`Class.field` of each dataclass field with a default that no call passes."""
+    sources, trees = _trees()
+    fields = {}  # class name -> (field names in order, fields with a default)
+    for path in sources:
+        for node in trees[path].body:
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                items = [item for item in node.body
+                         if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+                fields[node.name] = ([item.target.id for item in items],
+                                     [item.target.id for item in items if item.value is not None])
+    passed = {name: set() for name in fields}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name not in fields:
+                continue
+            order = fields[name][0]
+            if any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords):
+                passed[name].update(order)  # *args or **kwargs may pass any field
+            else:
+                passed[name].update(order[:len(node.args)], (k.arg for k in node.keywords))
+    return {f"{name}.{field}" for name, (_, defaults) in fields.items()
+            for field in defaults if field not in passed[name]}
+
+
+def test_every_setting_is_passed_or_pending():
+    """A setting that no program path changes is a module constant, not an option."""
+    assert sorted(_unpassed_settings()) == sorted(PENDING_SETTINGS)

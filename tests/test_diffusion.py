@@ -1,10 +1,9 @@
-import inspect
-
 import numpy as np
 import pytest
 
 from semcom import tensor as T
 from semcom.diffusion import (
+    LAMBDA_KL,
     DiffusionError,
     SamplerConfig,
     SamplingError,
@@ -146,7 +145,14 @@ class TestTotalLoss:
         assert comps["total"] == pytest.approx(0.0, abs=1e-8)
 
     def test_lambda_default_is_0_001(self):
-        assert inspect.signature(total_loss).parameters["lambda_kl"].default == 0.001
+        assert LAMBDA_KL == 0.001
+        sched, x0, y, eps, t = self._setup()
+        rng = np.random.default_rng(4)
+        model = StubModel(lambda x, yy, tt: rng.standard_normal(x.shape).astype(np.float32),
+                          lambda x, yy, tt: rng.uniform(-2, 2, x.shape).astype(np.float32))
+        _, comps = total_loss(model, x0, y, t, eps, sched)
+        assert comps["L_KL"] > 0
+        assert comps["total"] == pytest.approx(comps["L_d"] + 0.001 * comps["L_KL"], rel=1e-6)
 
     def test_components_non_negative(self):
         sched, x0, y, eps, t = self._setup()
@@ -167,7 +173,7 @@ class TestTotalLoss:
             def forward(self, x_t, yy, tt):
                 return T.add(eps_param, 0.0), T.add(var_param, 0.0)
 
-        loss, _ = total_loss(M(), x0, y, t, eps, sched, lambda_kl=1.0)
+        loss, _ = total_loss(M(), x0, y, t, eps, sched)
         loss.backward()
         # the KL mean term is detached: eps gradient comes only from L_d
         sd = Tensor(np.asarray(eps, np.float32))

@@ -66,6 +66,27 @@ class TestFds:
         with pytest.raises(FdsError, match=match):
             naive_threshold(planes, present, 5)
 
+    @pytest.mark.parametrize("receiver", [fds, naive_threshold])
+    def test_repeated_class_ids_rejected(self, receiver):
+        """Planes under a repeated id were written to the same padded plane,
+        so one of them was dropped without a word."""
+        with pytest.raises(FdsError, match="ascending"):
+            receiver(np.ones((2, 4, 4)) * 0.9, (1, 1), 5)
+        with pytest.raises(FdsError, match="ascending"):
+            receiver(np.ones((2, 4, 4)) * 0.9, (3, 1), 5)
+
+    @pytest.mark.parametrize("receiver", [fds, naive_threshold])
+    @pytest.mark.parametrize("shape", [(1, 0, 0), (1, 0, 4), (1, 4, 0)])
+    def test_planes_without_pixels_rejected(self, receiver, shape):
+        """fds raised numpy's ValueError from T.pool2d here."""
+        with pytest.raises(FdsError, match="with pixels"):
+            receiver(np.zeros(shape), (0,), 5)
+
+    def test_pooling_without_pixels_rejected(self):
+        """numpy's ValueError from T.pool2d's edge padding came out here."""
+        with pytest.raises(FdsError, match="with pixels"):
+            pooled_planes(np.zeros((1, 0, 0)), FdsConfig())
+
     def test_shape_preserved_for_any_kernels(self):
         rng = np.random.default_rng(0)
         planes = rng.uniform(size=(3, 11, 7))
@@ -116,7 +137,7 @@ class TestFdsBeatsNaive:
         return stack, raw_planes, descaled
 
     def test_agreement_beats_naive_thresholding(self):
-        from semcom.data import ShapesSpec, generate_shapes
+        from semcom.data import NUM_CLASSES, ShapesSpec, generate_shapes
 
         spec = ShapesSpec(seed=99)
         pairs = generate_shapes(spec, 30)
@@ -124,10 +145,10 @@ class TestFdsBeatsNaive:
         for psnr in (1.0, 5.0, 10.0):
             gains = []
             for i, (_, cmap) in enumerate(pairs):
-                stack, raw, descaled = self._received(cmap, spec.num_classes, psnr, seed=1000 + i)
+                stack, raw, descaled = self._received(cmap, NUM_CLASSES, psnr, seed=1000 + i)
                 clean = pad_stack(stack)
-                denoised = fds(descaled, stack.present_classes, spec.num_classes)
-                naive = naive_threshold(raw, stack.present_classes, spec.num_classes)
+                denoised = fds(descaled, stack.present_classes, NUM_CLASSES)
+                naive = naive_threshold(raw, stack.present_classes, NUM_CLASSES)
                 gains.append(stack_agreement(denoised, clean) - stack_agreement(naive, clean))
             margins[psnr] = float(np.mean(gains))
             assert margins[psnr] > 0, f"FDS does not beat naive at PSNR {psnr}"
@@ -139,3 +160,11 @@ def test_stack_agreement_counts_full_pixel_vectors():
     b = a.copy()
     b[0, 0, 0] = 1
     assert stack_agreement(a, b) == pytest.approx(0.75)
+
+
+@pytest.mark.parametrize("shape", [(5, 0, 0), (5, 4, 0), (4, 4)])
+def test_stack_agreement_refuses_stacks_without_pixels(shape):
+    """Two (5, 0, 0) stacks gave NaN with numpy's "Mean of empty slice" warning."""
+    a = np.zeros(shape, np.uint8)
+    with pytest.raises(FdsError, match="with pixels"):
+        stack_agreement(a, a.copy())

@@ -98,7 +98,7 @@ class TestTimeEmbed:
 
     def test_out_of_range_rejected(self):
         te = TimeEmbed(_store(), 16, 32)
-        with pytest.raises(ValueError, match="range"):
+        with pytest.raises(ModelConfigError, match="range"):
             te(np.array([-1]))
 
 
@@ -221,7 +221,7 @@ class TestSpade:
 
     def test_resolution_mismatch_rejected(self):
         sp = self._spade(seed=22)
-        with pytest.raises(ValueError, match="resolution"):
+        with pytest.raises(ModelConfigError, match="resolution"):
             sp(Tensor(np.zeros((1, 8, 4, 4), np.float32)),
                sp.modulation(Tensor(np.zeros((1, 4, 8, 8), np.float32))))
 
@@ -304,13 +304,13 @@ class TestUNet:
     def test_bad_input_shapes_rejected(self):
         model = UNet(TOY, seed=8)
         x, y, t = self._inputs()
-        with pytest.raises(ValueError, match="conditioning"):
+        with pytest.raises(ModelConfigError, match="conditioning shape"):
             model.forward(x, y[:, :2], t)
-        with pytest.raises(ValueError, match="input shape"):
+        with pytest.raises(ModelConfigError, match="input shape"):
             model.forward(x[:, :1], y, t)
-        with pytest.raises(ValueError, match="input shape"):
+        with pytest.raises(ModelConfigError, match="input shape"):
             model.forward(x[..., :TOY.image_size // 2], y, t)  # width checked too
-        with pytest.raises(ValueError, match="conditioning"):
+        with pytest.raises(ModelConfigError, match="conditioning batch"):
             model.forward(x, y[:1].repeat(3, axis=0), t)  # neither batch 1 nor N
 
     def test_batch1_stack_decodes_like_repeated_stack(self):

@@ -46,7 +46,8 @@ def noise_for_indices(seed, count, sigma):
     scaled by sigma: a pure function of the seed, and the noise of index i
     does not depend on `count`.
     """
-    return sigma * np.random.Generator(np.random.Philox(key=np.uint64(seed))).standard_normal(count)
+    noise = np.random.Generator(np.random.Philox(key=np.uint64(seed))).standard_normal(count)
+    return np.multiply(noise, sigma, out=noise)
 
 
 def transmit(frame, cfg):
@@ -61,7 +62,8 @@ def transmit(frame, cfg):
         raise ChannelError(f"frame mean-square power {ms:.9g} is not 1")
     if cfg.sigma == 0.0:
         return symbols.copy()
-    return symbols + noise_for_indices(cfg.seed, symbols.size, cfg.sigma)
+    noise = noise_for_indices(cfg.seed, symbols.size, cfg.sigma)
+    return np.add(symbols, noise, out=noise)
 
 
 def transmit_image(rgb, cfg):

@@ -14,6 +14,10 @@ Wire format (all integers big-endian):
     u16[]  present class ids (C_p entries, ascending)
     body   per plane: varint run lengths, row-major scan, first run counts
            zeros, terminated by a zero-length sentinel varint
+
+The decoder works in array passes over the whole body, with temporaries linear
+in its length: only a plane's first run may be 0, so a 0 after a nonzero run is
+a sentinel and any other 0 must open a plane.
 """
 from __future__ import annotations
 
@@ -136,7 +140,7 @@ def one_hot_encode(class_map, c_total):
     if lo < 0 or hi >= c_total:
         raise CodecError(f"class id {lo if lo < 0 else hi} out of range [0, {c_total})")
     present = tuple(np.flatnonzero(np.bincount(cmap.ravel(), minlength=c_total)).tolist())
-    planes = np.stack([(cmap == c) for c in present]).astype(np.uint8)
+    planes = (cmap == np.array(present, dtype=cmap.dtype)[:, None, None]).view(np.uint8)
     return OneHotStack(present, planes, int(c_total))
 
 
@@ -184,44 +188,42 @@ def _varints(values):
     return groups[col < count[:, None]].astype(np.uint8).tobytes()
 
 
-def _read_varint(buf, pos):
-    shift = 0
-    value = 0
-    while True:
-        if pos >= len(buf):
-            raise FormatError("truncated varint in payload body")
-        b = buf[pos]
-        pos += 1
-        value |= (b & 0x7F) << shift
-        if not b & 0x80:
-            return value, pos
-        shift += 7
-        if shift > 63:
-            raise FormatError("oversized varint in payload body")
-
-
 def encode_plane(plane):
     """Varint run list for one plane, terminated by a zero-length sentinel."""
     return _varints(plane_runs(plane) + [0])
 
 
-def decode_plane(buf, pos, height, width):
-    n = height * width
-    runs = []
-    total = 0
-    while True:
-        r, pos = _read_varint(buf, pos)
-        if r == 0 and runs:
-            break
-        runs.append(r)
-        total += r
-        if total > n:
-            raise FormatError("plane runs exceed plane size")
-    if total != n:
-        raise FormatError(f"plane runs cover {total} of {n} pixels")
-    values = np.resize(np.array([0, 1], dtype=np.uint8), len(runs))
-    plane = np.repeat(values, runs).reshape(height, width)
-    return plane, pos
+def _decode_planes(body, count, pixels):
+    """`count` flat planes of `pixels` values from a payload body, or FormatError."""
+    buf = np.frombuffer(body, dtype=np.uint8)
+    ends = np.flatnonzero(buf < 0x80)  # the last byte of each varint
+    if not ends.size or ends[-1] != buf.size - 1:
+        raise FormatError("truncated varint in payload body")
+    size = np.diff(ends, prepend=-1)
+    if size.max() > 10:
+        raise FormatError("oversized varint in payload body")
+    # the byte j places before a varint's end holds group k = size - 1 - j, of weight 2^(7k);
+    # capping k at 4 keeps values up to 2^28 > MAX_PIXELS exact and larger ones above it
+    size = size.astype(np.uint8)
+    values = buf[ends].astype(np.int64) << 7 * np.minimum(size - 1, 4)
+    for j in range(1, size.max()):
+        has = np.flatnonzero(size > j)
+        values[has] += (buf[ends[has] - j] & 0x7F).astype(np.int64) << 7 * np.minimum(size[has] - 1 - j, 4)
+    if values.max() > pixels:
+        raise FormatError("plane runs exceed plane size")
+    zero = np.concatenate(([True], values == 0))  # a 0 before the body: the body opens a plane
+    last = np.flatnonzero(zero[1:] & ~zero[:-1])  # a 0 after a nonzero run ends a plane
+    if last.size != count or last[-1] != values.size - 1:
+        raise FormatError(f"body does not end {count} planes at its last byte ({last.size} ends)")
+    if (zero[2:] & zero[1:-1] & zero[:-2]).any():  # a 0 after a 0 that opened a plane
+        raise FormatError("zero-length run after the first run of a plane")
+    # a sentinel repeats nothing and adds 0, so planes are cut from `values` as they are
+    first = np.concatenate(([0], last[:-1] + 1))
+    if (np.add.reduceat(values, first) != pixels).any():
+        raise FormatError(f"plane runs do not cover the {pixels} pixels of a plane")
+    parity = np.tile(np.array([0, 1], dtype=np.uint8), values.size // 2 + 1)[:values.size]
+    parity ^= np.repeat((first & 1).astype(np.uint8), np.diff(first, append=values.size))
+    return np.repeat(parity, values)  # a run's value is its index in its plane, mod 2
 
 
 def rle_pack(stack):
@@ -250,14 +252,9 @@ def rle_unpack(raw):
     if len(payload.present_classes) * pixels > MAX_STACK_BYTES:
         raise FormatError(f"{len(payload.present_classes)} planes of {payload.height}x{payload.width} "
                           f"exceed the {MAX_STACK_BYTES}-byte stack bound")
-    planes = []
-    pos = 0
-    for _ in payload.present_classes:
-        plane, pos = decode_plane(payload.body, pos, payload.height, payload.width)
-        planes.append(plane)
-    if pos != len(payload.body):
-        raise FormatError(f"{len(payload.body) - pos} trailing bytes after last plane")
-    return OneHotStack(payload.present_classes, np.stack(planes), payload.c_total)
+    planes = _decode_planes(payload.body, len(payload.present_classes), pixels)
+    return OneHotStack(payload.present_classes, planes.reshape(-1, payload.height, payload.width),
+                       payload.c_total)
 
 
 # -- power normalization -----------------------------------------------------------
@@ -267,10 +264,9 @@ def power_normalize(stack):
     if not stack.planes.size:
         raise DegenerateInputError(f"cannot power-normalize a {stack.height}x{stack.width} stack "
                                    "with no pixels")
-    flat = stack.planes.reshape(-1).astype(np.float64)
-    ms = float(np.mean(flat * flat))
+    ms = stack.height * stack.width / stack.planes.size  # partitioning 0/1 planes: H * W ones
     scale = float(np.sqrt(1.0 / ms))
-    return ChannelFrame(flat * scale, scale)
+    return ChannelFrame(np.multiply(stack.planes, scale, dtype=np.float64).reshape(-1), scale)
 
 
 def inverse_normalize(symbols, scale):

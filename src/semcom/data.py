@@ -98,6 +98,8 @@ def recover_map(image, palette):
     if not (img.min() >= 0.0 and img.max() <= 1.0):  # NaN fails both
         raise DataError("image values must lie in [0, 1]")
     pal = np.asarray(palette, dtype=np.float64)
+    if pal.ndim != 2 or pal.shape[1] != 3 or not pal.size or not np.isfinite(pal).all():
+        raise DataError(f"palette must be a finite K x 3 array with K >= 1, got shape {pal.shape}")
     d2 = np.sum((img[None, ...] - pal[:, :, None, None]) ** 2, axis=1)
     return np.argmin(d2, axis=0).astype(np.int32)  # argmin takes the first (lower) id
 

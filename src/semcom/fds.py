@@ -1,11 +1,12 @@
 """Receiver-side fast denoising of corrupted one-hot maps.
 
-The present-class planes go through average pooling (kills noise spikes),
-max pooling (restores the 1-regions), and a binarization threshold; absent
-classes come back as exact zero planes. The max stage dilates class regions
-by up to one kernel radius; that artifact is documented, not corrected.
-Inputs are the de-normalized plane values (the power scale is undone by the
-caller using the out-of-band header before denoising).
+The paper's denoiser average pools the present-class planes (kills noise
+spikes), max pools them (restores the 1-regions) and thresholds; absent
+classes come back as exact zero planes. A window's max exceeds the threshold
+exactly when one of its values does, so for finite planes thresholding the
+average pool, then dilating the mask over each max-kernel window, gives the
+same bits. The dilation grows class regions by up to one kernel radius (not
+corrected). Inputs are the planes with the power scale undone.
 """
 from __future__ import annotations
 
@@ -47,26 +48,24 @@ def _checked_planes(planes, present_classes, c_total):
     planes = np.asarray(planes, dtype=np.float64)
     present = list(present_classes)
     if planes.ndim != 3 or planes.shape[0] != len(present):
-        raise FdsError(
-            f"{planes.shape[0] if planes.ndim == 3 else '?'} planes do not match "
-            f"header with {len(present)} classes")
-    if any(c < 0 or c >= c_total for c in present):
-        raise FdsError(f"header class ids {present} out of range [0, {c_total})")
+        raise FdsError(f"{planes.shape[0] if planes.ndim == 3 else '?'} planes do not match "
+                       f"header with {len(present)} classes")
+    if not all(isinstance(c, (int, np.integer)) and 0 <= c < c_total for c in present):
+        raise FdsError(f"header class ids {present} out of range [0, {c_total}) or not integers")
     if any(a >= b for a, b in zip(present, present[1:])):  # a repeated id would drop a plane
         raise FdsError(f"header class ids {present} must be strictly ascending")
     _require_pixels(planes, "planes")
+    if not (np.isfinite(planes.max()) and np.isfinite(planes.min())):  # NaN fails too
+        raise FdsError("planes must be finite")
     return planes
 
 
 def pooled_planes(noisy_planes, cfg):
-    """MaxPool(AvgPool(planes)) with stride 1, edge-replicate padding."""
+    """AvgPool(planes) with stride 1, edge-replicate padding."""
     planes = np.asarray(noisy_planes, dtype=np.float64)
     _require_pixels(planes, "planes")
     with T.no_grad():
-        x = T.Tensor(planes[None, ...])
-        x = T.pool2d(x, "avg", cfg.avg_kernel)
-        x = T.pool2d(x, "max", cfg.max_kernel)
-    return x.data[0]
+        return T.pool2d(T.Tensor(planes[None, ...]), cfg.avg_kernel).data[0]
 
 
 def fds(noisy_planes, present_classes, c_total, cfg=FdsConfig()):
@@ -76,15 +75,20 @@ def fds(noisy_planes, present_classes, c_total, cfg=FdsConfig()):
     preserved for any kernel setting.
     """
     planes = _checked_planes(noisy_planes, present_classes, c_total)
-    pooled = pooled_planes(planes, cfg)
-    bits = (pooled > cfg.threshold).astype(np.uint8)
-    return codec.pad_planes(bits, present_classes, c_total)
+    bits = pooled_planes(planes, cfg) > cfg.threshold
+    for axis in (1, 2):  # max-kernel dilation: OR of shifted copies, rows then columns
+        src, bits = np.moveaxis(bits, axis, 0), bits.copy()
+        dst = np.moveaxis(bits, axis, 0)
+        for s in range(1, cfg.max_kernel // 2 + 1):
+            np.logical_or(dst[s:], src[:-s], out=dst[s:])
+            np.logical_or(dst[:-s], src[s:], out=dst[:-s])
+    return codec.pad_planes(bits.view(np.uint8), present_classes, c_total)
 
 
 def naive_threshold(raw_planes, present_classes, c_total):
     """Baseline receiver: 0.5-threshold the raw planes, no pooling, no rescale."""
     planes = _checked_planes(raw_planes, present_classes, c_total)
-    bits = (planes > 0.5).astype(np.uint8)
+    bits = (planes > 0.5).view(np.uint8)
     return codec.pad_planes(bits, present_classes, c_total)
 
 

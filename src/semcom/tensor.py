@@ -8,15 +8,15 @@ each with one way to call it:
   operands of equal rank where one operand's every axis is 1 or the other's
   extent. The result has the larger operand's shape; two operands that would
   each broadcast along some axis are refused.
-- conv2d (zero padding, optional stride) and pool2d (edge padding, stride 1)
-  pad "same" and take odd kernels only. Both treat each padded plane as flat,
-  so that one kernel tap of every window is one contiguous slice: pool2d in
-  its forward, conv2d in the col2im of its input gradient.
+- conv2d (zero padding, optional stride) and pool2d (a window mean, edge
+  padding, stride 1) pad "same", take odd kernels only and treat each padded
+  plane as flat, so that one kernel tap of every window is one contiguous
+  slice: pool2d in its forward, conv2d in the col2im of its input gradient.
 - attention(f, g, v) is the whole softmax attention of [N, heads, d, S]
   operands in one op, computed one (sample, head) block of S x S weights at
   a time; there is no separate softmax or transpose.
-- Avg/max pooling (the receiver's map denoiser) is forward only and refuses
-  an input that would need a gradient.
+- Average pooling (the first stage of the receiver's map denoiser) is
+  forward only and refuses an input that would need a gradient.
 
 A tracked Tensor is a value (.data) plus a graph node. The node holds the
 gradient slot, the gradient rule and the nodes of the parents; each rule
@@ -677,15 +677,13 @@ def _pairwise_sum(terms):
     return acc
 
 
-def pool2d(x, kind, kernel):
-    """Window-wise mean or max at stride 1; forward only.
+def pool2d(x, kernel):
+    """Window-wise mean at stride 1; forward only.
 
-    "same" padding replicates edges (keeps binary maps binary). Both reduce
-    the kernel*kernel shifted slices of the padded input; the mean adds them
-    in numpy's pairwise order, so it equals a `mean` over each window.
+    "same" padding replicates edges (a constant plane pools to itself). The
+    kernel*kernel shifted slices of the padded input are added in numpy's
+    pairwise order, so the result equals a `mean` over each window.
     """
-    if kind not in ("avg", "max"):
-        raise TensorError(f"pool2d: kind must be 'avg' or 'max', got {kind!r}")
     if x.ndim != 4:
         raise TensorError(f"pool2d: need 4-d input, got {x.shape}")
     if kernel < 1:
@@ -713,9 +711,7 @@ def pool2d(x, kind, kernel):
             xp[p:p + h, p + w:] = src[:, -1:]
             xp[:p] = xp[p]
             xp[p + h:] = xp[p + h - 1]
-        acc = _pairwise_sum(terms) if kind == "avg" else functools.reduce(np.maximum, terms)
-        win = acc.reshape(hp, wp)[:h, :w]
-        dst[...] = win / (kernel * kernel) if kind == "avg" else win
+        dst[...] = _pairwise_sum(terms).reshape(hp, wp)[:h, :w] / (kernel * kernel)
     return _make(data, (), "pool2d")
 
 

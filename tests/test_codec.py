@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,6 +184,22 @@ class TestPowerNormalize:
         planes = inverse_normalize(frame.symbols, frame.scale).reshape(stack.planes.shape)
         assert np.max(np.abs(planes - stack.planes)) < 1e-9
 
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (32, 32), (128, 128)])
+    def test_closed_form_equals_mean_square_form(self, shape):
+        """The scale and symbols equal those of the mean(flat * flat) pass, bit for bit."""
+        rng = np.random.default_rng(shape[0])
+        pixels = shape[0] * shape[1]
+        for c_p in range(1, min(8, pixels) + 1):
+            cmap = rng.permutation(np.concatenate([np.arange(c_p), rng.integers(0, c_p, pixels - c_p)]))
+            stack = one_hot_encode(cmap.reshape(shape), c_total=8)
+            assert len(stack.present_classes) == c_p
+            flat = stack.planes.reshape(-1).astype(np.float64)
+            scale = float(np.sqrt(1.0 / float(np.mean(flat * flat))))
+            frame = power_normalize(stack)
+            assert frame.scale == scale
+            assert frame.symbols.dtype == np.float64
+            assert np.array_equal(frame.symbols, flat * scale)
+
     def test_all_zero_rejected(self):
         with pytest.raises(DegenerateInputError):
             power_normalize(OneHotStack((), np.zeros((0, 0, 3), np.uint8), 3))
@@ -248,9 +265,7 @@ class TestVarintRuns:
         body = codec.encode_plane(plane)
         assert body == b"".join(_varint(r) for r in runs + [0])
         assert [len(_varint(r)) for r in runs] == [1, 1, 2, 2, 3, 4]
-        back, pos = codec.decode_plane(body, 0, *plane.shape)
-        assert pos == len(body)
-        assert np.array_equal(back, plane)
+        assert np.array_equal(codec._decode_planes(body, 1, plane.size), plane.reshape(-1))
 
     def test_runs_around_the_one_and_two_byte_limits(self):
         runs = list(range(1, 300)) + list(range(16370, 16400))
@@ -296,7 +311,7 @@ class TestDecodeBounds:
         def no_decode(*args):
             raise AssertionError("a plane was decoded")
 
-        monkeypatch.setattr(codec, "decode_plane", no_decode)
+        monkeypatch.setattr(codec, "_decode_planes", no_decode)
         with pytest.raises(FormatError, match="stack bound"):
             rle_unpack(raw)
 
@@ -308,6 +323,20 @@ class TestDecodeBounds:
         monkeypatch.setattr(codec, "MAX_STACK_BYTES", 3 * 20 - 1)
         with pytest.raises(FormatError, match="stack bound"):
             rle_unpack(raw)
+
+    def test_decoding_memory_is_linear_in_the_body(self):
+        """A checkerboard is one run per pixel. Decoding it holds at most 32 bytes
+        per body byte at any one time, the decoded stack included; int64
+        arrays indexed by body byte would take about 60."""
+        cmap = np.indices((256, 256)).sum(axis=0) % 2
+        raw = rle_pack(one_hot_encode(cmap, 2)).to_bytes()
+        tracemalloc.start()
+        try:
+            rle_unpack(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * len(raw)
 
     def test_empty_map_rejected(self):
         for height, width, ids in [(0, 7, ()), (7, 0, ()), (0, 0, (1,))]:
@@ -328,23 +357,161 @@ class TestDecodeFuzz:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_mutated_payloads_raise_only_codec_errors(self, data):
-        h = data.draw(st.integers(1, 8), label="height")
-        w = data.draw(st.integers(1, 8), label="width")
-        ids = data.draw(st.lists(st.integers(0, 3), min_size=h * w, max_size=h * w), label="map")
-        raw = bytearray(rle_pack(one_hot_encode(np.array(ids).reshape(h, w), 4)).to_bytes())
-        for _ in range(data.draw(st.integers(1, 4), label="mutations")):
-            at = data.draw(st.integers(0, len(raw)), label="at")
-            op = data.draw(st.sampled_from(["set", "insert", "delete", "truncate"]), label="op")
-            byte = data.draw(st.integers(0, 255), label="byte")
-            if op == "set" and at < len(raw):
-                raw[at] = byte
-            elif op == "insert":
-                raw.insert(at, byte)
-            elif op == "delete" and at < len(raw):
-                del raw[at]
-            elif op == "truncate":
-                del raw[at:]
         try:
-            rle_unpack(bytes(raw))
+            rle_unpack(_mutated_payload(data))
         except CodecError:
             pass
+
+
+def _valid_payload(data):
+    h = data.draw(st.integers(1, 8), label="height")
+    w = data.draw(st.integers(1, 8), label="width")
+    ids = data.draw(st.lists(st.integers(0, 3), min_size=h * w, max_size=h * w), label="map")
+    return rle_pack(one_hot_encode(np.array(ids).reshape(h, w), 4)).to_bytes()
+
+
+def _mutated_payload(data):
+    raw = bytearray(_valid_payload(data))
+    for _ in range(data.draw(st.integers(1, 4), label="mutations")):
+        at = data.draw(st.integers(0, len(raw)), label="at")
+        op = data.draw(st.sampled_from(["set", "insert", "delete", "truncate"]), label="op")
+        byte = data.draw(st.integers(0, 255), label="byte")
+        if op == "set" and at < len(raw):
+            raw[at] = byte
+        elif op == "insert":
+            raw.insert(at, byte)
+        elif op == "delete" and at < len(raw):
+            del raw[at]
+        elif op == "truncate":
+            del raw[at:]
+    return bytes(raw)
+
+
+# -- the former per-byte decoder, kept as the reference for rle_unpack ---------------
+
+def _oracle_read_varint(buf, pos):
+    shift = 0
+    value = 0
+    while True:
+        if pos >= len(buf):
+            raise FormatError("truncated varint in payload body")
+        b = buf[pos]
+        pos += 1
+        value |= (b & 0x7F) << shift
+        if not b & 0x80:
+            return value, pos
+        shift += 7
+        if shift > 63:
+            raise FormatError("oversized varint in payload body")
+
+
+def _oracle_decode_plane(buf, pos, height, width):
+    n = height * width
+    runs = []
+    total = 0
+    while True:
+        r, pos = _oracle_read_varint(buf, pos)
+        if r == 0 and runs:
+            break
+        runs.append(r)
+        total += r
+        if total > n:
+            raise FormatError("plane runs exceed plane size")
+    if total != n:
+        raise FormatError(f"plane runs cover {total} of {n} pixels")
+    values = np.resize(np.array([0, 1], dtype=np.uint8), len(runs))
+    plane = np.repeat(values, runs).reshape(height, width)
+    return plane, pos
+
+
+def _oracle_unpack(raw):
+    payload = TransmitPayload.from_bytes(raw)
+    pixels = payload.height * payload.width
+    if not pixels:
+        raise FormatError(f"{payload.height}x{payload.width} map has no pixels")
+    if pixels > codec.MAX_PIXELS:
+        raise FormatError(f"{payload.height}x{payload.width} map exceeds {codec.MAX_PIXELS} pixels")
+    if not payload.present_classes:
+        raise FormatError("no class planes for a non-empty map")
+    if len(payload.present_classes) * pixels > codec.MAX_STACK_BYTES:
+        raise FormatError("stack bound")
+    planes = []
+    pos = 0
+    for _ in payload.present_classes:
+        plane, pos = _oracle_decode_plane(payload.body, pos, payload.height, payload.width)
+        planes.append(plane)
+    if pos != len(payload.body):
+        raise FormatError(f"{len(payload.body) - pos} trailing bytes after last plane")
+    return OneHotStack(payload.present_classes, np.stack(planes), payload.c_total)
+
+
+def _outcome(decode, raw):
+    """The decoded stack's fields, or the class of the CodecError raised."""
+    try:
+        stack = decode(raw)
+    except CodecError as err:
+        return type(err)
+    return stack.present_classes, stack.c_total, stack.planes.shape, stack.planes.tobytes()
+
+
+class TestDecoderMatchesPerByteOracle:
+    """rle_unpack and the former per-byte decoder accept the same byte strings
+    with the same planes, and refuse the same ones with the same error class."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_valid_payloads(self, data):
+        raw = _valid_payload(data)
+        assert _outcome(rle_unpack, raw) == _outcome(_oracle_unpack, raw)
+        assert isinstance(_outcome(rle_unpack, raw), tuple)
+
+    @given(st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_mutated_payloads(self, data):
+        raw = _mutated_payload(data)
+        assert _outcome(rle_unpack, raw) == _outcome(_oracle_unpack, raw)
+
+    @pytest.mark.parametrize("planes, body, accepted", [
+        (1, b"\x00\x04\x00", True),
+        (2, b"\x00\x02\x02\x00\x02\x02\x00", True),
+        (1, b"\x01\x00\x03\x00", False),
+        (1, b"\x00\x00\x04\x00", False),
+        (1, b"\x00\x84" + b"\x80" * 8 + b"\x00\x00", True),
+        (1, b"\x00\x04" + b"\x80" * 9 + b"\x00", True),
+        (1, b"\x80" * 9 + b"\x00\x04\x00", True),
+        (1, b"\x00\x84" + b"\x80" * 9 + b"\x00\x00", False),
+        (1, b"\x00" + b"\x80" * 9 + b"\x7f\x00", False),
+        (1, b"\x00" + b"\x80" * 4 + b"\x81\x00", False),
+        (1, b"\x00\x05\x00", False),
+        (1, b"\x03\x03\x00", False),
+        (1, b"\x00\x03\x00", False),
+        (1, b"\x00\x04\x00\x00", False),
+        (1, b"\x00\x04\x00\x01", False),
+        (1, b"\x00\x04\x00\x80", False),
+        (1, b"\x00\x04", False),
+        (1, b"\x00\x04\x80", False),
+        (1, b"", False),
+    ], ids=["leading-zero-run", "two-planes-one-leading-zero", "zero-run-mid-plane",
+            "zero-runs-only", "run-padded-to-10-bytes", "sentinel-padded-to-10-bytes",
+            "leading-zero-padded-to-10-bytes", "11-byte-varint", "10th-byte-value-bits",
+            "run-of-2^28", "run-overshoots", "runs-overshoot", "runs-fall-short",
+            "trailing-zero", "trailing-run", "trailing-truncated-varint", "no-sentinel",
+            "truncated-sentinel", "no-body"])
+    def test_hand_written_bodies(self, planes, body, accepted):
+        """Bodies of 1 x 4 planes under class ids 0 (and 1)."""
+        raw = _header(1, 4, 4, tuple(range(planes))) + body
+        new, old = _outcome(rle_unpack, raw), _outcome(_oracle_unpack, raw)
+        assert new == old
+        assert isinstance(new, tuple) == accepted
+
+    @pytest.mark.parametrize("run, accepted", [(b"\x80\x80\x80\x01", True),
+                                               (b"\x80\x80\x80\x80\x01", False),
+                                               (b"\x80\x80\x80\x81\x80\x00", True)],
+                             ids=["2^21", "2^28", "2^21-padded"])
+    def test_runs_of_a_large_plane(self, run, accepted):
+        """A 2048 x 1024 plane is one run of 2^21 ones; the fifth group of a
+        varint always makes a run longer than any plane."""
+        raw = _header(2048, 1024, 4, (2,)) + b"\x00" + run + b"\x00"
+        new, old = _outcome(rle_unpack, raw), _outcome(_oracle_unpack, raw)
+        assert new == old
+        assert isinstance(new, tuple) == accepted

@@ -114,6 +114,17 @@ class TestRecoverMap:
         with pytest.raises(DataError, match="with pixels"):
             recover_map(np.zeros((3, 0, 4)), np.array([[0.2, 0.2, 0.2], [0.8, 0.8, 0.8]]))
 
+    @pytest.mark.parametrize("palette", [np.zeros((0, 3)), np.zeros((4, 2)), np.zeros(3),
+                                         np.zeros((2, 3, 1)), [[0.2, 0.2, np.nan]],
+                                         [[0.2, 0.2, 0.2], [np.inf, 0.8, 0.8]]],
+                             ids=["empty", "two-channel", "1-d", "3-d", "nan", "inf"])
+    def test_bad_palette_rejected(self, palette):
+        """An empty palette raised numpy's argmin ValueError, a [4, 2] one a
+        broadcast ValueError, a 1-d one an IndexError; a 3-d one gave a map of
+        the wrong shape, and non-finite colors were taken as given."""
+        with pytest.raises(DataError, match="palette"):
+            recover_map(np.full((3, 2, 2), 0.5), palette)
+
 
 class TestMiou:
     def test_identical_maps(self):

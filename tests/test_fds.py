@@ -76,6 +76,38 @@ class TestFds:
             receiver(np.ones((2, 4, 4)) * 0.9, (3, 1), 5)
 
     @pytest.mark.parametrize("receiver", [fds, naive_threshold])
+    @pytest.mark.parametrize("present", [(1.5,), (2.0,), ("1",)], ids=["fraction", "float", "str"])
+    def test_non_integer_class_ids_rejected(self, receiver, present):
+        """A float id raised numpy's bare IndexError from codec.pad_planes, and
+        a string id a TypeError from the range check."""
+        with pytest.raises(FdsError, match="not integers"):
+            receiver(np.ones((1, 4, 4)), present, 5)
+
+    @pytest.mark.parametrize("receiver", [fds, naive_threshold])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_planes_rejected(self, receiver, bad):
+        """fds raised NonFiniteError from T.pool2d, and naive_threshold read NaN as 0."""
+        planes = np.full((2, 4, 4), 0.9)
+        planes[1, 2, 3] = bad
+        with pytest.raises(FdsError, match="finite"):
+            receiver(planes, (0, 3), 5)
+
+    @pytest.mark.parametrize("avg", [1, 3, 5])
+    @pytest.mark.parametrize("mx", [1, 3, 5])
+    @pytest.mark.parametrize("threshold", [0.7, 0.8, 0.95])
+    def test_equals_max_pool_of_average_pool_then_threshold(self, avg, mx, threshold):
+        """Thresholding before the dilation gives the bits of the paper's order:
+        average pool, max pool, threshold."""
+        rng = np.random.default_rng(avg * 100 + mx * 10 + int(threshold * 100))
+        cmap = rng.integers(0, 3, size=(3, 4)).repeat(4, axis=0).repeat(3, axis=1)[:11, :9]
+        stack = one_hot_encode(cmap, 4)
+        noisy = stack.planes + rng.normal(scale=0.4, size=stack.planes.shape)
+        out = fds(noisy, stack.present_classes, 4, FdsConfig(avg, mx, threshold))
+        for plane, c in zip(noisy, stack.present_classes):
+            oracle = _pool_oracle(_pool_oracle(plane, "avg", avg), "max", mx) > threshold
+            assert np.array_equal(out[c], oracle.astype(np.uint8))
+
+    @pytest.mark.parametrize("receiver", [fds, naive_threshold])
     @pytest.mark.parametrize("shape", [(1, 0, 0), (1, 0, 4), (1, 4, 0)])
     def test_planes_without_pixels_rejected(self, receiver, shape):
         """fds raised numpy's ValueError from T.pool2d here."""

@@ -53,6 +53,30 @@ def test_bench_tracer_wraps_and_restores_every_name(monkeypatch):
         assert vars(owner)[attr] is original, f"{owner.__name__}.{attr} not restored"
 
 
+def test_bench_tracer_sees_every_link_layer(monkeypatch):
+    """One 32 x 32 link sweep under the benchmark's tracer opens a span in each
+    receiver layer, so that a restructure cannot leave a traced layer at zero."""
+    monkeypatch.syspath_prepend(str(PYPROJECT.parent / "bench"))
+    spans = importlib.import_module("spans")
+    from semcom import codec, data, link
+    from semcom.channel import ChannelConfig
+    from semcom.fds import FdsConfig
+
+    _, cmap = data.generate_shapes(data.ShapesSpec(canvas=32, seed=5), 1)[0]
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        codec.rle_unpack(codec.rle_pack(codec.one_hot_encode(cmap, data.NUM_CLASSES)).to_bytes())
+        for psnr in (1.0, 10.0, 100.0):
+            received = link.transmit_map(cmap, data.NUM_CLASSES, ChannelConfig(psnr, seed=int(psnr)))
+            link.receiver_condition(received, data.NUM_CLASSES, FdsConfig())
+    finally:
+        tracer.uninstall()
+    calls = {name: tracer.names.count(name) for name in
+             ("tensor.pool2d", "fds.pooled_planes", "codec.rle_unpack", "codec.power_normalize")}
+    assert all(calls.values()), calls
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the allocator policy is glibc's")
 def test_steady_link_sweep_faults_no_pages_in():
     """With the package's malloc policy, a map swept across the channel reuses freed heap.

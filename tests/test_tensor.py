@@ -7,6 +7,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from semcom import tensor as T
+from semcom.fds import FdsConfig, fds
 from semcom.tensor import NonFiniteError, Tensor, TensorError
 
 from gradcases import build_cases, gradcheck, run_suite
@@ -229,17 +230,32 @@ class TestGroupNorm:
         assert np.max(np.abs(out.var(axis=-1) - 1.0)) < 1e-4
 
 
+def _dilated(x, kernel, threshold=0.5):
+    """The max stage of the receiver's denoiser on a C x H x W stack: with no
+    average pooling, fds thresholds the planes and ORs each kernel x kernel
+    window (edge-replicate padding), which is the threshold of a max pool."""
+    c = x.shape[0]
+    cfg = FdsConfig(avg_kernel=1, max_kernel=kernel, threshold=threshold)
+    return fds(x, range(c), c, cfg)
+
+
 class TestPool2d:
+    """Average pooling. The max-pool cases check the receiver's dilation,
+    which stands in for a max pool followed by a threshold, against the
+    thresholded max-pool oracles."""
+
     def test_constant_preserved(self):
         x = Tensor(np.full((1, 1, 5, 5), 3.25))
-        for kind in ("avg", "max"):
-            out = T.pool2d(x, kind, 3)
-            assert np.array_equal(out.data, x.data)
+        out = T.pool2d(x, 3)
+        assert np.array_equal(out.data, x.data)
+        for value in (0.25, 0.75):
+            plane = np.full((1, 5, 5), value)
+            assert np.array_equal(_dilated(plane, 3), plane > 0.5)
 
     def test_avg_spike_spread_matches_enumeration(self):
         plane = np.zeros((5, 5))
         plane[2, 2] = 1.0
-        out = T.pool2d(Tensor(plane.reshape(1, 1, 5, 5)), "avg", 3)
+        out = T.pool2d(Tensor(plane.reshape(1, 1, 5, 5)), 3)
         oracle = _pool_oracle(plane, "avg", 3)
         assert np.allclose(out.data[0, 0], oracle)
         assert np.sum(np.abs(out.data[0, 0] - 1.0 / 9.0) < 1e-12) == 9
@@ -248,22 +264,22 @@ class TestPool2d:
         plane = np.zeros((5, 5))
         plane[2, 2] = 1.0
         avg = _pool_oracle(plane, "avg", 3)
-        out = T.pool2d(Tensor(avg.reshape(1, 1, 5, 5)), "max", 3)
-        oracle = _pool_oracle(avg, "max", 3)
-        assert np.allclose(out.data[0, 0], oracle)
-        assert np.allclose(out.data[0, 0], 1.0 / 9.0)  # plateau spans the 5x5 grid
+        out = _dilated(avg.reshape(1, 5, 5), 3, threshold=0.1)
+        oracle = _pool_oracle(avg, "max", 3) > 0.1
+        assert np.array_equal(out[0], oracle)
+        assert np.all(out[0] == 1)  # the 1/9 plateau spans the 5x5 grid
 
     def test_avg_commutes_with_scaling(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(1, 2, 6, 6))
-        a = T.pool2d(Tensor(3.7 * x), "avg", 3).data
-        b = 3.7 * T.pool2d(Tensor(x), "avg", 3).data
+        a = T.pool2d(Tensor(3.7 * x), 3).data
+        b = 3.7 * T.pool2d(Tensor(x), 3).data
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_max_ties_give_the_tied_value(self):
-        x = Tensor(np.array([[1.0, 1.0]]).reshape(1, 1, 1, 2))
-        assert np.array_equal(T.pool2d(x, "max", 1).data, x.data)
-        assert np.array_equal(T.pool2d(x, "max", 3).data, x.data)
+        x = np.array([[0.75, 0.75]]).reshape(1, 1, 2)
+        assert np.array_equal(_dilated(x, 1), x > 0.5)
+        assert np.array_equal(_dilated(x, 3), x > 0.5)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("pad", ["same", "valid"])
@@ -274,34 +290,39 @@ class TestPool2d:
         rng = np.random.default_rng(kernel * 10 + stride)
         x = rng.normal(size=(2, 3, 11, 9)) * 10.0 ** rng.uniform(-6, 6, size=(2, 3, 11, 9))
         x = x.astype(dtype)
-        out = T.pool2d(Tensor(x), kind, kernel).data
+        if kind == "avg":
+            out = T.pool2d(Tensor(x), kernel).data
+        else:  # the dilation of the thresholded planes against the threshold of a max pool
+            out = _dilated(x.reshape(6, 11, 9), kernel).reshape(x.shape)
         # pool2d is same-padded at stride 1: a "valid" window is one that does
         # not reach the padding, and a stride keeps every stride-th window
         crop = (kernel - 1) // 2 if pad == "valid" else 0
         out = out[:, :, crop:out.shape[2] - crop:stride, crop:out.shape[3] - crop:stride]
         expect = _window_pool(x, kind, kernel, stride, pad)
+        if kind == "max":
+            expect = (expect.astype(np.float64) > 0.5).astype(np.uint8)
         assert out.dtype == expect.dtype
         assert np.array_equal(out, expect)
 
     def test_avg_over_more_than_128_values_bitwise(self):
         # 13 x 13 = 169 values: numpy splits pairwise sums above 128 terms
         x = np.random.default_rng(8).normal(size=(1, 2, 20, 17)) * 1e3
-        out = T.pool2d(Tensor(x), "avg", 13).data
+        out = T.pool2d(Tensor(x), 13).data
         assert np.array_equal(out, _window_pool(x, "avg", 13, 1, "same"))
 
     def test_even_or_nonpositive_kernel_rejected(self):
         x = Tensor(np.ones((1, 1, 4, 4)))
         with pytest.raises(TensorError, match="odd"):
-            T.pool2d(x, "avg", 2)
+            T.pool2d(x, 2)
         with pytest.raises(TensorError, match=">= 1"):
-            T.pool2d(x, "max", -1)
+            T.pool2d(x, -1)
 
     def test_tracked_input_rejected(self):
         x = Tensor(np.ones((1, 1, 3, 3)), requires_grad=True)
         with pytest.raises(TensorError, match="no backward"):
-            T.pool2d(x, "avg", 3)
+            T.pool2d(x, 3)
         with T.no_grad():
-            out = T.pool2d(x, "avg", 3)
+            out = T.pool2d(x, 3)
         assert np.array_equal(out.data, x.data)
 
 
@@ -516,7 +537,7 @@ class TestInvariants:
             h = T.conv2d(Tensor(x), Tensor(w))
             h = T.group_norm(h, groups=2)
             h = T.silu(h)
-            return T.pool2d(h, "avg", 3).data
+            return T.pool2d(h, 3).data
         assert np.array_equal(run(), run())
 
     def test_nonfinite_forward_raises_with_scope(self):

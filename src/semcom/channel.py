@@ -57,7 +57,7 @@ def transmit(frame, cfg):
     non-finite symbol, is a contract violation.
     """
     symbols = np.asarray(frame.symbols, dtype=np.float64)
-    ms = float(np.mean(symbols * symbols))
+    ms = float(np.dot(symbols, symbols) / symbols.size)
     if not abs(ms - 1.0) <= 1e-6:  # NaN fails too
         raise ChannelError(f"frame mean-square power {ms:.9g} is not 1")
     if cfg.sigma == 0.0:

@@ -15,9 +15,11 @@ Wire format (all integers big-endian):
     body   per plane: varint run lengths, row-major scan, first run counts
            zeros, terminated by a zero-length sentinel varint
 
-The decoder works in array passes over the whole body, with temporaries linear
-in its length: only a plane's first run may be 0, so a 0 after a nonzero run is
-a sentinel and any other 0 must open a plane.
+Packer and decoder work in array passes over the whole stack or body, and the
+wire size (`bit_count`) is the length of the payload's bytes. Only a plane's
+first run may be 0, so a 0 after a nonzero run is a sentinel and any other 0
+must open a plane; the decoder's temporaries are linear in the body, whose
+length the header bounds.
 """
 from __future__ import annotations
 
@@ -89,12 +91,8 @@ class TransmitPayload:
     body: bytes
 
     @property
-    def header_bytes(self):
-        return len(MAGIC) + 1 + 4 * 2 + 2 * len(self.present_classes)
-
-    @property
     def bit_count(self):
-        return 8 * (self.header_bytes + len(self.body))
+        return 8 * len(self.to_bytes())
 
     def to_bytes(self):
         head = MAGIC + struct.pack(
@@ -164,33 +162,15 @@ def pad_stack(stack):
 
 # -- run-length wire format ------------------------------------------------------
 
-def plane_runs(plane):
-    """Row-major run lengths, first run counting zeros (may be 0)."""
-    flat = np.asarray(plane, dtype=np.uint8).reshape(-1)
-    if flat.size == 0:
-        return []
-    change = np.flatnonzero(np.diff(flat)) + 1
-    bounds = np.concatenate([[0], change, [flat.size]])
-    runs = np.diff(bounds).tolist()
-    if flat[0] == 1:
-        runs.insert(0, 0)
-    return runs
-
-
 def _varints(values):
     """Concatenated LEB128 varints (7 bits per byte, low group first) of
     non-negative integers."""
     v = np.asarray(values, dtype=np.int64)
     count = 1 + sum((v >> s) > 0 for s in range(7, 63, 7))  # bytes per value
-    col = np.arange(int(count.max()))
+    col = np.arange(int(count.max(initial=0)))
     groups = (v[:, None] >> (7 * col)) & 0x7F
     groups |= np.where(col < count[:, None] - 1, 0x80, 0)
     return groups[col < count[:, None]].astype(np.uint8).tobytes()
-
-
-def encode_plane(plane):
-    """Varint run list for one plane, terminated by a zero-length sentinel."""
-    return _varints(plane_runs(plane) + [0])
 
 
 def _decode_planes(body, count, pixels):
@@ -232,29 +212,37 @@ def rle_pack(stack):
     for name in ("height", "width", "c_total"):
         if getattr(stack, name) > 0xFFFF:
             raise CodecError(f"{name} {getattr(stack, name)} does not fit the u16 SCPM header")
-    body = bytearray()
-    for plane in stack.planes:
-        body += encode_plane(plane)
+    c, pixels = stack.planes.shape[0], stack.height * stack.width
+    flat = stack.planes.reshape(c, pixels)
+    # a run ends where a plane changes value; with a 0 before each plane, one
+    # that opens with a 1 changes at its first pixel and opens with a 0-run
+    changes = np.flatnonzero(np.diff(flat, axis=1, prepend=np.uint8(0)))
+    # plane bounds: 0 once, every later multiple of `pixels` twice, so the
+    # two bounds between planes (and the two at the end) give the 0 sentinel
+    bounds = np.repeat(np.arange(c + 1) * pixels, 2)[1:]
+    runs = np.diff(np.sort(np.concatenate((changes, bounds))))
     return TransmitPayload(stack.height, stack.width, stack.c_total,
-                           stack.present_classes, bytes(body))
+                           stack.present_classes, _varints(runs))
 
 
 def rle_unpack(raw):
     """Exact inverse of rle_pack, from the wire bytes of its payload."""
     payload = TransmitPayload.from_bytes(raw)
-    pixels = payload.height * payload.width
+    h, w, c_p = payload.height, payload.width, len(payload.present_classes)
+    pixels = h * w
     if not pixels:
-        raise FormatError(f"{payload.height}x{payload.width} map has no pixels")
+        raise FormatError(f"{h}x{w} map has no pixels")
     if pixels > MAX_PIXELS:
-        raise FormatError(f"{payload.height}x{payload.width} map exceeds {MAX_PIXELS} pixels")
-    if not payload.present_classes:
+        raise FormatError(f"{h}x{w} map exceeds {MAX_PIXELS} pixels")
+    if not c_p:
         raise FormatError("no class planes for a non-empty map")
-    if len(payload.present_classes) * pixels > MAX_STACK_BYTES:
-        raise FormatError(f"{len(payload.present_classes)} planes of {payload.height}x{payload.width} "
-                          f"exceed the {MAX_STACK_BYTES}-byte stack bound")
-    planes = _decode_planes(payload.body, len(payload.present_classes), pixels)
-    return OneHotStack(payload.present_classes, planes.reshape(-1, payload.height, payload.width),
-                       payload.c_total)
+    if c_p * pixels > MAX_STACK_BYTES:
+        raise FormatError(f"{c_p} planes of {h}x{w} exceed the {MAX_STACK_BYTES}-byte stack bound")
+    # a plane is at most pixels + 1 runs and a sentinel, each at most 10 bytes
+    if len(payload.body) > 10 * c_p * (pixels + 2):
+        raise FormatError(f"{len(payload.body)}-byte body is longer than any {c_p} planes of {h}x{w}")
+    planes = _decode_planes(payload.body, c_p, pixels)
+    return OneHotStack(payload.present_classes, planes.reshape(-1, h, w), payload.c_total)
 
 
 # -- power normalization -----------------------------------------------------------

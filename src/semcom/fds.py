@@ -19,7 +19,7 @@ from . import tensor as T
 
 
 class FdsError(ValueError):
-    pass
+    """Input the denoiser cannot use, or planes whose average pool overflows."""
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,10 @@ def pooled_planes(noisy_planes, cfg):
     """AvgPool(planes) with stride 1, edge-replicate padding."""
     planes = np.asarray(noisy_planes, dtype=np.float64)
     _require_pixels(planes, "planes")
-    with T.no_grad():
-        return T.pool2d(T.Tensor(planes[None, ...]), cfg.avg_kernel).data[0]
+    pooled = T.pool2d(planes, cfg.avg_kernel)
+    if not (np.isfinite(pooled.max()) and np.isfinite(pooled.min())):  # window sums overflowed
+        raise FdsError("average pool of the planes is not finite")
+    return pooled
 
 
 def fds(noisy_planes, present_classes, c_total, cfg=FdsConfig()):

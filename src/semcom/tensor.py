@@ -15,8 +15,8 @@ each with one way to call it:
 - attention(f, g, v) is the whole softmax attention of [N, heads, d, S]
   operands in one op, computed one (sample, head) block of S x S weights at
   a time; there is no separate softmax or transpose.
-- Average pooling (the first stage of the receiver's map denoiser) is
-  forward only and refuses an input that would need a gradient.
+- pool2d (the receiver's average pool) is forward only, on plain [C, H, W]
+  arrays; it stays here because the benchmark's tracer wraps `T.pool2d`.
 
 A tracked Tensor is a value (.data) plus a graph node. The node holds the
 gradient slot, the gradient rule and the nodes of the parents; each rule
@@ -367,9 +367,8 @@ def sum_(x, axis=None, keepdims=False):
     return out
 
 
-def mean(x, axis=None, keepdims=False):
-    n = int(np.prod([x.shape[a] for a in _axes(x, axis)]))
-    return mul(sum_(x, axis=axis, keepdims=keepdims), 1.0 / n)
+def mean(x):
+    return mul(sum_(x), 1.0 / x.size)
 
 
 # -- shape manipulation -------------------------------------------------------
@@ -678,22 +677,18 @@ def _pairwise_sum(terms):
 
 
 def pool2d(x, kernel):
-    """Window-wise mean at stride 1; forward only.
+    """Window-wise mean at stride 1 of a float [C, H, W] array; forward only.
 
     "same" padding replicates edges (a constant plane pools to itself). The
     kernel*kernel shifted slices of the padded input are added in numpy's
     pairwise order, so the result equals a `mean` over each window.
     """
-    if x.ndim != 4:
-        raise TensorError(f"pool2d: need 4-d input, got {x.shape}")
     if kernel < 1:
         raise TensorError(f"pool2d: kernel must be >= 1, got {kernel}")
-    if _grad_enabled and x._tracked:
-        raise TensorError("pool2d: has no backward; call it under no_grad or on an untracked input")
     p = _same_pad(kernel, "pool2d")
-    n, c, h, w = x.shape
+    c, h, w = x.shape
     hp, wp = h + 2 * p, w + 2 * p
-    data = np.empty(x.shape, dtype=x.dtype)
+    out = np.empty(x.shape, dtype=x.dtype)
     # The edge-padded plane, flat, plus a zero tail makes the shift (i, j) of
     # every window one contiguous slice; positions whose window wraps past a
     # row are computed too and dropped when the result is copied out. Planes
@@ -704,7 +699,7 @@ def pool2d(x, kernel):
     flat = np.zeros(size + (kernel - 1) * (wp + 1), dtype=x.dtype)
     xp = flat[:size].reshape(hp, wp)
     terms = [flat[i * wp + j:i * wp + j + size] for i in range(kernel) for j in range(kernel)]
-    for src, dst in zip(x.data.reshape(n * c, h, w), data.reshape(n * c, h, w)):
+    for src, dst in zip(x, out):
         xp[p:p + h, p:p + w] = src
         if p:
             xp[p:p + h, :p] = src[:, :1]
@@ -712,7 +707,7 @@ def pool2d(x, kernel):
             xp[:p] = xp[p]
             xp[p + h:] = xp[p + h - 1]
         dst[...] = _pairwise_sum(terms).reshape(hp, wp)[:h, :w] / (kernel * kernel)
-    return _make(data, (), "pool2d")
+    return out
 
 
 # -- group normalization ---------------------------------------------------------------

@@ -45,7 +45,6 @@ class TrainConfig:
     learning_rate: float = 1e-4
     ema_decay: float = 0.9999
     seed: int = 0
-    weight_decay: float = 0.0
     checkpoint_every: int = 1000
 
     def __post_init__(self):
@@ -53,8 +52,6 @@ class TrainConfig:
             raise TrainError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 < self.learning_rate < np.inf:
             raise TrainError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not 0.0 <= self.weight_decay < np.inf:
-            raise TrainError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if not 0 <= self.seed < 2**64:
             raise TrainError(f"seed must lie in [0, 2**64), got {self.seed}")
         if not 0.0 < self.ema_decay < 1.0:
@@ -78,16 +75,15 @@ def sample_channel_condition(rng):
 
 
 class AdamW:
-    """Decoupled-weight-decay adaptive moments, with bias correction, for every parameter."""
+    """Adam: adaptive moments, with bias correction, for every parameter (no weight decay)."""
 
     BETA1 = 0.9
     BETA2 = 0.999
     EPS = 1e-8
 
-    def __init__(self, params, lr, weight_decay=0.0):
+    def __init__(self, params, lr):
         self.params = params
         self.lr = lr
-        self.weight_decay = weight_decay
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
@@ -103,10 +99,7 @@ class AdamW:
                 continue
             m = self.m[name] = self.BETA1 * self.m[name] + (1.0 - self.BETA1) * g
             v = self.v[name] = self.BETA2 * self.v[name] + (1.0 - self.BETA2) * (g * g)
-            update = (m / b1c) / (np.sqrt(v / b2c) + self.EPS)
-            if self.weight_decay:
-                update = update + self.weight_decay * p.data
-            p.data = p.data - self.lr * update
+            p.data = p.data - self.lr * ((m / b1c) / (np.sqrt(v / b2c) + self.EPS))
 
     def state_arrays(self):
         return {f"opt.{k}.{name}": getattr(self, k)[name] for name in self.params for k in "mv"}
@@ -167,7 +160,7 @@ class Trainer:
         self.maps = [cmap for _, cmap in pairs]
         self.c_total = model.config.cond_channels
         self.rng = np.random.default_rng(cfg.seed)
-        self.opt = AdamW(model.params, cfg.learning_rate, cfg.weight_decay)
+        self.opt = AdamW(model.params, cfg.learning_rate)
         self.ema = {name: p.data.copy() for name, p in model.params.items()}
         self.step_index = 0
         self.skipped = 0

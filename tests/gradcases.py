@@ -88,7 +88,9 @@ def build_cases(rng):
     p32 = proj(3, 2)
     cases.append(("sum_axis", lambda x: p32(T.sum_(x, axis=1)), [_rand(rng, 3, 4, 2)]))
     p142 = proj(1, 4, 1)
-    cases.append(("mean_axis", lambda x: p142(T.mean(x, axis=(0, 2), keepdims=True)), [_rand(rng, 3, 4, 2)]))
+    # the keepdims reduction that AttentionBlock._unit differentiates
+    cases.append(("sum_keepdims", lambda x: p142(T.sum_(x, axis=(0, 2), keepdims=True)),
+                  [_rand(rng, 3, 4, 2)]))
     p46 = proj(4, 6)
     cases.append(("reshape", lambda x: p46(T.reshape(x, (4, 6))), [_rand(rng, 2, 3, 4)]))
     p435 = proj(4, 3, 5)
@@ -140,6 +142,7 @@ def build_cases(rng):
     pup = proj(1, 2, 6, 6)
     cases.append(("upsample_nearest2", lambda x: pup(T.upsample_nearest2(x)),
                   [_rand(rng, 1, 2, 3, 3)]))
+    cases.append(("mean", T.mean, [_rand(rng, 3, 4)]))  # scalar already: no projection
     return cases
 
 

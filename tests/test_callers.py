@@ -38,7 +38,6 @@ PENDING = {
     "psnr_counts": ITEM_4,
 }
 ITEM_5 = "ROADMAP item 5: the receiver's map decision"
-ITEM_8 = "ROADMAP item 8: keep src/ to what the system runs"
 PENDING_SETTINGS = {
     "FdsConfig.avg_kernel": ITEM_5,
     "FdsConfig.max_kernel": ITEM_5,
@@ -46,7 +45,6 @@ PENDING_SETTINGS = {
     "TrainConfig.learning_rate": ITEM_4,
     "TrainConfig.ema_decay": ITEM_4,
     "TrainConfig.checkpoint_every": ITEM_4,
-    "TrainConfig.weight_decay": ITEM_8,
 }
 
 

@@ -14,7 +14,6 @@ from semcom.codec import (
     OneHotStack,
     TransmitPayload,
     one_hot_encode,
-    plane_runs,
     power_normalize,
     inverse_normalize,
     raw_rgb_bits,
@@ -89,12 +88,14 @@ class TestOneHotEncode:
 
 class TestWireFormat:
     def test_runs_start_with_zero_run(self):
-        assert plane_runs(np.array([[0, 0, 0, 1, 1, 1]])) == [3, 3]
+        body, stack = _two_class_body([3, 3])  # plane 0 is [0, 0, 0, 1, 1, 1]
+        assert body == b"\x03\x03\x00" + b"\x00\x03\x03\x00"  # plane 1 opens with a 0-run
+        assert np.array_equal(codec._decode_planes(body, 2, 6), stack.planes.reshape(-1))
 
     def test_all_ones_plane_runs_and_varints(self):
-        plane = np.ones((32, 32), np.uint8)
-        assert plane_runs(plane) == [0, 1024]
-        assert codec.encode_plane(plane) == b"\x00\x80\x08\x00"  # runs 0, 1024 + sentinel
+        # a one-class map: its plane is all ones, so no second class can be present
+        stack = one_hot_encode(np.zeros((32, 32), np.int64), 1)
+        assert rle_pack(stack).body == b"\x00\x80\x08\x00"  # runs 0, 1024 + sentinel
 
     def test_golden_payload_bytes(self):
         # 2x2 map [[0,1],[1,1]], C_total=3: hand-assembled wire image
@@ -256,22 +257,64 @@ def _header(height, width, c_total, ids):
                                      c_total, len(ids), *ids)
 
 
+def _two_class_body(runs, width=None):
+    """rle_pack's body for the two-class stack, rows of `width` (default: one
+    row), whose plane 0 has `runs` (the first counts zeros) and plane 1 is its
+    complement, and the stack."""
+    plane = np.repeat(np.resize(np.array([0, 1], np.uint8), len(runs)), runs)
+    stack = OneHotStack((0, 1), np.stack([plane, 1 - plane]).reshape(2, -1, width or plane.size), 2)
+    return rle_pack(stack).body, stack
+
+
+def _oracle_plane_runs(plane):
+    """Row-major run lengths, first run counting zeros (may be 0): the former
+    per-plane packer, kept as the reference for rle_pack."""
+    flat = np.asarray(plane, dtype=np.uint8).reshape(-1)
+    change = np.flatnonzero(np.diff(flat)) + 1
+    runs = np.diff(np.concatenate([[0], change, [flat.size]])).tolist()
+    return [0] + runs if flat[0] == 1 else runs
+
+
+def _oracle_body(planes):
+    return b"".join(_varint(r) for plane in planes for r in _oracle_plane_runs(plane) + [0])
+
+
 class TestVarintRuns:
     def test_encode_plane_matches_scalar_varints_at_byte_boundaries(self):
-        runs = [0, 127, 128, 16383, 16384, 2 ** 21]
-        values = np.resize(np.array([0, 1], np.uint8), len(runs))
-        plane = np.repeat(values, runs).reshape(1, -1)
-        assert plane_runs(plane) == runs
-        body = codec.encode_plane(plane)
-        assert body == b"".join(_varint(r) for r in runs + [0])
-        assert [len(_varint(r)) for r in runs] == [1, 1, 2, 2, 3, 4]
-        assert np.array_equal(codec._decode_planes(body, 1, plane.size), plane.reshape(-1))
+        # the header holds u16 sides: a last run of 32481 fills 33 rows of 65535
+        runs = [0, 127, 128, 16383, 16384, 2 ** 21, 32481]
+        body, stack = _two_class_body(runs, 65535)
+        assert stack.planes.shape == (2, 33, 65535)
+        assert _oracle_plane_runs(stack.planes[0]) == runs
+        assert body == b"".join(_varint(r) for r in runs + [0] + runs[1:] + [0])
+        assert [len(_varint(r)) for r in runs] == [1, 1, 2, 2, 3, 4, 3]
+        assert np.array_equal(codec._decode_planes(body, 2, 33 * 65535), stack.planes.reshape(-1))
 
     def test_runs_around_the_one_and_two_byte_limits(self):
         runs = list(range(1, 300)) + list(range(16370, 16400))
-        values = np.resize(np.array([0, 1], np.uint8), len(runs))
-        plane = np.repeat(values, runs).reshape(1, -1)
-        assert codec.encode_plane(plane) == b"".join(_varint(r) for r in runs + [0])
+        body, stack = _two_class_body(runs, 35759)  # 15 rows
+        assert body == b"".join(_varint(r) for r in runs + [0, 0] + runs + [0])
+        assert np.array_equal(codec._decode_planes(body, 2, 15 * 35759), stack.planes.reshape(-1))
+
+
+class TestPackerMatchesPerPlaneOracle:
+    """rle_pack's one pass over the stack gives the former per-plane packer's bytes."""
+
+    @given(st.integers(1, 64), st.integers(1, 64), st.integers(1, 5), st.integers(0, 2**32 - 1),
+           st.sampled_from(["pixels", "blocks", "single", "checkerboard"]))
+    @settings(max_examples=150, deadline=None)
+    def test_body_equals_oracle(self, h, w, k, seed, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "pixels":
+            cmap = rng.integers(0, k, size=(h, w))
+        elif kind == "blocks":  # few long runs, some crossing rows
+            cmap = np.repeat(rng.integers(0, k, size=h * w // 7 + 1), 7)[:h * w].reshape(h, w)
+        elif kind == "single":
+            cmap = np.full((h, w), k - 1)
+        else:
+            cmap = np.indices((h, w)).sum(axis=0) % 2 * (k - 1)
+        stack = one_hot_encode(cmap, 5)
+        assert rle_pack(stack).body == _oracle_body(stack.planes)
 
 
 class TestDecodeBounds:
@@ -314,6 +357,26 @@ class TestDecodeBounds:
         monkeypatch.setattr(codec, "_decode_planes", no_decode)
         with pytest.raises(FormatError, match="stack bound"):
             rle_unpack(raw)
+
+    def test_over_long_body_refused_before_decoding(self, monkeypatch):
+        # one 1x1 plane is at most 3 varints; a 4 MiB body cannot be a valid one
+        raw = _header(1, 1, 1, (0,)) + b"\x01" * (4 << 20)
+
+        def no_decode(*args):
+            raise AssertionError("the body was decoded")
+
+        monkeypatch.setattr(codec, "_decode_planes", no_decode)
+        with pytest.raises(FormatError, match="longer than"):
+            rle_unpack(raw)
+
+    def test_body_bound_is_inclusive(self):
+        # runs 0, 1 and the sentinel, each padded with 0x80 to 10 bytes: 10 * 1 * (1 + 2)
+        body = b"".join(bytes([v | 0x80] + [0x80] * 8 + [0]) for v in (0, 1, 0))
+        assert len(body) == 30
+        back = rle_unpack(_header(1, 1, 1, (0,)) + body)
+        assert np.array_equal(back.planes, np.ones((1, 1, 1), np.uint8))
+        with pytest.raises(FormatError, match="longer than"):
+            rle_unpack(_header(1, 1, 1, (0,)) + body + b"\x00")
 
     def test_stack_bound_is_inclusive(self, monkeypatch):
         stack = one_hot_encode(np.arange(20).reshape(4, 5) % 3, c_total=3)

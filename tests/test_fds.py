@@ -119,6 +119,16 @@ class TestFds:
         with pytest.raises(FdsError, match="with pixels"):
             pooled_planes(np.zeros((1, 0, 0)), FdsConfig())
 
+    def test_overflowing_pool_rejected(self):
+        """Finite planes whose window sums overflow float64: T.pool2d's own
+        check raised NonFiniteError here."""
+        planes = np.full((1, 4, 4), 1e308)
+        with np.errstate(over="ignore"):
+            with pytest.raises(FdsError, match="not finite"):
+                fds(planes, (0,), 5)
+            with pytest.raises(FdsError, match="not finite"):
+                pooled_planes(planes, FdsConfig())
+
     def test_shape_preserved_for_any_kernels(self):
         rng = np.random.default_rng(0)
         planes = rng.uniform(size=(3, 11, 7))

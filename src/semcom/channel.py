@@ -83,8 +83,10 @@ def transmit_image(rgb, cfg):
     if ms == 0.0:
         raise ChannelError("cannot transmit an all-black image (zero power)")
     scale = np.sqrt(1.0 / ms)
-    noisy = (flat * scale + noise_for_indices(cfg.seed, flat.size, cfg.sigma)) / scale
-    return np.clip(noisy, 0.0, 1.0).reshape(img.shape)
+    noisy = np.multiply(flat, scale)
+    noisy += noise_for_indices(cfg.seed, flat.size, cfg.sigma)
+    noisy /= scale
+    return np.clip(noisy, 0.0, 1.0, out=noisy).reshape(img.shape)
 
 
 def derive_seed(*entropy):

@@ -78,13 +78,10 @@ def respace(sched, steps):
     return _from_betas(betas, sched.timestep_map[idx - 1])
 
 
-def _at(arr, t, ndim=0):
-    """arr value at timestep(s) t (1-based), shaped for broadcasting."""
-    t = np.asarray(t)
-    vals = arr[t - 1]
-    if ndim and t.ndim:
-        vals = vals.reshape((-1,) + (1,) * (ndim - 1))
-    return vals
+def _at(arr, t, ndim):
+    """arr values at the 1-d timesteps t (1-based), shaped to broadcast
+    against an ndim-d batch."""
+    return arr[t - 1].reshape((-1,) + (1,) * (ndim - 1))
 
 
 def _check_t(t, num_steps):

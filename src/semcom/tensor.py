@@ -12,11 +12,18 @@ each with one way to call it:
   padding, stride 1) pad "same", take odd kernels only and treat each padded
   plane as flat, so that one kernel tap of every window is one contiguous
   slice: pool2d in its forward, conv2d in the col2im of its input gradient.
+- sum_(x) sums every value; sum_(x, axis) sums one axis and keeps it at
+  extent 1. concat(a, b) joins two tensors along the channel axis (axis 1),
+  and halves(x) returns the two halves of that axis. matmul multiplies two
+  matrices; there are no batched products.
 - attention(f, g, v) is the whole softmax attention of [N, heads, d, S]
   operands in one op, computed one (sample, head) block of S x S weights at
   a time; there is no separate softmax or transpose.
 - pool2d (the receiver's average pool) is forward only, on plain [C, H, W]
   arrays; it stays here because the benchmark's tracer wraps `T.pool2d`.
+
+One-operand ops go through _unary, as elementwise two-operand ops go through
+_binary: each op supplies its forward value and its gradient rule.
 
 A tracked Tensor is a value (.data) plus a graph node. The node holds the
 gradient slot, the gradient rule and the nodes of the parents; each rule
@@ -281,6 +288,16 @@ def _binary(a, b, op, fwd, grad_a, grad_b, reads):
     return out
 
 
+def _unary(x, data, op, rule):
+    """Wrap the forward value of a one-operand op; when a graph is built,
+    `rule(g)` gives the gradient of x from the arrays the rule captured."""
+    out = _make(data, (x,), op)
+    if out._tracked:
+        xn = x._node
+        out._bwd = lambda g: xn.accum(rule(g))
+    return out
+
+
 def _grad_same(g, a, b):
     return g
 
@@ -322,49 +339,27 @@ def div(a, b):
 
 
 def square(x):
-    out = _make(x.data * x.data, (x,), "square")
-    if out._tracked:
-        xn, xd = x._node, x.data
-        out._bwd = lambda g: xn.accum(2.0 * xd * g)
-    return out
+    xd = x.data
+    return _unary(x, xd * xd, "square", lambda g: 2.0 * xd * g)
 
 
 def sqrt(x):
     r = np.sqrt(x.data)
-    out = _make(r, (x,), "sqrt")
-    if out._tracked:
-        xn = x._node
-        out._bwd = lambda g: xn.accum(g / (2.0 * r))
-    return out
+    return _unary(x, r, "sqrt", lambda g: g / (2.0 * r))
 
 
 def exp(x):
     e = np.exp(x.data)
-    out = _make(e, (x,), "exp")
-    if out._tracked:
-        xn = x._node
-        out._bwd = lambda g: xn.accum(g * e)
-    return out
+    return _unary(x, e, "exp", lambda g: g * e)
 
 
 # -- reductions --------------------------------------------------------------
 
-def _axes(x, axis):
-    if axis is None:
-        return tuple(range(x.ndim))
-    return (axis,) if isinstance(axis, int) else tuple(axis)
-
-
-def sum_(x, axis=None, keepdims=False):
-    out = _make(np.sum(x.data, axis=axis, keepdims=keepdims, dtype=x.dtype), (x,), "sum")
-    if out._tracked:
-        xn, shape, axes = x._node, x.shape, _axes(x, axis)
-
-        def bwd(g):
-            gs = g if keepdims else np.expand_dims(g, axes)
-            xn.accum(np.broadcast_to(gs, shape))
-        out._bwd = bwd
-    return out
+def sum_(x, axis=None):
+    """Sum of every value, or of one axis, which is kept at extent 1."""
+    shape = x.shape
+    data = np.sum(x.data, axis=axis, keepdims=axis is not None, dtype=x.dtype)
+    return _unary(x, data, "sum", lambda g: np.broadcast_to(g, shape))
 
 
 def mean(x):
@@ -374,86 +369,70 @@ def mean(x):
 # -- shape manipulation -------------------------------------------------------
 
 def reshape(x, shape):
-    out = _make(x.data.reshape(shape), (x,), "reshape")
-    if out._tracked:
-        xn, xshape = x._node, x.shape
-        out._bwd = lambda g: xn.accum(g.reshape(xshape))
-    return out
+    xshape = x.shape
+    return _unary(x, x.data.reshape(shape), "reshape", lambda g: g.reshape(xshape))
 
 
-def concat(tensors, axis):
-    tensors = list(tensors)
-    out = _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, "concat")
+def concat(a, b):
+    """Join a and b along the channel axis (axis 1)."""
+    out = _make(np.concatenate([a.data, b.data], axis=1), (a, b), "concat")
     if out._tracked:
-        nodes = [t._node for t in tensors]
-        offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
+        an, bn, ca = a._node, b._node, a.shape[1]
 
         def bwd(g):
-            for tn, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
-                if tn is not None:
-                    idx = [slice(None)] * g.ndim
-                    idx[axis] = slice(lo, hi)
-                    tn.accum(g[tuple(idx)])
+            if an is not None:
+                an.accum(g[:, :ca])
+            if bn is not None:
+                bn.accum(g[:, ca:])
         out._bwd = bwd
     return out
 
 
-def split(x, sizes, axis):
-    """Split along `axis` into consecutive chunks of the given sizes."""
-    if any(size < 0 for size in sizes):
-        raise TensorError(f"split: sizes {sizes} include a negative size")
-    if sum(sizes) != x.shape[axis]:
-        raise TensorError(f"split: sizes {sizes} do not cover axis {axis} of {x.shape}")
-    outs = []
-    xn, xshape = x._node, x.shape
-    offsets = np.cumsum([0] + list(sizes))
-    for lo, hi in zip(offsets[:-1], offsets[1:]):
-        idx = [slice(None)] * x.ndim
-        idx[axis] = slice(int(lo), int(hi))
-        idx = tuple(idx)
-        piece = _make(x.data[idx], (x,), "split")
-        if piece._tracked:
-            def bwd(g, idx=idx):
-                full = np.zeros(xshape, dtype=g.dtype)
-                full[idx] = g
-                xn.accum(full)
-            piece._bwd = bwd
-        outs.append(piece)
-    return outs
+def halves(x):
+    """The first and the second half of x along the channel axis (axis 1)."""
+    if x.ndim < 2 or x.shape[1] % 2:
+        raise TensorError(f"halves: need an even channel axis (axis 1), got shape {x.shape}")
+    shape, c = x.shape, x.shape[1] // 2
+
+    def half(part):
+        def rule(g):
+            full = np.zeros(shape, dtype=g.dtype)
+            full[:, part] = g
+            return full
+        return _unary(x, x.data[:, part], "halves", rule)
+    return half(slice(0, c)), half(slice(c, 2 * c))
 
 
 # -- nonlinearities ------------------------------------------------------------
 
 def silu(x):
-    s = 1.0 / (1.0 + np.exp(-x.data))
-    out = _make(x.data * s, (x,), "silu")
-    if out._tracked:
-        del s  # recomputed in backward; cheaper than retaining a copy per call
-        xn, xd = x._node, x.data
+    xd = x.data
+    # s stays a named local: inline, numpy would write the product into the
+    # sigmoid's temporary, which raised training's peak RSS. The rule
+    # recomputes s, which is cheaper than retaining a copy per call.
+    s = 1.0 / (1.0 + np.exp(-xd))
 
-        def bwd(g):
-            s = 1.0 / (1.0 + np.exp(-xd))
-            xn.accum(g * (s * (1.0 + xd * (1.0 - s))))
-        out._bwd = bwd
-    return out
+    def rule(g):
+        s = 1.0 / (1.0 + np.exp(-xd))
+        return g * (s * (1.0 + xd * (1.0 - s)))
+    return _unary(x, xd * s, "silu", rule)
 
 
 # -- matmul ---------------------------------------------------------------------
 
 def matmul(a, b):
-    if a.ndim < 2 or b.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]:
-        raise TensorError(f"matmul: incompatible ranks/batch dims {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise TensorError(f"matmul: inner dims differ {a.shape} @ {b.shape}")
+    """The product of two matrices [m, k] @ [k, n]."""
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise TensorError(f"matmul: need matrices [m, k] @ [k, n], got {a.shape} @ {b.shape}")
     out = _make(a.data @ b.data, (a, b), "matmul")
     if out._tracked:
         an, bn, ad, bd = a._node, b._node, a.data, b.data
 
         def bwd(g):
             if an is not None:
-                an.accum(g @ np.swapaxes(bd, -1, -2))
+                an.accum(g @ bd.T)
             if bn is not None:
-                bn.accum(np.swapaxes(ad, -1, -2) @ g)
+                bn.accum(ad.T @ g)
         out._bwd = bwd
     return out
 
@@ -726,17 +705,13 @@ def group_norm(x, groups):
     var = np.mean(xc * xc, axis=-1, keepdims=True, dtype=x.dtype)
     inv = 1.0 / np.sqrt(var + np.asarray(1e-5, dtype=x.dtype))
     y = xc * inv
-    out = _make(y.reshape(n, c, h, w), (x,), "group_norm")
-    if out._tracked:
-        xn, xshape = x._node, x.shape
 
-        def bwd(g):
-            gr = g.reshape(n, groups, m)
-            gm = gr.mean(axis=-1, keepdims=True, dtype=g.dtype)
-            gy = np.mean(gr * y, axis=-1, keepdims=True, dtype=g.dtype)
-            xn.accum((inv * (gr - gm - y * gy)).reshape(xshape))
-        out._bwd = bwd
-    return out
+    def rule(g):
+        gr = g.reshape(n, groups, m)
+        gm = gr.mean(axis=-1, keepdims=True, dtype=g.dtype)
+        gy = np.mean(gr * y, axis=-1, keepdims=True, dtype=g.dtype)
+        return (inv * (gr - gm - y * gy)).reshape(n, c, h, w)
+    return _unary(x, y.reshape(n, c, h, w), "group_norm", rule)
 
 
 # -- resampling --------------------------------------------------------------------------
@@ -745,13 +720,7 @@ def upsample_nearest2(x):
     """Nearest-neighbor 2x spatial upsampling."""
     if x.ndim != 4:
         raise TensorError(f"upsample_nearest2: need 4-d input, got {x.shape}")
+    n, c, h, w = x.shape
     d = np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3)
-    out = _make(d, (x,), "upsample_nearest2")
-    if out._tracked:
-        xn = x._node
-        n, c, h, w = x.shape
-
-        def bwd(g):
-            xn.accum(g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5), dtype=g.dtype))
-        out._bwd = bwd
-    return out
+    return _unary(x, d, "upsample_nearest2",
+                  lambda g: g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5), dtype=g.dtype))

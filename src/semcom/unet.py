@@ -176,7 +176,7 @@ class Film:
     def __call__(self, h, temb):
         n, c = h.shape[0], self.channels
         wb = T.reshape(_dense(T.silu(temb), self.w, self.b), (n, 2 * c, 1, 1))
-        w, b = T.split(wb, [c, c], axis=1)
+        w, b = T.halves(wb)
         return T.add(T.mul(h, T.add(w, 1.0)), b)
 
 
@@ -231,7 +231,7 @@ class AttentionBlock:
         return T.reshape(t, (n, self.heads, dh, hw))
 
     def _unit(self, t):
-        norm = T.sqrt(T.sum_(T.square(t), axis=2, keepdims=True))
+        norm = T.sqrt(T.sum_(T.square(t), axis=2))
         return T.div(t, T.add(norm, self.EPS))
 
     def _projections(self, x):
@@ -421,7 +421,7 @@ class UNet:
         for i, blocks, up in self.dec:
             for j, block in enumerate(blocks):
                 with T.scope(f"dec.l{i}.b{j}"):
-                    h = block(T.concat([h, next(skip)], axis=1), temb, next(mods))
+                    h = block(T.concat(h, next(skip)), temb, next(mods))
             if up is not None:
                 with T.scope(f"dec.l{i}.up"):
                     h = T.conv2d(T.upsample_nearest2(h), *up)
@@ -429,5 +429,4 @@ class UNet:
         with T.scope("out"):
             h = T.silu(T.group_norm(h, GROUPS))
             h = T.conv2d(h, self.out_w, self.out_b)
-        eps, var_raw = T.split(h, [IMAGE_CHANNELS, IMAGE_CHANNELS], axis=1)
-        return eps, var_raw
+        return T.halves(h)

@@ -17,6 +17,13 @@ A setting, a field with a default in a dataclass of `src/semcom`, is used when
 some call of its class in `src/semcom/*.py` or `bench/*.py` passes it, by
 keyword or by position. A setting that only ever takes its default is a
 constant; one waiting for a caller is listed in `PENDING_SETTINGS`.
+
+A parameter default, on a function or method defined at module or class level
+in `src/semcom`, is held to the same rule: some call of that name in
+`src/semcom/*.py` or `bench/*.py` passes the parameter, or it is listed in
+`PENDING_DEFAULTS`. `__init__` is called through its class name. Nested
+closures (a default there binds a loop variable) and `__call__` (called
+through instances) are not audited.
 """
 import ast
 import pathlib
@@ -46,6 +53,7 @@ PENDING_SETTINGS = {
     "TrainConfig.ema_decay": ITEM_4,
     "TrainConfig.checkpoint_every": ITEM_4,
 }
+PENDING_DEFAULTS = {"miou.classes": ITEM_3}
 
 
 def _public_names(tree):
@@ -166,3 +174,49 @@ def _unpassed_settings():
 def test_every_setting_is_passed_or_pending():
     """A setting that no program path changes is a module constant, not an option."""
     assert sorted(_unpassed_settings()) == sorted(PENDING_SETTINGS)
+
+
+def _unpassed_defaults():
+    """`function.parameter` (or `Class.method.parameter`) of each parameter
+    default that no call passes."""
+    sources, trees = _trees()
+    defs = {}  # label -> (name calls use, positional parameters, every parameter, defaulted ones)
+    for path in sources:
+        for node in trees[path].body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            for item in members:
+                if not isinstance(item, ast.FunctionDef) or item.name == "__call__":
+                    continue
+                a = item.args
+                positional = [p.arg for p in a.posonlyargs + a.args]
+                defaulted = positional[len(positional) - len(a.defaults):] + [
+                    p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                if not defaulted:
+                    continue
+                method = item is not node
+                static = any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list)
+                if method and not static:
+                    positional = positional[1:]  # self or cls is bound
+                label = f"{node.name}.{item.name}" if method else item.name
+                callee = node.name if item.name == "__init__" else item.name
+                defs[label] = (callee, positional, positional + [p.arg for p in a.kwonlyargs], defaulted)
+    passed = {label: set() for label in defs}
+    for tree in trees.values():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            for label, (callee, positional, every, _) in defs.items():
+                if callee != name:
+                    continue
+                if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+                    passed[label].update(every)  # *args or **kwargs may pass any parameter
+                else:
+                    passed[label].update(positional[:len(call.args)], (k.arg for k in call.keywords))
+    return {f"{label}.{p}" for label, (_, _, _, defaulted) in defs.items()
+            for p in defaulted if p not in passed[label]}
+
+
+def test_every_parameter_default_is_passed_or_pending():
+    """A default that no call overrides is a constant, not a parameter."""
+    assert sorted(_unpassed_defaults()) == sorted(PENDING_DEFAULTS)

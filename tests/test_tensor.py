@@ -507,6 +507,31 @@ class TestBackward:
         s = 1.0 / (1.0 + np.exp(-u))
         assert np.allclose(x.grad, s * (1.0 + u * (1.0 - s)) * u * 2.0)
 
+    @pytest.mark.parametrize("op, reads", [
+        (lambda x: T.reshape(x, (4, 4)), None),
+        (lambda x: T.sum_(x, axis=2), None),
+        (T.upsample_nearest2, None),
+        (lambda x: T.halves(x)[1], None),
+        (T.square, "input"),
+        (T.silu, "input"),
+        (T.sqrt, "output"),
+        (T.exp, "output"),
+    ], ids=["reshape", "sum_", "upsample_nearest2", "halves", "square", "silu", "sqrt", "exp"])
+    def test_unary_rule_keeps_only_the_arrays_it_reads(self, op, reads):
+        """A one-operand op's graph keeps its input or its output only when
+        its rule reads it. (group_norm's output is a view of the normalized
+        values its rule reads, so a weak reference cannot tell them apart.)"""
+        x = Tensor(np.full((2, 2, 2, 2), 0.5), requires_grad=True)
+        h = T.mul(x, 2.0)  # mul's rule reads x, not h
+        out = op(h)
+        arrays = {"input": weakref.ref(h.data), "output": weakref.ref(out.data)}
+        loss = T.sum_(out)  # sum_'s rule reads neither
+        del h, out
+        for name, ref in arrays.items():
+            assert (ref() is not None) == (name == reads), name
+        loss.backward()
+        assert all(ref() is None for ref in arrays.values()) and x.grad is not None
+
     def test_backward_of_an_untracked_value_raises(self):
         with pytest.raises(TensorError, match="no tracked tensor"):
             T.sum_(Tensor(np.ones(3))).backward()
@@ -566,9 +591,15 @@ class TestInvariants:
         with pytest.raises(TensorError, match="do not broadcast"):
             T.mul(Tensor(np.ones((1, 1))), Tensor(np.zeros(3)))
 
-    def test_negative_split_size_rejected(self):
-        with pytest.raises(TensorError, match="negative"):
-            T.split(Tensor(np.arange(5.0)), [6, -1], 0)
+    def test_halves_of_an_odd_channel_axis_rejected(self):
+        with pytest.raises(TensorError, match="even channel axis"):
+            T.halves(Tensor(np.zeros((1, 5, 2, 2))))
+
+    def test_matmul_of_non_matrices_rejected(self):
+        with pytest.raises(TensorError, match="matrices"):
+            T.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 4, 5))))
+        with pytest.raises(TensorError, match="matrices"):
+            T.matmul(Tensor(np.zeros((3, 4))), Tensor(np.zeros((5, 2))))
 
     @pytest.mark.parametrize("stride", [0, -1])
     def test_conv2d_stride_below_one_rejected(self, stride):

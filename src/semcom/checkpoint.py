@@ -102,7 +102,7 @@ def _parse_manifest(raw):
     except (TypeError, KeyError) as e:
         raise CheckpointError(f"bad checkpoint entries: {e!r}") from None
     for name, shape in entries:
-        if not isinstance(name, str) or not all(isinstance(d, int) and d >= 0 for d in shape):
+        if not isinstance(name, str) or not all(type(d) is int and d >= 0 for d in shape):
             raise CheckpointError(f"bad checkpoint entry {name!r} of shape {list(shape)}")
     if len({name for name, _ in entries}) != len(entries):
         raise CheckpointError("checkpoint entries repeat a name")

@@ -31,21 +31,13 @@ class SamplingError(RuntimeError):
 class NoiseSchedule:
     betas: np.ndarray              # [T] float64
     alpha_bars: np.ndarray         # cumulative products of (1 - beta)
-    posterior_variances: np.ndarray  # exact: (1-abar_{t-1})/(1-abar_t) * beta_t
+    alpha_bars_prev: np.ndarray    # abar_{t-1}, with abar_0 = 1
+    log_posterior_clipped: np.ndarray  # log((1-abar_{t-1})/(1-abar_t) * beta_t), t=1 clipped
     timestep_map: np.ndarray       # original timestep for each index (respacing)
 
     @property
     def steps(self):
         return len(self.betas)
-
-    @property
-    def alpha_bars_prev(self):
-        return np.concatenate([[1.0], self.alpha_bars[:-1]])
-
-    @property
-    def log_posterior_clipped(self):
-        pv = self.posterior_variances
-        return np.log(np.concatenate([[pv[1] if len(pv) > 1 else self.betas[0]], pv[1:]]))
 
 
 def build_schedule(num_steps, beta_start, beta_end):
@@ -61,8 +53,9 @@ def build_schedule(num_steps, beta_start, beta_end):
 def _from_betas(betas, timestep_map):
     alpha_bars = np.cumprod(1.0 - betas)
     prev = np.concatenate([[1.0], alpha_bars[:-1]])
-    posterior = (1.0 - prev) / (1.0 - alpha_bars) * betas
-    return NoiseSchedule(betas, alpha_bars, posterior, np.asarray(timestep_map))
+    pv = (1.0 - prev) / (1.0 - alpha_bars) * betas
+    log_clipped = np.log(np.concatenate([[pv[1] if len(pv) > 1 else betas[0]], pv[1:]]))
+    return NoiseSchedule(betas, alpha_bars, prev, log_clipped, np.asarray(timestep_map))
 
 
 def respace(sched, steps):
@@ -84,10 +77,13 @@ def _at(arr, t, ndim):
     return arr[t - 1].reshape((-1,) + (1,) * (ndim - 1))
 
 
-def _check_t(t, num_steps):
+def _check_t(t, num_steps, batch):
+    """t as a 1-d integer array of one timestep, or of one per sample of the batch."""
     t = np.atleast_1d(np.asarray(t))
     if t.dtype.kind not in "iu":
         raise DiffusionError(f"timesteps must be integers, got dtype {t.dtype}")
+    if t.shape not in ((1,), (batch,)):
+        raise DiffusionError(f"need one timestep or one per sample of batch {batch}, got shape {t.shape}")
     if np.any(t < 1) or np.any(t > num_steps):
         raise DiffusionError(f"timestep out of range [1, {num_steps}]: {t}")
     return t
@@ -99,14 +95,14 @@ def q_sample(x0, t, eps, sched):
     eps = np.asarray(eps)
     if eps.shape != x0.shape:
         raise DiffusionError(f"noise shape {eps.shape} does not match data {x0.shape}")
-    t = _check_t(t, sched.steps)
+    t = _check_t(t, sched.steps, len(x0))
     ab = _at(sched.alpha_bars, t, x0.ndim)
     return (np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps).astype(x0.dtype)
 
 
 def posterior_mean(x0, x_t, t, sched):
     """Mean of q(x_{t-1} | x_t, x0)."""
-    t = _check_t(t, sched.steps)
+    t = _check_t(t, sched.steps, len(x_t))
     ab = _at(sched.alpha_bars, t, x_t.ndim)
     abp = _at(sched.alpha_bars_prev, t, x_t.ndim)
     beta = _at(sched.betas, t, x_t.ndim)
@@ -117,7 +113,7 @@ def posterior_mean(x0, x_t, t, sched):
 
 def eps_to_mean(eps_hat, x_t, t, sched):
     """Reverse-step mean from a noise estimate (closed form)."""
-    t = _check_t(t, sched.steps)
+    t = _check_t(t, sched.steps, len(x_t))
     ab = _at(sched.alpha_bars, t, x_t.ndim)
     beta = _at(sched.betas, t, x_t.ndim)
     return (x_t - beta / np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(1.0 - beta)
@@ -131,7 +127,7 @@ def model_log_variance(var_raw, t, sched):
     (the loss) v is left unclamped so the gradient stays alive when the head
     drifts outside the band.
     """
-    t = _check_t(t, sched.steps)
+    t = _check_t(t, sched.steps, var_raw.shape[0])
     ndim = var_raw.ndim
     log_hi = _at(np.log(sched.betas), t, ndim)
     log_lo = _at(sched.log_posterior_clipped, t, ndim)
@@ -165,7 +161,7 @@ def total_loss(model, x0, y, t, eps, sched):
     learns from it. Returns (loss Tensor, components dict).
     """
     x0 = np.asarray(x0, dtype=np.float32)
-    t = _check_t(t, sched.steps)
+    t = _check_t(t, sched.steps, len(x0))
     x_t = q_sample(x0, t, eps, sched)
     eps_pred, var_raw = model.forward(x_t, y, t)
 
@@ -219,18 +215,20 @@ def guidance_conditions(model, y, s):
 def guided_eps(model, x_t, y, t, s):
     """Classifier-free guidance: eps_c + s * (eps_c - eps_u).
 
-    y is a semantic stack, or its `guidance_conditions`, which a sampler
-    computes once per run. Returns (eps_hat, var_raw) as arrays; the variance
-    comes from the conditional pass. The encoder never sees the stack, so x_t
-    is encoded once and only the decoder runs per branch. s=0 never evaluates
-    the unconditional branch, so it is bitwise identical to conditional-only
-    prediction.
+    y is a semantic stack, or its `guidance_conditions` (built at a nonzero
+    scale when s is), which a sampler computes once per run. Returns
+    (eps_hat, var_raw) as arrays; the variance comes from the conditional
+    pass. The encoder never sees the stack, so x_t is encoded once and only
+    the decoder runs per branch. s=0 never evaluates the unconditional
+    branch, so it is bitwise identical to conditional-only prediction.
     """
     if not 0 <= s < np.inf:
         raise DiffusionError(f"guidance scale must be finite and >= 0, got {s}")
     if not isinstance(y, tuple):
         y = guidance_conditions(model, y, s)
     cond, null = y
+    if s and null is None:
+        raise DiffusionError(f"guidance scale {s} needs the null branch, which conditions built at s=0 lack")
     with T.no_grad():
         features = model.encode(x_t, t)
         eps_c, var_raw = model.decode(features, cond)

@@ -22,8 +22,11 @@ each with one way to call it:
 - pool2d (the receiver's average pool) is forward only, on plain [C, H, W]
   arrays; it stays here because the benchmark's tracer wraps `T.pool2d`.
 
-One-operand ops go through _unary, as elementwise two-operand ops go through
-_binary: each op supplies its forward value and its gradient rule.
+Every differentiable op but conv2d and attention builds its node through _op,
+from its forward value and one gradient rule per operand. conv2d and attention
+set one fused rule on a _make node instead, because one backward pass yields
+all of their gradients: attention walks each block once, and conv2d frees
+the weight GEMM's patch matrix before its input-gradient GEMM runs.
 
 A tracked Tensor is a value (.data) plus a graph node. The node holds the
 gradient slot, the gradient rule and the nodes of the parents; each rule
@@ -226,8 +229,9 @@ def _nonfinite(op):
 def _make(data, parents, op):
     """Wrap a forward result, with a node when grad is on and a parent is tracked.
 
-    A non-empty result is checked for NaN/Inf. The caller then sets the
-    node's rule (out._bwd) when out._tracked.
+    A non-empty result is checked for NaN/Inf. When out._tracked, the caller
+    sets the node's rule (out._bwd): _op a rule per operand, conv2d and
+    attention one fused rule for all of theirs.
     """
     # max and min propagate NaN, cannot overflow (so never warn or raise under
     # np.seterr) and need no boolean temporary: an exact and cheap check
@@ -255,18 +259,33 @@ def _reduce_to(g, shape):
 
 
 def _broadcasts(small, big):
-    """True when `small` broadcasts to `big` as _binary allows."""
+    """True when `small` broadcasts to `big` as add/sub/mul/div allow."""
     if small.size == 1:
         return small.ndim <= big.ndim
     return small.ndim == big.ndim and all(s in (1, b) for s, b in zip(small.shape, big.shape))
 
 
-# -- elementwise arithmetic ------------------------------------------------
-# Each binary op is a forward ufunc plus one gradient rule per operand,
-# g -> d(out)/d(operand) * g, applied to the operands' arrays. Only the
-# rules of an op that `reads` its operands keep the operands' arrays.
+def _op(parents, data, op, *rules):
+    """Wrap the forward value of an op; when a graph is built, rules[i](g)
+    gives the gradient of parents[i] from the arrays that rule captured."""
+    out = _make(data, parents, op)
+    if out._tracked:
+        nodes = tuple(p._node for p in parents)
 
-def _binary(a, b, op, fwd, grad_a, grad_b, reads):
+        def bwd(g):
+            for node, rule in zip(nodes, rules):
+                if node is not None:
+                    node.accum(rule(g))
+        out._bwd = bwd
+    return out
+
+
+# -- elementwise arithmetic ------------------------------------------------
+# Each rule is g -> d(out)/d(operand) * g, summed down to the operand's shape.
+
+def _operands(a, b, op):
+    """a and b as Tensors (a python scalar takes the other's dtype), refused
+    unless they broadcast as add/sub/mul/div allow."""
     if not isinstance(a, Tensor):
         a = Tensor(np.asarray(a, dtype=b.dtype if isinstance(b, Tensor) else np.float32))
     if not isinstance(b, Tensor):
@@ -274,83 +293,47 @@ def _binary(a, b, op, fwd, grad_a, grad_b, reads):
     if a.shape != b.shape and not (_broadcasts(a, b) or _broadcasts(b, a)):
         raise TensorError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast "
                           "(one operand must be size 1 or of equal rank with axes 1 or equal)")
-    out = _make(fwd(a.data, b.data), (a, b), op)
-    if out._tracked:
-        an, bn, sa, sb = a._node, b._node, a.shape, b.shape
-        ad, bd = (a.data, b.data) if reads else (None, None)
-
-        def bwd(g):
-            if an is not None:
-                an.accum(_reduce_to(grad_a(g, ad, bd), sa))
-            if bn is not None:
-                bn.accum(_reduce_to(grad_b(g, ad, bd), sb))
-        out._bwd = bwd
-    return out
-
-
-def _unary(x, data, op, rule):
-    """Wrap the forward value of a one-operand op; when a graph is built,
-    `rule(g)` gives the gradient of x from the arrays the rule captured."""
-    out = _make(data, (x,), op)
-    if out._tracked:
-        xn = x._node
-        out._bwd = lambda g: xn.accum(rule(g))
-    return out
-
-
-def _grad_same(g, a, b):
-    return g
-
-
-def _grad_negated(g, a, b):
-    return -g
-
-
-def _grad_times_b(g, a, b):
-    return g * b
-
-
-def _grad_times_a(g, a, b):
-    return g * a
-
-
-def _grad_over_b(g, a, b):
-    return g / b
-
-
-def _grad_div_b(g, a, b):
-    return -g * a / (b * b)
+    return a, b
 
 
 def add(a, b):
-    return _binary(a, b, "add", np.add, _grad_same, _grad_same, False)
+    a, b = _operands(a, b, "add")
+    sa, sb = a.shape, b.shape
+    return _op((a, b), a.data + b.data, "add", lambda g: _reduce_to(g, sa), lambda g: _reduce_to(g, sb))
 
 
 def sub(a, b):
-    return _binary(a, b, "sub", np.subtract, _grad_same, _grad_negated, False)
+    a, b = _operands(a, b, "sub")
+    sa, sb = a.shape, b.shape
+    return _op((a, b), a.data - b.data, "sub", lambda g: _reduce_to(g, sa), lambda g: _reduce_to(-g, sb))
 
 
 def mul(a, b):
-    return _binary(a, b, "mul", np.multiply, _grad_times_b, _grad_times_a, True)
+    a, b = _operands(a, b, "mul")
+    ad, bd, sa, sb = a.data, b.data, a.shape, b.shape
+    return _op((a, b), ad * bd, "mul", lambda g: _reduce_to(g * bd, sa), lambda g: _reduce_to(g * ad, sb))
 
 
 def div(a, b):
-    return _binary(a, b, "div", np.divide, _grad_over_b, _grad_div_b, True)
+    a, b = _operands(a, b, "div")
+    ad, bd, sa, sb = a.data, b.data, a.shape, b.shape
+    return _op((a, b), ad / bd, "div", lambda g: _reduce_to(g / bd, sa),
+               lambda g: _reduce_to(-g * ad / (bd * bd), sb))
 
 
 def square(x):
     xd = x.data
-    return _unary(x, xd * xd, "square", lambda g: 2.0 * xd * g)
+    return _op((x,), xd * xd, "square", lambda g: 2.0 * xd * g)
 
 
 def sqrt(x):
     r = np.sqrt(x.data)
-    return _unary(x, r, "sqrt", lambda g: g / (2.0 * r))
+    return _op((x,), r, "sqrt", lambda g: g / (2.0 * r))
 
 
 def exp(x):
     e = np.exp(x.data)
-    return _unary(x, e, "exp", lambda g: g * e)
+    return _op((x,), e, "exp", lambda g: g * e)
 
 
 # -- reductions --------------------------------------------------------------
@@ -359,7 +342,7 @@ def sum_(x, axis=None):
     """Sum of every value, or of one axis, which is kept at extent 1."""
     shape = x.shape
     data = np.sum(x.data, axis=axis, keepdims=axis is not None, dtype=x.dtype)
-    return _unary(x, data, "sum", lambda g: np.broadcast_to(g, shape))
+    return _op((x,), data, "sum", lambda g: np.broadcast_to(g, shape))
 
 
 def mean(x):
@@ -370,22 +353,14 @@ def mean(x):
 
 def reshape(x, shape):
     xshape = x.shape
-    return _unary(x, x.data.reshape(shape), "reshape", lambda g: g.reshape(xshape))
+    return _op((x,), x.data.reshape(shape), "reshape", lambda g: g.reshape(xshape))
 
 
 def concat(a, b):
     """Join a and b along the channel axis (axis 1)."""
-    out = _make(np.concatenate([a.data, b.data], axis=1), (a, b), "concat")
-    if out._tracked:
-        an, bn, ca = a._node, b._node, a.shape[1]
-
-        def bwd(g):
-            if an is not None:
-                an.accum(g[:, :ca])
-            if bn is not None:
-                bn.accum(g[:, ca:])
-        out._bwd = bwd
-    return out
+    ca = a.shape[1]
+    return _op((a, b), np.concatenate([a.data, b.data], axis=1), "concat",
+               lambda g: g[:, :ca], lambda g: g[:, ca:])
 
 
 def halves(x):
@@ -399,7 +374,7 @@ def halves(x):
             full = np.zeros(shape, dtype=g.dtype)
             full[:, part] = g
             return full
-        return _unary(x, x.data[:, part], "halves", rule)
+        return _op((x,), x.data[:, part], "halves", rule)
     return half(slice(0, c)), half(slice(c, 2 * c))
 
 
@@ -415,7 +390,7 @@ def silu(x):
     def rule(g):
         s = 1.0 / (1.0 + np.exp(-xd))
         return g * (s * (1.0 + xd * (1.0 - s)))
-    return _unary(x, xd * s, "silu", rule)
+    return _op((x,), xd * s, "silu", rule)
 
 
 # -- matmul ---------------------------------------------------------------------
@@ -424,17 +399,8 @@ def matmul(a, b):
     """The product of two matrices [m, k] @ [k, n]."""
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise TensorError(f"matmul: need matrices [m, k] @ [k, n], got {a.shape} @ {b.shape}")
-    out = _make(a.data @ b.data, (a, b), "matmul")
-    if out._tracked:
-        an, bn, ad, bd = a._node, b._node, a.data, b.data
-
-        def bwd(g):
-            if an is not None:
-                an.accum(g @ bd.T)
-            if bn is not None:
-                bn.accum(ad.T @ g)
-        out._bwd = bwd
-    return out
+    ad, bd = a.data, b.data
+    return _op((a, b), ad @ bd, "matmul", lambda g: g @ bd.T, lambda g: ad.T @ g)
 
 
 # -- attention ------------------------------------------------------------------
@@ -711,7 +677,7 @@ def group_norm(x, groups):
         gm = gr.mean(axis=-1, keepdims=True, dtype=g.dtype)
         gy = np.mean(gr * y, axis=-1, keepdims=True, dtype=g.dtype)
         return (inv * (gr - gm - y * gy)).reshape(n, c, h, w)
-    return _unary(x, y.reshape(n, c, h, w), "group_norm", rule)
+    return _op((x,), y.reshape(n, c, h, w), "group_norm", rule)
 
 
 # -- resampling --------------------------------------------------------------------------
@@ -722,5 +688,5 @@ def upsample_nearest2(x):
         raise TensorError(f"upsample_nearest2: need 4-d input, got {x.shape}")
     n, c, h, w = x.shape
     d = np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3)
-    return _unary(x, d, "upsample_nearest2",
-                  lambda g: g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5), dtype=g.dtype))
+    return _op((x,), d, "upsample_nearest2",
+               lambda g: g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5), dtype=g.dtype))

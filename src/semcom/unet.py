@@ -364,6 +364,8 @@ class UNet:
         if x.ndim != 4 or x.shape[1:] != (IMAGE_CHANNELS, cfg.image_size, cfg.image_size):
             raise ModelConfigError(f"input shape {x.shape} does not match config "
                                    f"[N,{IMAGE_CHANNELS},{cfg.image_size},{cfg.image_size}]")
+        if np.atleast_1d(np.asarray(t)).shape != (x.shape[0],):
+            raise ModelConfigError(f"need one timestep per sample of batch {x.shape[0]}, got {t!r}")
         with T.scope("time"):
             temb = self.time(t)
 

@@ -79,8 +79,11 @@ class TestBuildSchedule:
         ab = sched.alpha_bars
         prev = np.concatenate([[1.0], ab[:-1]])
         expect = (1 - prev) / (1 - ab) * sched.betas
-        assert np.allclose(sched.posterior_variances, expect)
-        assert sched.posterior_variances[0] == 0.0  # exact at t=1, log uses the clip
+        assert expect[0] == 0.0  # exact at t=1, so the log is clipped to the t=2 value
+        assert np.array_equal(sched.alpha_bars_prev, prev)
+        variances = np.exp(sched.log_posterior_clipped)
+        assert np.allclose(variances[1:], expect[1:])
+        assert variances[0] == pytest.approx(expect[1])
 
     def test_invalid_range_rejected(self):
         with pytest.raises(DiffusionError):
@@ -130,6 +133,15 @@ class TestTotalLoss:
         y = np.zeros((2, 2, 8, 8), np.float32)
         eps = rng.standard_normal(x0.shape).astype(np.float32)
         return sched, x0, y, eps, np.full(2, t)
+
+    def test_timesteps_neither_one_nor_one_per_sample_rejected(self):
+        sched, x0, y, eps, _ = self._setup()
+        model = StubModel(lambda x, yy, tt: eps, lambda x, yy, tt: np.zeros_like(x))
+        with pytest.raises(DiffusionError, match="one per sample"):
+            total_loss(model, x0, y, np.array([5, 5, 5]), eps, sched)
+        with pytest.raises(DiffusionError, match="one per sample"):
+            q_sample(x0, np.full((2, 1), 5), eps, sched)
+        assert q_sample(x0, 5, eps, sched).shape == x0.shape  # one timestep for the batch
 
     def test_perfect_eps_prediction_zeroes_ld(self):
         sched, x0, y, eps, t = self._setup()
@@ -428,6 +440,13 @@ class TestPSampleLoop:
         eps_a, var_a = guided_eps(model, x, y, t, s)
         eps_b, var_b = guided_eps(model, x, guidance_conditions(model, y, s), t, s)
         assert np.array_equal(eps_a, eps_b) and np.array_equal(var_a, var_b)
+
+    def test_guided_eps_refuses_conditions_without_the_null_branch(self):
+        model = self._randomized_unet(8)
+        y = np.ones((1, 2, 8, 8), np.float32)
+        conds = guidance_conditions(model, y, 0.0)
+        with pytest.raises(DiffusionError, match="null branch"):
+            guided_eps(model, np.zeros((1, 3, 8, 8), np.float32), conds, np.array([3]), 2.0)
 
     def test_respace_preserves_alpha_bars(self):
         sched = build_schedule(100, 1e-3, 0.1)

@@ -532,6 +532,25 @@ class TestBackward:
         loss.backward()
         assert all(ref() is None for ref in arrays.values()) and x.grad is not None
 
+    @pytest.mark.parametrize("op, reads", [
+        (T.add, False), (T.sub, False), (T.concat, False),
+        (T.mul, True), (T.div, True), (T.matmul, True),
+    ], ids=["add", "sub", "concat", "mul", "div", "matmul"])
+    def test_binary_rules_keep_only_the_arrays_they_read(self, op, reads):
+        """A two-operand op with both operands tracked keeps their arrays only
+        when its rules read them, so no rule captures an operand it does not
+        read; backward frees them all."""
+        x = Tensor(np.full((2, 2), 0.5), requires_grad=True)
+        y = Tensor(np.full((2, 2), 2.0), requires_grad=True)
+        a, b = T.mul(x, 2.0), T.mul(y, 3.0)  # mul's rules read x and y, not a and b
+        refs = [weakref.ref(a.data), weakref.ref(b.data)]
+        loss = T.sum_(op(a, b))
+        del a, b
+        assert [ref() is not None for ref in refs] == [reads, reads]
+        loss.backward()
+        assert all(ref() is None for ref in refs)
+        assert x.grad is not None and y.grad is not None
+
     def test_backward_of_an_untracked_value_raises(self):
         with pytest.raises(TensorError, match="no tracked tensor"):
             T.sum_(Tensor(np.ones(3))).backward()

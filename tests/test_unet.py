@@ -313,6 +313,13 @@ class TestUNet:
         with pytest.raises(ModelConfigError, match="conditioning batch"):
             model.forward(x, y[:1].repeat(3, axis=0), t)  # neither batch 1 nor N
 
+    def test_timesteps_must_be_one_per_sample(self):
+        model = UNet(TOY, seed=8)
+        x, y, _ = self._inputs(n=3)
+        for t in ([5, 5], 5, [[5, 5, 5]]):
+            with pytest.raises(ModelConfigError, match="one timestep per sample"):
+                model.forward(x, y, t)
+
     def test_batch1_stack_decodes_like_repeated_stack(self):
         model = UNet(TOY, seed=12)
         _randomize(model, seed=120)
@@ -431,6 +438,12 @@ class TestCheckpoint:
             bad.write_bytes(blob[:5] + len(manifest).to_bytes(4, "little") + manifest)
             with pytest.raises(CheckpointError):
                 load_checkpoint(bad)
+        # JSON true is a python bool, an int subclass; with its data the shape reaches reshape
+        manifest = json.dumps({"config_hash": "a", "extra": {},
+                               "entries": [{"name": "w", "shape": [True, 2]}]}).encode()
+        bad.write_bytes(blob[:5] + len(manifest).to_bytes(4, "little") + manifest + b"\0" * 8)
+        with pytest.raises(CheckpointError, match="bad checkpoint entry"):
+            load_checkpoint(bad)
 
     def test_huge_entry_shapes_raise_checkpoint_error(self, tmp_path):
         """A shape whose element count overflows int64 or wraps to 0 is refused

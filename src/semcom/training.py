@@ -193,7 +193,6 @@ class Trainer:
         t = self.rng.integers(1, self.sched.steps + 1, size=cfg.batch_size)
         eps = self.rng.standard_normal(x0.shape, dtype=np.float32)
 
-        self.model.zero_grad()
         loss, comps = total_loss(self.model, x0, y, t, eps, self.sched)
         loss.backward()
 
@@ -207,6 +206,7 @@ class Trainer:
         else:
             self.skipped += 1
             norm = float("nan")
+        self.model.zero_grad()  # nothing reads .grad after the update; free it now
         self.step_index += 1
         return RunMetrics(self.step_index, comps["L_d"], comps["L_KL"], comps["total"],
                           norm, 1e3 * (time.perf_counter() - t0), psnr_counts)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from semcom import codec
 from semcom.channel import (
     ChannelConfig,
     ChannelError,
@@ -10,6 +13,12 @@ from semcom.channel import (
     transmit_image,
 )
 from semcom.codec import ChannelFrame
+from semcom.link import transmit_map
+
+
+def _fresh_noise(seed, count, sigma):
+    """The first `count` normals of a new Philox stream keyed by `seed`, times sigma."""
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed))).standard_normal(count) * sigma
 
 
 class TestPsnrToSigma:
@@ -102,6 +111,25 @@ class TestTransmit:
     @pytest.mark.parametrize("m", [0, 1, 255, 256, 257, 4095])
     def test_noise_of_an_index_does_not_depend_on_count(self, m):
         assert np.array_equal(noise_for_indices(5, m, 0.3), noise_for_indices(5, 4096, 0.3)[:m])
+        full = noise_for_indices(5, 4096, 0.3)  # the reverse order: m slices the kept normals
+        assert np.array_equal(noise_for_indices(5, m, 0.3), full[:m])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([3, 77, 2**64 - 1]), st.integers(0, 5000),
+                              st.sampled_from([0.3, 1.0])), min_size=1, max_size=8))
+    def test_repeated_seeds_return_what_a_fresh_stream_would(self, calls):
+        """Whatever the order of seeds and counts, each call equals a fresh draw,
+        also after an earlier result was changed in place as `transmit` does."""
+        for seed, count, sigma in calls:
+            noise = noise_for_indices(seed, count, sigma)
+            assert np.array_equal(noise, _fresh_noise(seed, count, sigma))
+            np.add(1.0, noise, out=noise)
+
+    def test_negative_count_refused(self):
+        """numpy raised its own ValueError here; a slice of kept normals would raise nothing."""
+        noise_for_indices(1, 10, 1.0)
+        with pytest.raises(ChannelError, match="count"):
+            noise_for_indices(1, -1, 1.0)
 
     def test_noise_scales_with_sigma_bitwise(self):
         assert np.array_equal(noise_for_indices(8, 1000, 0.3), 0.3 * noise_for_indices(8, 1000, 1.0))
@@ -161,6 +189,20 @@ class TestTransmitImage:
         img = rng.uniform(0, 1, size=(3, 32, 32))
         out = transmit_image(img, ChannelConfig(psnr_db=1.0, seed=3))
         assert out.min() >= 0.0 and out.max() <= 1.0
+
+    @pytest.mark.parametrize("classes", [2, 5], ids=["image-draws-past-map", "image-within-map"])
+    def test_map_then_image_under_one_config_match_fresh_streams(self, classes):
+        """The classical baseline sends a map and then its image with one ChannelConfig."""
+        cmap = np.arange(16 * 16).reshape(16, 16) % classes
+        img = np.random.default_rng(4).uniform(0.1, 0.9, size=(3, 16, 16))
+        cfg = ChannelConfig(psnr_db=5.0, seed=derive_seed(13, classes))
+        frame = codec.power_normalize(codec.one_hot_encode(cmap, 5))
+        raw = transmit_map(cmap, 5, cfg).received_raw.reshape(-1)
+        assert np.array_equal(raw, frame.symbols + _fresh_noise(cfg.seed, frame.symbols.size, cfg.sigma))
+        flat = img.reshape(-1)
+        scale = np.sqrt(1.0 / np.mean(flat * flat))
+        expect = (flat * scale + _fresh_noise(cfg.seed, flat.size, cfg.sigma)) / scale
+        assert np.array_equal(transmit_image(img, cfg), np.clip(expect, 0.0, 1.0).reshape(img.shape))
 
     def test_midgray_psnr20_calibration(self):
         img = np.full((3, 64, 64), 0.5)

@@ -211,6 +211,16 @@ class TestTrainStep:
         assert not np.array_equal(params[first], tr.model.params[first].data)
         assert all(np.isfinite(p.data).all() for p in tr.model.params.values())
 
+    @pytest.mark.parametrize("poison", [None, np.nan], ids=["applied", "skipped"])
+    def test_no_gradient_kept_between_steps(self, monkeypatch, poison):
+        """Nothing reads .grad after the update, so a step frees every gradient."""
+        tr = _trainer(6)
+        if poison is not None:
+            _poison_gradient(monkeypatch, tr, poison)
+        tr.train_step()
+        assert tr.skipped == (poison is not None)
+        assert all(p.grad is None for p in tr.model.params.values())
+
     def test_training_keeps_fds_off(self):
         """The conditioning path never binarizes during training."""
         tr = _trainer(3)

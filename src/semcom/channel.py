@@ -31,8 +31,8 @@ class ChannelConfig:
     def __post_init__(self):
         if not self.psnr_db > -np.inf:
             raise ChannelError(f"psnr_db must be a number or +inf (noiseless), got {self.psnr_db}")
-        if not 0 <= self.seed < 2**64:
-            raise ChannelError(f"seed must lie in [0, 2**64), got {self.seed}")
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
+            raise ChannelError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
     @property
     def sigma(self):
@@ -106,7 +106,7 @@ def transmit_image(rgb, cfg):
 def derive_seed(*entropy):
     """Stable 64-bit seed from a tuple of non-negative integers (master seed, indices...).
 
-    Integers of any size are taken whole; a negative one raises ValueError.
+    Integers of any size are taken whole; a negative one raises ValueError, a float TypeError.
     """
-    ss = np.random.SeedSequence([int(e) for e in entropy])
+    ss = np.random.SeedSequence(entropy)
     return int(ss.generate_state(2, np.uint32).view(np.uint64)[0])

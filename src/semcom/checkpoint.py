@@ -59,9 +59,11 @@ def save_checkpoint(path, arrays, config_hash, extra):
 
 def load_checkpoint(path):
     """Returns (arrays dict, manifest dict); any damage raises CheckpointError."""
-    if not os.path.exists(path):
-        raise CheckpointError(f"no checkpoint at {path}")
-    with open(path, "rb") as f:
+    try:
+        f = open(path, "rb")
+    except OSError as e:
+        raise CheckpointError(f"no checkpoint at {path}: {e.strerror}") from None
+    with f:
         magic = f.read(4)
         if magic != MAGIC:
             raise CheckpointError(f"bad checkpoint magic {magic!r}")
@@ -86,6 +88,19 @@ def load_checkpoint(path):
         except ValueError as e:  # a shape numpy cannot hold, such as (0, 2**70)
             raise CheckpointError(f"bad checkpoint entry shape: {e}") from None
     return arrays, manifest
+
+
+def copy_into(live, arrays, error, what):
+    """Write `arrays` in place into the `live` arrays of their names, so a dict from an earlier
+    `state()` sees them; raise `error`, writing nothing, unless the names and shapes match `live`."""
+    missing, unknown = sorted(live.keys() - arrays.keys()), sorted(arrays.keys() - live.keys())
+    if missing or unknown:
+        raise error(f"{what}: missing {missing[:3]}, unknown {unknown[:3]}")
+    for name, arr in live.items():
+        if np.shape(arrays[name]) != arr.shape:
+            raise error(f"{name}: shape {np.shape(arrays[name])} != {arr.shape}")
+    for name, arr in live.items():
+        arr[...] = arrays[name]
 
 
 def _parse_manifest(raw):

@@ -45,8 +45,8 @@ class ShapesSpec:
             raise DataError(f"bad shape count range [{self.shapes_min}, {self.shapes_max}]")
         if self.canvas < 4:  # smallest canvas where every shape covers a pixel
             raise DataError(f"canvas must be >= 4, got {self.canvas}")
-        if not 0 <= self.seed < 2**64:
-            raise DataError(f"seed must lie in [0, 2**64), got {self.seed}")
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
+            raise DataError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
     @property
     def palette_array(self):

@@ -60,10 +60,10 @@ def _from_betas(betas, timestep_map):
 
 def respace(sched, steps):
     """Evenly spaced sub-schedule with equivalent cumulative products."""
-    if steps >= sched.steps:
+    if not 1 <= steps <= sched.steps:
+        raise DiffusionError(f"need 1 to {sched.steps} sampling steps, got {steps}")
+    if steps == sched.steps:
         return sched
-    if steps < 1:
-        raise DiffusionError(f"need at least one sampling step, got {steps}")
     idx = np.unique(np.round(np.linspace(1, sched.steps, steps)).astype(int))
     abar = sched.alpha_bars[idx - 1]
     abar_prev = np.concatenate([[1.0], abar[:-1]])
@@ -191,8 +191,8 @@ class SamplerConfig:
             raise DiffusionError(f"guidance scale must be finite and >= 0, got {self.guidance_scale}")
         if self.steps < 0:
             raise DiffusionError(f"steps must be >= 0 (0 is the full schedule), got {self.steps}")
-        if not 0 <= self.seed < 2**64:
-            raise DiffusionError(f"seed must lie in [0, 2**64), got {self.seed}")
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
+            raise DiffusionError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
 
 def null_condition(y):

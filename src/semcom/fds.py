@@ -24,9 +24,9 @@ class FdsError(ValueError):
 
 @dataclass(frozen=True)
 class FdsConfig:
-    # Threshold must exceed 2/3: a straight region edge pools to exactly 2/3
-    # one pixel outside the boundary, so anything lower dilates every region
-    # by a full ring and loses to naive thresholding on mildly noisy maps.
+    # The default threshold 0.8 stays clear of 2/3: a straight region edge pools to
+    # 2/3 one pixel outside the boundary, so a threshold at or below 2/3 grows every
+    # region by a full ring and loses to naive thresholding on mildly noisy maps.
     avg_kernel: int = 3
     max_kernel: int = 3
     threshold: float = 0.8

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelConfig, derive_seed
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import copy_into, load_checkpoint, save_checkpoint
 from .diffusion import total_loss
 from .link import receiver_condition, transmit_map
 
@@ -52,8 +52,8 @@ class TrainConfig:
             raise TrainError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 < self.learning_rate < np.inf:
             raise TrainError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not 0 <= self.seed < 2**64:
-            raise TrainError(f"seed must lie in [0, 2**64), got {self.seed}")
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
+            raise TrainError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if not 0.0 < self.ema_decay < 1.0:
             raise TrainError(f"ema_decay must lie in (0, 1), got {self.ema_decay}")
 
@@ -230,14 +230,6 @@ class Trainer:
         if manifest["config_hash"] != self.config_hash:
             raise TrainError(f"checkpoint config hash {manifest['config_hash']!r} does not match "
                              f"this run's {self.config_hash!r}")
-        want = self.state_arrays()
-        missing, unknown = sorted(want.keys() - arrays.keys()), sorted(arrays.keys() - want.keys())
-        if missing or unknown:
-            raise TrainError(f"checkpoint is not this trainer's state (weights, AdamW moments, EMA): "
-                             f"missing {missing[:3]}, unknown {unknown[:3]}")
-        for name, arr in want.items():
-            if arrays[name].shape != arr.shape:
-                raise TrainError(f"{name}: shape {arrays[name].shape} != {arr.shape}")
         extra = manifest["extra"]
         counters = [extra.get(key) for key in ("step", "skipped", "opt_t")]
         if not all(type(c) is int and c >= 0 for c in counters) or counters[0] != counters[1] + counters[2]:
@@ -249,8 +241,7 @@ class Trainer:
                 raise ValueError("it does not round-trip")
         except (TypeError, ValueError, KeyError, OverflowError) as e:
             raise TrainError(f"bad checkpoint RNG state: {e!r}") from None
-
-        for name, arr in want.items():  # every state array is written in place
-            arr[...] = arrays[name]
+        copy_into(self.state_arrays(), arrays, TrainError,
+                  "checkpoint is not this trainer's state (weights, AdamW moments, EMA)")
         self.step_index, self.skipped, self.opt.t = counters
         self.rng.bit_generator.state = rng.state

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .checkpoint import copy_into
 from .tensor import Tensor
 
 
@@ -336,17 +337,8 @@ class UNet:
         return {name: t.data for name, t in self.params.items()}
 
     def load_state(self, arrays):
-        missing = set(self.params) - set(arrays)
-        extra = set(arrays) - set(self.params)
-        if missing or extra:
-            raise ModelConfigError(f"parameter mismatch: missing {sorted(missing)[:3]}, extra {sorted(extra)[:3]}")
-        # check every array before assigning any, so a rejected state leaves the model as it was
-        loaded = {name: np.array(arrays[name], dtype=np.float32) for name in self.params}
-        for name, arr in loaded.items():
-            if arr.shape != self.params[name].shape:
-                raise ModelConfigError(f"{name}: shape {arr.shape} != {self.params[name].shape}")
-        for name, arr in loaded.items():
-            self.params[name].data = arr
+        """Write `arrays` in place into the parameter arrays, all or none, so an earlier `state()` sees them."""
+        copy_into(self.state(), arrays, ModelConfigError, "parameter mismatch")
 
     def zero_grad(self):
         for t in self.params.values():

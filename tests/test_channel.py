@@ -51,11 +51,15 @@ class TestPsnrToSigma:
         with pytest.raises(ChannelError, match="psnr_db"):
             ChannelConfig(psnr, seed=1)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.2, 1.7])
     def test_seed_outside_uint64_refused(self, seed):
-        """Such a seed failed only inside transmit, with numpy's OverflowError."""
+        """An integer out of range failed only inside transmit, with numpy's OverflowError;
+        a float was truncated, so seeds 1.2 and 1.7 drew the same noise."""
         with pytest.raises(ChannelError, match="seed"):
             ChannelConfig(10.0, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert ChannelConfig(10.0, seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
 
 
 class TestTransmit:
@@ -221,5 +225,8 @@ def test_derive_seed_stable_and_distinct():
 
 def test_derive_seed_takes_whole_integers():
     assert derive_seed(1, 2**32) != derive_seed(1, 0)
+    assert derive_seed(np.uint64(1), np.int64(2), 3) == derive_seed(1, 2, 3)
     with pytest.raises(ValueError):
         derive_seed(1, -1)
+    with pytest.raises(TypeError):  # a float was floored: derive_seed(1.9, 2) == derive_seed(1, 2)
+        derive_seed(1.9, 2)

@@ -59,6 +59,7 @@ class TestGenerateShapes:
         ({"seed": -1}, "seed"),
         ({"seed": 2**64}, "seed"),
         ({"canvas": 3}, "canvas"),
+        ({"seed": 1.5}, "seed"),
     ])
     def test_undrawable_spec_refused(self, settings, field):
         with pytest.raises(DataError, match=field):

@@ -283,7 +283,7 @@ class TestGuidedEps:
     @pytest.mark.parametrize("kw, match", [
         ({"guidance_scale": float("nan")}, "guidance scale"), ({"guidance_scale": float("inf")}, "guidance scale"),
         ({"guidance_scale": -1.0}, "guidance scale"), ({"steps": -1}, "steps"),
-        ({"seed": -3}, "seed"), ({"seed": 2**64}, "seed")])
+        ({"seed": -3}, "seed"), ({"seed": 2**64}, "seed"), ({"seed": 3.5}, "seed")])
     def test_sampler_config_refuses_bad_settings(self, kw, match):
         with pytest.raises(DiffusionError, match=match):
             SamplerConfig(**kw)
@@ -453,6 +453,14 @@ class TestPSampleLoop:
         sub = respace(sched, 13)
         assert np.allclose(sub.alpha_bars, sched.alpha_bars[sub.timestep_map - 1])
         assert sub.timestep_map[-1] == 100
+
+    def test_respace_refuses_more_steps_than_the_schedule(self):
+        """500 steps on a 100-step schedule returned the schedule, so a sampler ran 100 silently."""
+        sched = build_schedule(100, 1e-3, 0.1)
+        assert respace(sched, 100) is sched
+        for steps in (0, 101, 500):
+            with pytest.raises(DiffusionError, match="sampling steps"):
+                respace(sched, steps)
 
 
 def test_posterior_mean_matches_bayes_oracle():

@@ -69,7 +69,7 @@ class TestSampleChannelCondition:
 class TestTrainConfig:
     @pytest.mark.parametrize("name, value", [
         ("learning_rate", float("nan")), ("learning_rate", 0.0), ("learning_rate", float("inf")),
-        ("seed", -1), ("seed", 2**64),
+        ("seed", -1), ("seed", 2**64), ("seed", 2.5),
         ("ema_decay", 1.0),
         ("batch_size", 0),
     ])
@@ -272,7 +272,8 @@ class TestCheckpointResume:
         tr = _trainer(9)
         tr.train_step()
         path = tmp_path / "ema.ckpt"
-        save_checkpoint(path, tr.ema, tr.config_hash, {"step": tr.step_index})
+        tr.save(path)
+        save_checkpoint(path, tr.ema, tr.config_hash, load_checkpoint(path)[1]["extra"])
         params = {k: p.data.copy() for k, p in tr.model.params.items()}
         ema = {k: v.copy() for k, v in tr.ema.items()}
         with pytest.raises(TrainError, match="EMA"):

@@ -389,6 +389,16 @@ class TestUNet:
         for name, arr in before.items():
             assert np.array_equal(arr, model.params[name].data), name
 
+    def test_load_state_writes_in_place(self):
+        """The loaded values land in the live arrays, so a dict from an earlier `state()` sees them."""
+        model = UNet(TOY, seed=13)
+        state = model.state()
+        ids = {k: id(p.data) for k, p in model.params.items()}
+        model.load_state({k: np.full(p.shape, 0.5, np.float64) for k, p in model.params.items()})
+        for name, p in model.params.items():
+            assert id(p.data) == ids[name] and p.data.dtype == np.float32, name
+            assert np.all(state[name] == 0.5), name
+
 
 class TestCheckpoint:
     def test_round_trip_preserves_forward_bitwise(self, tmp_path):
@@ -409,6 +419,11 @@ class TestCheckpoint:
             a = model.forward(x, y, t)[0].data
             b = clone.forward(x, y, t)[0].data
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("name", ["absent.ckpt", "."], ids=["missing", "directory"])
+    def test_unreadable_path_raises_checkpoint_error(self, tmp_path, name):
+        with pytest.raises(CheckpointError, match="no checkpoint at"):
+            load_checkpoint(tmp_path / name)
 
     def test_corrupt_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"

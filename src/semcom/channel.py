@@ -23,6 +23,12 @@ class ChannelError(ValueError):
     pass
 
 
+def is_seed(value):
+    """True for an integer in [0, 2**64), the seed every config takes. A bool
+    is refused although it is an int: seed=True would silently be seed 1."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and 0 <= value < 2**64
+
+
 @dataclass(frozen=True)
 class ChannelConfig:
     psnr_db: float
@@ -31,7 +37,7 @@ class ChannelConfig:
     def __post_init__(self):
         if not self.psnr_db > -np.inf:
             raise ChannelError(f"psnr_db must be a number or +inf (noiseless), got {self.psnr_db}")
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
+        if not is_seed(self.seed):
             raise ChannelError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
     @property

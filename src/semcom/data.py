@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import is_seed
+
 # background + four body colors, pairwise L2 >= 0.3 in [0,1]^3
 PALETTE = (
     (0.10, 0.10, 0.12),  # 0: background, near-black
@@ -45,7 +47,7 @@ class ShapesSpec:
             raise DataError(f"bad shape count range [{self.shapes_min}, {self.shapes_max}]")
         if self.canvas < 4:  # smallest canvas where every shape covers a pixel
             raise DataError(f"canvas must be >= 4, got {self.canvas}")
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
+        if not is_seed(self.seed):
             raise DataError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
     @property

@@ -7,11 +7,14 @@ its log is clipped to the t=2 value (standard practice for this recipe).
 """
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
+from .channel import is_seed
 from .tensor import Tensor
 from .unet import IMAGE_CHANNELS
 
@@ -191,7 +194,7 @@ class SamplerConfig:
             raise DiffusionError(f"guidance scale must be finite and >= 0, got {self.guidance_scale}")
         if self.steps < 0:
             raise DiffusionError(f"steps must be >= 0 (0 is the full schedule), got {self.steps}")
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
+        if not is_seed(self.seed):
             raise DiffusionError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
 
@@ -206,6 +209,15 @@ def guidance_conditions(model, y, s):
 
     Returns (model.condition(y), model.condition(null_condition(y))); the
     null branch is None at s=0, where guidance never evaluates it.
+
+    p_sample_loop builds the same pair per half of its batch instead, one
+    condition per half and one null for both, and decodes each half in its
+    own thread. Its bits equal those of this whole-batch pair, because every
+    op of `encode`, `condition` and `decode` computes each sample on its own:
+    conv2d one GEMM per sample, group norm per (sample, group), attention per
+    (sample, head), and the time-embedding and scale/shift matmuls per row
+    (a one-row product runs as gemm, see `tensor.matmul`). The batch-1 null
+    condition is broadcast over either half as over the whole batch.
     """
     y = np.asarray(y, dtype=np.float32)
     with T.no_grad():
@@ -215,8 +227,9 @@ def guidance_conditions(model, y, s):
 def guided_eps(model, x_t, y, t, s):
     """Classifier-free guidance: eps_c + s * (eps_c - eps_u).
 
-    y is a semantic stack, or its `guidance_conditions` (built at a nonzero
-    scale when s is), which a sampler computes once per run. Returns
+    y is a semantic stack, or a (condition, null condition) pair as
+    `guidance_conditions` returns (built at a nonzero scale when s is),
+    which a sampler computes once per run for each half of its batch. Returns
     (eps_hat, var_raw) as arrays; the variance comes from the conditional
     pass. The encoder never sees the stack, so x_t is encoded once and only
     the decoder runs per branch. s=0 never evaluates the unconditional
@@ -238,26 +251,66 @@ def guided_eps(model, x_t, y, t, s):
     return eps_c.data + s * (eps_c.data - eps_u.data), var_raw.data
 
 
+def _new_worker():
+    """The one-thread pool that runs the second half of each sampler batch
+    (see p_sample_loop); its thread starts on the first batch. A forked child
+    gets a new pool, since the parent's thread does not exist there and the
+    inherited pool would queue the half forever."""
+    global _WORKER
+    _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="semcom-sampler")
+
+
+_new_worker()
+if hasattr(os, "register_at_fork"):  # POSIX
+    os.register_at_fork(after_in_child=_new_worker)
+
+
+def _halves_eps(model, x, conds, t, s, parts):
+    """guided_eps of each part of the batch, the second in the worker thread,
+    joined into (eps_hat, var_raw) of the whole batch."""
+    if len(parts) == 1:
+        return guided_eps(model, x, conds[0], t, s)
+    (a, b), (ca, cb) = parts, conds
+    second = _WORKER.submit(guided_eps, model, x[b], cb, t[b], s)
+    try:
+        first = guided_eps(model, x[a], ca, t[a], s)
+    finally:
+        wait([second])  # never leave the worker running, even when the first half raised
+    return tuple(np.concatenate(pair) for pair in zip(first, second.result()))
+
+
 def p_sample_loop(model, y, sched, cfg, callback=None):
     """Ancestral sampling from t=T down to 1; deterministic given cfg.seed.
 
-    y is a [N, C_total, H, W] conditioning stack; its decoder conditions are
-    computed once, before the first step. Returns float32 images in model
-    space (approximately [-1, 1]); callers map to display range.
+    y is a [N, C_total, H, W] conditioning stack. A batch of two or more is
+    split into the halves [0, N//2) and [N//2, N). Each half's decoder
+    condition is computed once, before the first step, and the null branch
+    once for both. Each step runs guided_eps on the second half in a worker
+    thread while the calling thread runs it on the first, so the two halves'
+    encodes and decodes run on two cores (numpy and BLAS release the GIL for
+    the heavy work). The update and the noise draw then run on the whole
+    batch. The samples equal, bit for bit, those of guided_eps on the whole
+    batch: every U-Net op computes each sample on its own (see
+    `guidance_conditions`). Returns float32 images in model space
+    (approximately [-1, 1]); callers map to display range.
     """
     y = np.asarray(y, dtype=np.float32)
     if y.ndim != 4:
         raise DiffusionError(f"conditioning must be 4-d, got shape {y.shape}")
     sub = respace(sched, cfg.steps) if cfg.steps else sched
     n = y.shape[0]
+    s = cfg.guidance_scale
     shape = (n, IMAGE_CHANNELS, model.config.image_size, model.config.image_size)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed)))
     x = rng.standard_normal(shape, dtype=np.float32)
-    conds = guidance_conditions(model, y, cfg.guidance_scale)
+    parts = [slice(0, n // 2), slice(n // 2, n)] if n >= 2 else [slice(0, n)]
+    with T.no_grad():
+        null = model.condition(null_condition(y)) if s else None
+        conds = [(model.condition(y[part]), null) for part in parts]
     for i in reversed(range(sub.steps)):
         t_model = np.full(n, sub.timestep_map[i], dtype=np.int64)
         t_sub = np.full(n, i + 1, dtype=np.int64)
-        eps_hat, var_raw = guided_eps(model, x, conds, t_model, cfg.guidance_scale)
+        eps_hat, var_raw = _halves_eps(model, x, conds, t_model, s, parts)
         mean = eps_to_mean(eps_hat, x, t_sub, sub)
         if i > 0:
             logvar = model_log_variance(var_raw, t_sub, sub)

@@ -37,6 +37,12 @@ parent Tensor. A graph therefore keeps its nodes plus the arrays its rules
 read: an output that no rule reads is freed as soon as the forward drops it.
 no_grad builds no node at all.
 
+Grad mode (no_grad) and the scope stack are per thread, so two threads can
+run forwards at once; each new thread starts with grad on and no scope. The
+sampler runs the two halves of a batch that way, and each op computes every
+sample on its own (per-sample conv GEMMs, per-sample group norm and
+attention, matmul rows), so a half's values equal its rows of the whole batch.
+
 A graph is consumed by its backward, which frees each node once its
 gradient rule has run; a second backward through it raises. Leaves
 (parameters) keep accumulating .grad across graphs.
@@ -49,6 +55,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import threading
 
 import numpy as np
 
@@ -61,30 +68,38 @@ class NonFiniteError(ArithmeticError):
     """A forward operation produced NaN or Inf."""
 
 
-_grad_enabled = True
-_scope: list[str] = []
+class _ThreadState(threading.local):
+    """Grad mode and scope stack, one of each per thread: the sampler runs the
+    two halves of a batch in two threads, and a no_grad or scope that one of
+    them enters (or leaves by an exception) must not reach the other."""
+
+    def __init__(self):
+        self.grad_enabled = True
+        self.scope = []
+
+
+_state = _ThreadState()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph construction (forward passes only)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable graph construction in this thread (forward passes only)."""
+    prev = _state.grad_enabled
+    _state.grad_enabled = False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _state.grad_enabled = prev
 
 
 @contextlib.contextmanager
 def scope(name):
-    """Label a region of the forward pass for non-finite diagnostics."""
-    _scope.append(name)
+    """Label a region of this thread's forward pass for non-finite diagnostics."""
+    _state.scope.append(name)
     try:
         yield
     finally:
-        _scope.pop()
+        _state.scope.pop()
 
 
 class _Node:
@@ -222,7 +237,7 @@ def _released(g):
 
 
 def _nonfinite(op):
-    where = "/".join(_scope) or "<top>"
+    where = "/".join(_state.scope) or "<top>"
     return NonFiniteError(f"non-finite values produced by {op} in {where}")
 
 
@@ -240,7 +255,7 @@ def _make(data, parents, op):
     out = Tensor.__new__(Tensor)
     out.data = data
     out._node = None
-    if _grad_enabled:
+    if _state.grad_enabled:
         nodes = tuple(p._node for p in parents if p._node is not None)
         if nodes:
             out._node = _Node(nodes)
@@ -396,11 +411,20 @@ def silu(x):
 # -- matmul ---------------------------------------------------------------------
 
 def matmul(a, b):
-    """The product of two matrices [m, k] @ [k, n]."""
+    """The product of two matrices [m, k] @ [k, n].
+
+    A one-row forward runs as a two-row GEMM of the row and a zero row.
+    numpy hands a single row to BLAS's gemv, whose sums can differ from
+    gemm's in the last bit, so a sample's row would depend on how many rows
+    share the call. At the U-Net's shapes, OpenBLAS gemm gives a row the same
+    bits among any number of rows (checked for 1 to 8), so the sampler's
+    halves of a batch, one sample each at batch 2 or 3, equal the whole batch.
+    """
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise TensorError(f"matmul: need matrices [m, k] @ [k, n], got {a.shape} @ {b.shape}")
     ad, bd = a.data, b.data
-    return _op((a, b), ad @ bd, "matmul", lambda g: g @ bd.T, lambda g: ad.T @ g)
+    data = (np.concatenate([ad, np.zeros_like(ad)]) @ bd)[:1] if len(ad) == 1 else ad @ bd
+    return _op((a, b), data, "matmul", lambda g: g @ bd.T, lambda g: ad.T @ g)
 
 
 # -- attention ------------------------------------------------------------------
@@ -430,7 +454,7 @@ def attention(f, g, v):
     n, heads, d, s = f.shape
     fd, gd, vd = f.data, g.data, v.data
     dtype = np.result_type(fd, gd, vd)
-    keep = _grad_enabled and any(t._node is not None for t in (f, g, v))
+    keep = _state.grad_enabled and any(t._node is not None for t in (f, g, v))
     weights = np.empty((n, heads, s, s) if keep else (s, s), dtype=dtype)
     data = np.empty((n, heads, d, s), dtype=dtype)
     for k in range(n):
@@ -489,14 +513,23 @@ def _same_pad(kernel, op):
 
 # -- conv2d ----------------------------------------------------------------------
 
+BAND_COLUMNS = 512  # output columns (Ho*Wo positions) per forward GEMM at most
+
+
 def conv2d(x, w, b=None, stride=1):
     """Cross-correlation with "same" zero padding; differentiable in x, w, b.
 
     Patches are gathered channels-first into a [C*k*k, n*Ho*Wo] matrix whose
     reshapes are all free (axis-aligned copies only), then contracted with
-    BLAS. The forward runs one GEMM per sample: the patch matrix is then one
-    sample big instead of N, and each sample's [F, Ho*Wo] product is written
-    straight into the NCHW output, with no transposed copy. The backward keeps
+    BLAS. The forward runs one GEMM per sample and per band of output rows,
+    each band at most BAND_COLUMNS output positions (two bands of a 32x32
+    output, one of 16x16). The patch matrix is then one band of one sample
+    instead of N samples, and each [F, band] product is written straight into
+    the NCHW output, with no transposed copy. The bands bound the largest
+    transient of a forward, which matters when the sampler runs two batch
+    halves at once; a band's GEMM sums each output column as the whole GEMM
+    does, and two bands take about the time of one whole GEMM at the U-Net's
+    shapes. The backward keeps
     whole-batch GEMMs, since the weight gradient contracts over every sample.
     The weight gradient is (cols @ gt.T).T, copied to C order. The input
     gradient's GEMM runs on the zero-padded input grid [F, n*Hp*Wp], so that
@@ -533,22 +566,26 @@ def conv2d(x, w, b=None, stride=1):
         padded[:, :, p:-p, p:-p] = xcn
         return padded
 
-    def im2col(src):
-        """Patch matrix [C*k*k, m*Ho*Wo] of a padded slice [C, m, Hp, Wp]."""
-        m = src.shape[1]
+    def im2col(src, r0=0, r1=ho):
+        """Patch matrix [C*k*k, m*(r1-r0)*Wo] of output rows [r0, r1) of a padded slice [C, m, Hp, Wp]."""
+        m, rows = src.shape[1], r1 - r0
         if kh == 1 and s == 1:
-            return src.reshape(c, m * ho * wo)
-        cols = np.empty((c, kh, kw, m, ho, wo), dtype=src.dtype)
+            return src[:, :, r0:r1].reshape(c, m * rows * wo)
+        cols = np.empty((c, kh, kw, m, rows, wo), dtype=src.dtype)
         for i in range(kh):
             for j in range(kw):
-                cols[:, i, j] = src[:, :, i:i + s * ho:s, j:j + s * wo:s]
-        return cols.reshape(c * kh * kw, m * ho * wo)
+                cols[:, i, j] = src[:, :, i + s * r0:i + s * r1:s, j:j + s * wo:s]
+        return cols.reshape(c * kh * kw, m * rows * wo)
 
     w2 = w.data.reshape(f, c * kh * kw)
     data = np.empty((n, f, ho, wo), dtype=np.result_type(x.data, w.data))
+    band = max(1, BAND_COLUMNS // wo)  # output rows per forward GEMM
     for k in range(n):
+        src = pad_cn(x.data[k:k + 1])
         out_k = data[k].reshape(f, ho * wo)
-        np.matmul(w2, im2col(pad_cn(x.data[k:k + 1])), out=out_k)
+        for r0 in range(0, ho, band):
+            r1 = min(r0 + band, ho)
+            np.matmul(w2, im2col(src, r0, r1), out=out_k[:, r0 * wo:r1 * wo])
         if b is not None:
             out_k += b.data[:, None]
     parents = (x, w) if b is None else (x, w, b)

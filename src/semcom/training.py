@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelConfig, derive_seed
+from .channel import ChannelConfig, derive_seed, is_seed
 from .checkpoint import copy_into, load_checkpoint, save_checkpoint
 from .diffusion import total_loss
 from .link import receiver_condition, transmit_map
@@ -52,7 +52,7 @@ class TrainConfig:
             raise TrainError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 < self.learning_rate < np.inf:
             raise TrainError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
+        if not is_seed(self.seed):
             raise TrainError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if not 0.0 < self.ema_decay < 1.0:
             raise TrainError(f"ema_decay must lie in (0, 1), got {self.ema_decay}")

@@ -13,7 +13,10 @@ from semcom.channel import (
     transmit_image,
 )
 from semcom.codec import ChannelFrame
+from semcom.data import DataError, ShapesSpec
+from semcom.diffusion import DiffusionError, SamplerConfig
 from semcom.link import transmit_map
+from semcom.training import TrainConfig, TrainError
 
 
 def _fresh_noise(seed, count, sigma):
@@ -60,6 +63,20 @@ class TestPsnrToSigma:
 
     def test_numpy_integer_seed_accepted(self):
         assert ChannelConfig(10.0, seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda seed: ChannelConfig(5.0, seed=seed), ChannelError),
+    (lambda seed: ShapesSpec(seed=seed), DataError),
+    (lambda seed: TrainConfig(seed=seed), TrainError),
+    (lambda seed: SamplerConfig(seed=seed), DiffusionError),
+], ids=["ChannelConfig", "ShapesSpec", "TrainConfig", "SamplerConfig"])
+@pytest.mark.parametrize("seed", [True, False])
+def test_config_refuses_a_bool_seed(make, error, seed):
+    """bool is an int subclass, so ChannelConfig(5.0, seed=True) drew the
+    noise of seed=1 bit for bit, and every config took the same collision."""
+    with pytest.raises(error, match="seed"):
+        make(seed)
 
 
 class TestTransmit:

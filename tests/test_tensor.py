@@ -1,4 +1,6 @@
 import contextlib
+import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -156,7 +158,8 @@ class TestConv2dBackward:
 
 
 class TestConv2dPerSampleForward:
-    """conv2d runs one forward GEMM per sample instead of one over the batch."""
+    """conv2d runs its forward GEMMs per sample and per band of output rows
+    instead of one over the batch."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("c", [5, 32, 128])
@@ -164,7 +167,9 @@ class TestConv2dPerSampleForward:
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("n", [1, 3, 4])
     def test_equals_whole_batch_gemm_bitwise(self, n, k, stride, c, dtype):
-        """At the U-Net's feature sizes (32x32 and 16x16 maps, 32 filters).
+        """At the U-Net's feature sizes (32x32 and 16x16 maps, 32 filters),
+        and at 64x64, whose output splits into 8 bands of rows at stride 1
+        and 2 at stride 2 (2 and 1 at 32x32).
 
         Per-sample GEMMs under about 10^6 multiply-adds can go to the BLAS
         small-matrix kernel while the whole-batch GEMM does not; with a long
@@ -172,13 +177,16 @@ class TestConv2dPerSampleForward:
         order and may differ in the last bit.
         """
         rng = np.random.default_rng(1000 * c + 10 * n + k)
-        x = rng.standard_normal((n, c, 32, 32)).astype(dtype)
-        w = rng.standard_normal((32, c, k, k)).astype(dtype)
-        b = rng.standard_normal(32).astype(dtype)
-        out = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride).data
-        expect = _conv2d_whole_batch(x, w, b, stride)
-        assert out.dtype == expect.dtype and out.flags.c_contiguous
-        assert np.array_equal(out, expect)
+        for size, bands in ((32, {1: 2, 2: 1}), (64, {1: 8, 2: 2})):
+            ho = (size - 1) // stride + 1
+            assert -(-ho // max(1, T.BAND_COLUMNS // ho)) == bands[stride]
+            x = rng.standard_normal((n, c, size, size)).astype(dtype)
+            w = rng.standard_normal((32, c, k, k)).astype(dtype)
+            b = rng.standard_normal(32).astype(dtype)
+            out = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride).data
+            expect = _conv2d_whole_batch(x, w, b, stride)
+            assert out.dtype == expect.dtype and out.flags.c_contiguous
+            assert np.array_equal(out, expect), size
 
     @pytest.mark.parametrize("size", [4, 8, 16])
     @pytest.mark.parametrize("c", [3, 64, 128])
@@ -620,10 +628,85 @@ class TestInvariants:
         with pytest.raises(TensorError, match="matrices"):
             T.matmul(Tensor(np.zeros((3, 4))), Tensor(np.zeros((5, 2))))
 
+    def test_one_row_matmul_equals_its_row_of_a_batch(self):
+        """numpy sends a one-row product to BLAS gemv, whose sums differ
+        from gemm's rows at [1, 128] @ [128, 128]; matmul runs it as gemm."""
+        rng = np.random.default_rng(14)
+        a = rng.standard_normal((4, 128)).astype(np.float32)
+        b = Tensor(rng.standard_normal((128, 128)).astype(np.float32))
+        whole = T.matmul(Tensor(a), b).data
+        for i in range(4):
+            assert np.array_equal(T.matmul(Tensor(a[i:i + 1]), b).data, whole[i:i + 1])
+
     @pytest.mark.parametrize("stride", [0, -1])
     def test_conv2d_stride_below_one_rejected(self, stride):
         with pytest.raises(TensorError, match="stride"):
             T.conv2d(Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((1, 1, 3, 3))), stride=stride)
+
+
+class TestThreadState:
+    """Grad mode and the scope stack are per thread: the sampler runs the two
+    halves of a batch in two threads."""
+
+    def test_no_grad_in_a_worker_leaves_the_callers_grad_mode_alone(self):
+        w = Tensor(np.ones(3, np.float32), requires_grad=True)
+        entered, leave = threading.Event(), threading.Event()
+
+        def worker():
+            with T.no_grad(), T.scope("worker"):
+                entered.set()
+                leave.wait(10)
+        th = threading.Thread(target=worker)
+        th.start()
+        try:
+            assert entered.wait(10)
+            assert T.mul(w, 2.0)._tracked  # the worker's no_grad does not reach this thread
+            with pytest.raises(NonFiniteError, match=r"in caller$"), T.scope("caller"):
+                T.mul(Tensor(np.array([np.inf])), 1.0)  # nor does its scope
+            with T.no_grad():
+                leave.set()  # the worker leaves its no_grad while this thread is in one
+                th.join(10)
+                assert not T.mul(w, 2.0)._tracked
+        finally:
+            leave.set()
+            th.join(10)
+        assert not th.is_alive() and T.mul(w, 2.0)._tracked
+
+    def test_threads_switching_often_each_keep_their_own_state(self):
+        """Four threads (more than the two cores) enter and leave no_grad and
+        scopes while the interpreter switches threads every microsecond; a
+        shared grad flag or scope list would show another thread's state."""
+        w = Tensor(np.ones(3, np.float32), requires_grad=True)
+        errors = []
+
+        def worker(name):
+            try:
+                for _ in range(300):
+                    assert T.mul(w, 2.0)._tracked and T._state.scope == []
+                    with T.no_grad(), T.scope(name):
+                        assert not T.mul(w, 2.0)._tracked and T._state.scope == [name]
+            except AssertionError as e:
+                errors.append((name, e))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(f"t{i}",)) for i in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads) and errors == []
+        assert T._state.grad_enabled and T._state.scope == []
+
+    def test_each_new_thread_starts_with_grad_on_and_no_scope(self):
+        seen = []
+        with T.no_grad(), T.scope("caller"):
+            th = threading.Thread(target=lambda: seen.append((T._state.grad_enabled, list(T._state.scope))))
+            th.start()
+            th.join(10)
+        assert seen == [(True, [])]
 
 
 def test_gradcheck_smoke_every_op():

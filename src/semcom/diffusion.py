@@ -7,7 +7,6 @@ its log is clipped to the t=2 value (standard practice for this recipe).
 """
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
@@ -210,14 +209,18 @@ def guidance_conditions(model, y, s):
     Returns (model.condition(y), model.condition(null_condition(y))); the
     null branch is None at s=0, where guidance never evaluates it.
 
-    p_sample_loop builds the same pair per half of its batch instead, one
-    condition per half and one null for both, and decodes each half in its
-    own thread. Its bits equal those of this whole-batch pair, because every
-    op of `encode`, `condition` and `decode` computes each sample on its own:
-    conv2d one GEMM per sample, group norm per (sample, group), attention per
-    (sample, head), and the time-embedding and scale/shift matmuls per row
-    (a one-row product runs as gemm, see `tensor.matmul`). The batch-1 null
-    condition is broadcast over either half as over the whole batch.
+    p_sample_loop builds the same pair per half of a batch of four or more
+    instead, one condition per half and one null for both, and decodes each
+    half in its own thread. Its bits equal those of this whole-batch pair,
+    because every op of `encode`, `condition` and `decode` computes each
+    sample on its own: conv2d one GEMM per sample, group norm per (sample,
+    group), attention per (sample, head), and the time-embedding and
+    scale/shift matmuls per row. A matmul row has the same bits in a GEMM of
+    2 to 32 rows as in the whole batch's GEMM (checked with OpenBLAS at the
+    U-Net's widths, for halves of batches up to 64); numpy sends a one-row
+    product to gemv instead, whose sums can differ in the last bit, so
+    batches below four are not split. The batch-1 null condition is
+    broadcast over either half as over the whole batch.
     """
     y = np.asarray(y, dtype=np.float32)
     with T.no_grad():
@@ -251,27 +254,13 @@ def guided_eps(model, x_t, y, t, s):
     return eps_c.data + s * (eps_c.data - eps_u.data), var_raw.data
 
 
-def _new_worker():
-    """The one-thread pool that runs the second half of each sampler batch
-    (see p_sample_loop); its thread starts on the first batch. A forked child
-    gets a new pool, since the parent's thread does not exist there and the
-    inherited pool would queue the half forever."""
-    global _WORKER
-    _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="semcom-sampler")
-
-
-_new_worker()
-if hasattr(os, "register_at_fork"):  # POSIX
-    os.register_at_fork(after_in_child=_new_worker)
-
-
-def _halves_eps(model, x, conds, t, s, parts):
-    """guided_eps of each part of the batch, the second in the worker thread,
+def _halves_eps(pool, model, x, conds, t, s, parts):
+    """guided_eps of each part of the batch, the second in the pool's thread,
     joined into (eps_hat, var_raw) of the whole batch."""
     if len(parts) == 1:
         return guided_eps(model, x, conds[0], t, s)
     (a, b), (ca, cb) = parts, conds
-    second = _WORKER.submit(guided_eps, model, x[b], cb, t[b], s)
+    second = pool.submit(guided_eps, model, x[b], cb, t[b], s)
     try:
         first = guided_eps(model, x[a], ca, t[a], s)
     finally:
@@ -282,15 +271,15 @@ def _halves_eps(model, x, conds, t, s, parts):
 def p_sample_loop(model, y, sched, cfg, callback=None):
     """Ancestral sampling from t=T down to 1; deterministic given cfg.seed.
 
-    y is a [N, C_total, H, W] conditioning stack. A batch of two or more is
-    split into the halves [0, N//2) and [N//2, N). Each half's decoder
-    condition is computed once, before the first step, and the null branch
-    once for both. Each step runs guided_eps on the second half in a worker
-    thread while the calling thread runs it on the first, so the two halves'
-    encodes and decodes run on two cores (numpy and BLAS release the GIL for
-    the heavy work). The update and the noise draw then run on the whole
-    batch. The samples equal, bit for bit, those of guided_eps on the whole
-    batch: every U-Net op computes each sample on its own (see
+    y is a [N, C_total, H, W] conditioning stack. A batch of four or more is
+    split into the halves [0, N//2) and [N//2, N); a smaller one runs whole,
+    on one thread. Each half's decoder condition is computed once, before
+    the first step, and the null branch once for both. Each step runs
+    guided_eps on the second half in a worker thread while the calling
+    thread runs it on the first, so the two halves' encodes and decodes run
+    on two cores (numpy and BLAS release the GIL for the heavy work). The
+    update and the noise draw then run on the whole batch. The samples equal
+    those of guided_eps on the whole batch, bit for bit (see
     `guidance_conditions`). Returns float32 images in model space
     (approximately [-1, 1]); callers map to display range.
     """
@@ -303,23 +292,24 @@ def p_sample_loop(model, y, sched, cfg, callback=None):
     shape = (n, IMAGE_CHANNELS, model.config.image_size, model.config.image_size)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed)))
     x = rng.standard_normal(shape, dtype=np.float32)
-    parts = [slice(0, n // 2), slice(n // 2, n)] if n >= 2 else [slice(0, n)]
+    parts = [slice(0, n // 2), slice(n // 2, n)] if n >= 4 else [slice(0, n)]
     with T.no_grad():
         null = model.condition(null_condition(y)) if s else None
         conds = [(model.condition(y[part]), null) for part in parts]
-    for i in reversed(range(sub.steps)):
-        t_model = np.full(n, sub.timestep_map[i], dtype=np.int64)
-        t_sub = np.full(n, i + 1, dtype=np.int64)
-        eps_hat, var_raw = _halves_eps(model, x, conds, t_model, s, parts)
-        mean = eps_to_mean(eps_hat, x, t_sub, sub)
-        if i > 0:
-            logvar = model_log_variance(var_raw, t_sub, sub)
-            z = rng.standard_normal(shape, dtype=np.float32)
-            x = (mean + np.exp(0.5 * logvar) * z).astype(np.float32)
-        else:
-            x = mean.astype(np.float32)
-        if not np.all(np.isfinite(x)):
-            raise SamplingError(f"non-finite sample at step index {i + 1} (t={sub.timestep_map[i]})")
-        if callback is not None:
-            callback(i, x)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for i in reversed(range(sub.steps)):
+            t_model = np.full(n, sub.timestep_map[i], dtype=np.int64)
+            t_sub = np.full(n, i + 1, dtype=np.int64)
+            eps_hat, var_raw = _halves_eps(pool, model, x, conds, t_model, s, parts)
+            mean = eps_to_mean(eps_hat, x, t_sub, sub)
+            if i > 0:
+                logvar = model_log_variance(var_raw, t_sub, sub)
+                z = rng.standard_normal(shape, dtype=np.float32)
+                x = (mean + np.exp(0.5 * logvar) * z).astype(np.float32)
+            else:
+                x = mean.astype(np.float32)
+            if not np.all(np.isfinite(x)):
+                raise SamplingError(f"non-finite sample at step index {i + 1} (t={sub.timestep_map[i]})")
+            if callback is not None:
+                callback(i, x)
     return x

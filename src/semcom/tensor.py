@@ -39,9 +39,10 @@ no_grad builds no node at all.
 
 Grad mode (no_grad) and the scope stack are per thread, so two threads can
 run forwards at once; each new thread starts with grad on and no scope. The
-sampler runs the two halves of a batch that way, and each op computes every
-sample on its own (per-sample conv GEMMs, per-sample group norm and
-attention, matmul rows), so a half's values equal its rows of the whole batch.
+sampler runs the two halves of a batch of four or more that way, and each op
+computes every sample on its own (per-sample conv GEMMs, per-sample group
+norm and attention, matmul rows), so a half's values equal its rows of the
+whole batch (see `diffusion.guidance_conditions` for what was checked).
 
 A graph is consumed by its backward, which frees each node once its
 gradient rule has run; a second backward through it raises. Leaves
@@ -411,20 +412,11 @@ def silu(x):
 # -- matmul ---------------------------------------------------------------------
 
 def matmul(a, b):
-    """The product of two matrices [m, k] @ [k, n].
-
-    A one-row forward runs as a two-row GEMM of the row and a zero row.
-    numpy hands a single row to BLAS's gemv, whose sums can differ from
-    gemm's in the last bit, so a sample's row would depend on how many rows
-    share the call. At the U-Net's shapes, OpenBLAS gemm gives a row the same
-    bits among any number of rows (checked for 1 to 8), so the sampler's
-    halves of a batch, one sample each at batch 2 or 3, equal the whole batch.
-    """
+    """The product of two matrices [m, k] @ [k, n]."""
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise TensorError(f"matmul: need matrices [m, k] @ [k, n], got {a.shape} @ {b.shape}")
     ad, bd = a.data, b.data
-    data = (np.concatenate([ad, np.zeros_like(ad)]) @ bd)[:1] if len(ad) == 1 else ad @ bd
-    return _op((a, b), data, "matmul", lambda g: g @ bd.T, lambda g: ad.T @ g)
+    return _op((a, b), ad @ bd, "matmul", lambda g: g @ bd.T, lambda g: ad.T @ g)
 
 
 # -- attention ------------------------------------------------------------------
@@ -529,8 +521,11 @@ def conv2d(x, w, b=None, stride=1):
     transient of a forward, which matters when the sampler runs two batch
     halves at once; a band's GEMM sums each output column as the whole GEMM
     does, and two bands take about the time of one whole GEMM at the U-Net's
-    shapes. The backward keeps
-    whole-batch GEMMs, since the weight gradient contracts over every sample.
+    shapes. A 1x1 stride-1 kernel runs one GEMM per sample: its patch matrix
+    is a free view of the input, so there is no transient to bound.
+
+    The backward keeps whole-batch GEMMs, since the weight gradient
+    contracts over every sample.
     The weight gradient is (cols @ gt.T).T, copied to C order. The input
     gradient's GEMM runs on the zero-padded input grid [F, n*Hp*Wp], so that
     its col2im is k*k contiguous adds. Both sum exactly as gt @ cols.T and a
@@ -579,7 +574,8 @@ def conv2d(x, w, b=None, stride=1):
 
     w2 = w.data.reshape(f, c * kh * kw)
     data = np.empty((n, f, ho, wo), dtype=np.result_type(x.data, w.data))
-    band = max(1, BAND_COLUMNS // wo)  # output rows per forward GEMM
+    # output rows per forward GEMM; a 1x1 stride-1 patch matrix is a free view, with no transient to bound
+    band = ho if kh == 1 and s == 1 else max(1, BAND_COLUMNS // wo)
     for k in range(n):
         src = pad_cn(x.data[k:k + 1])
         out_k = data[k].reshape(f, ho * wo)

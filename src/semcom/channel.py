@@ -7,11 +7,13 @@ numpy's standard normal stream (ziggurat method) of a Philox generator keyed by
 the seed, so a fixed seed gives the same noise on every run; bitwise
 reproducibility is promised within this implementation and numpy version only.
 Frames sent with one ChannelConfig share their noise on common indices: a map
-and its classical-baseline image get common random numbers. The last seed's
-normals stay kept between calls (655,360 B for a 5-plane 128x128 map), for one thread.
+and its classical-baseline image get common random numbers. Each thread
+keeps the last seed's normals between calls (655,360 B for a 5-plane
+128x128 map).
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +50,7 @@ class ChannelConfig:
         return float(np.sqrt(10.0 ** (-self.psnr_db / 10.0)))
 
 
-_kept = None  # (seed, its Philox generator, the standard normals drawn from it)
+_kept = threading.local()  # .entry: (seed, its Philox generator, the standard normals drawn from it)
 
 
 def noise_for_indices(seed, count, sigma):
@@ -56,18 +58,20 @@ def noise_for_indices(seed, count, sigma):
 
     The first `count` standard normals of the Philox stream keyed by `seed`, scaled by
     sigma, so frames of one seed share noise on common indices. The last seed's normals
-    are kept (one thread assumed); a repeat draws only the indices past them.
+    are kept per thread, so threads never share a generator or read another's entry; a
+    repeat in the same thread draws only the indices past them.
     """
-    global _kept
     if count < 0:
         raise ChannelError(f"count must be >= 0, got {count}")
-    if _kept is None or _kept[0] != seed:
+    entry = getattr(_kept, "entry", None)
+    if entry is None or entry[0] != seed:
         gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-        _kept = (seed, gen, gen.standard_normal(count))
-    elif count > _kept[2].size:
-        _, gen, normals = _kept
-        _kept = (seed, gen, np.concatenate([normals, gen.standard_normal(count - normals.size)]))
-    return _kept[2][:count] * sigma
+        entry = (seed, gen, gen.standard_normal(count))
+    elif count > entry[2].size:
+        _, gen, normals = entry
+        entry = (seed, gen, np.concatenate([normals, gen.standard_normal(count - normals.size)]))
+    _kept.entry = entry
+    return entry[2][:count] * sigma
 
 
 def transmit(frame, cfg):

@@ -7,7 +7,6 @@ its log is clipped to the t=2 value (standard practice for this recipe).
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,16 +210,9 @@ def guidance_conditions(model, y, s):
 
     p_sample_loop builds the same pair per half of a batch of four or more
     instead, one condition per half and one null for both, and decodes each
-    half in its own thread. Its bits equal those of this whole-batch pair,
-    because every op of `encode`, `condition` and `decode` computes each
-    sample on its own: conv2d one GEMM per sample, group norm per (sample,
-    group), attention per (sample, head), and the time-embedding and
-    scale/shift matmuls per row. A matmul row has the same bits in a GEMM of
-    2 to 32 rows as in the whole batch's GEMM (checked with OpenBLAS at the
-    U-Net's widths, for halves of batches up to 64); numpy sends a one-row
-    product to gemv instead, whose sums can differ in the last bit, so
-    batches below four are not split. The batch-1 null condition is
-    broadcast over either half as over the whole batch.
+    half in its own thread; its bits equal those of this whole-batch pair
+    (see `tensor.split_batch`). The batch-1 null condition is broadcast over
+    either half as over the whole batch.
     """
     y = np.asarray(y, dtype=np.float32)
     with T.no_grad():
@@ -254,33 +246,19 @@ def guided_eps(model, x_t, y, t, s):
     return eps_c.data + s * (eps_c.data - eps_u.data), var_raw.data
 
 
-def _halves_eps(pool, model, x, conds, t, s, parts):
-    """guided_eps of each part of the batch, the second in the pool's thread,
-    joined into (eps_hat, var_raw) of the whole batch."""
-    if len(parts) == 1:
-        return guided_eps(model, x, conds[0], t, s)
-    (a, b), (ca, cb) = parts, conds
-    second = pool.submit(guided_eps, model, x[b], cb, t[b], s)
-    try:
-        first = guided_eps(model, x[a], ca, t[a], s)
-    finally:
-        wait([second])  # never leave the worker running, even when the first half raised
-    return tuple(np.concatenate(pair) for pair in zip(first, second.result()))
-
-
 def p_sample_loop(model, y, sched, cfg, callback=None):
     """Ancestral sampling from t=T down to 1; deterministic given cfg.seed.
 
     y is a [N, C_total, H, W] conditioning stack. A batch of four or more is
     split into the halves [0, N//2) and [N//2, N); a smaller one runs whole,
-    on one thread. Each half's decoder condition is computed once, before
-    the first step, and the null branch once for both. Each step runs
-    guided_eps on the second half in a worker thread while the calling
-    thread runs it on the first, so the two halves' encodes and decodes run
-    on two cores (numpy and BLAS release the GIL for the heavy work). The
-    update and the noise draw then run on the whole batch. The samples equal
-    those of guided_eps on the whole batch, bit for bit (see
-    `guidance_conditions`). Returns float32 images in model space
+    on one thread (`tensor.split_batch`). Each half's decoder condition is
+    computed once, before the first step, and the null branch once for both.
+    Each step runs guided_eps on the second half in a worker thread while
+    the calling thread runs it on the first, so the two halves' encodes and
+    decodes run on two cores (numpy and BLAS release the GIL for the heavy
+    work). The update and the noise draw then run on the whole batch. The
+    samples equal those of guided_eps on the whole batch, bit for bit.
+    Returns float32 images in model space
     (approximately [-1, 1]); callers map to display range.
     """
     y = np.asarray(y, dtype=np.float32)
@@ -292,15 +270,15 @@ def p_sample_loop(model, y, sched, cfg, callback=None):
     shape = (n, IMAGE_CHANNELS, model.config.image_size, model.config.image_size)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed)))
     x = rng.standard_normal(shape, dtype=np.float32)
-    parts = [slice(0, n // 2), slice(n // 2, n)] if n >= 4 else [slice(0, n)]
-    with T.no_grad():
-        null = model.condition(null_condition(y)) if s else None
-        conds = [(model.condition(y[part]), null) for part in parts]
-    with ThreadPoolExecutor(max_workers=1) as pool:
+    with T.split_batch(n) as split:
+        with T.no_grad():
+            null = model.condition(null_condition(y)) if s else None
+            conds = [(model.condition(y[part]), null) for part in split.parts]
         for i in reversed(range(sub.steps)):
             t_model = np.full(n, sub.timestep_map[i], dtype=np.int64)
             t_sub = np.full(n, i + 1, dtype=np.int64)
-            eps_hat, var_raw = _halves_eps(pool, model, x, conds, t_model, s, parts)
+            halves = split.run(lambda k, part: guided_eps(model, x[part], conds[k], t_model[part], s))
+            eps_hat, var_raw = (np.concatenate(pair) for pair in zip(*halves))
             mean = eps_to_mean(eps_hat, x, t_sub, sub)
             if i > 0:
                 logvar = model_log_variance(var_raw, t_sub, sub)

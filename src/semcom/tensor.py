@@ -38,13 +38,20 @@ read: an output that no rule reads is freed as soon as the forward drops it.
 no_grad builds no node at all.
 
 Grad mode (no_grad) and the scope stack are per thread, so two threads can
-run forwards at once; each new thread starts with grad on and no scope. The
-sampler runs the two halves of a batch of four or more that way, and each op
-computes every sample on its own (per-sample conv GEMMs, per-sample group
-norm and attention, matmul rows), so a half's values equal its rows of the
-whole batch (see `diffusion.guidance_conditions` for what was checked).
+run forwards at once; each new thread starts with grad on and no scope.
+`split_batch` runs the two halves of a batch of four or more that way: the
+sampler runs each half's guided step in its own thread, and the trainer each
+half's forward and then its backward. Each op computes every sample on its
+own (per-sample conv GEMMs, per-sample group norm and attention, matmul
+rows), so a half's values and gradients equal its rows of the whole batch
+(see `split_batch` for what was checked). The rules that contract over the
+batch (conv2d's weight and bias gradients, matmul's gradient of its right
+operand, and an add/sub/mul/div operand broadcast over the batch axis) meet
+the other half's twin rule instead, so every leaf still gets one
+whole-batch accumulation per use.
 
-A graph is consumed by its backward, which frees each node once its
+A graph is consumed by its backward (Tensor.backward, or backward_from for
+several outputs with given gradients), which frees each node once its
 gradient rule has run; a second backward through it raises. Leaves
 (parameters) keep accumulating .grad across graphs.
 
@@ -55,8 +62,10 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -70,13 +79,16 @@ class NonFiniteError(ArithmeticError):
 
 
 class _ThreadState(threading.local):
-    """Grad mode and scope stack, one of each per thread: the sampler runs the
-    two halves of a batch in two threads, and a no_grad or scope that one of
-    them enters (or leaves by an exception) must not reach the other."""
+    """Grad mode, scope stack and batch half, one of each per thread:
+    `split_batch` runs the two halves of a batch in two threads, and a no_grad
+    or scope that one of them enters (or leaves by an exception) must not
+    reach the other. `half` is (split, k, keys) while this thread runs part k
+    of a BatchSplit, else None."""
 
     def __init__(self):
         self.grad_enabled = True
         self.scope = []
+        self.half = None
 
 
 _state = _ThreadState()
@@ -101,6 +113,161 @@ def scope(name):
         yield
     finally:
         _state.scope.pop()
+
+
+class BatchSplit:
+    """The parts a batch runs in: [0, n//2) and [n//2, n) for n of four or
+    more, else one part, the whole batch; made by `split_batch`.
+
+    run(fn) returns [fn(k, part) for each part k]. With two parts the
+    second runs in the worker thread while the calling thread runs the
+    first, and the worker is always waited for, even when the first part
+    raised. Each thread keeps its own grad mode and scope stack, and runs
+    its part with this split as its half (see `_meeting`).
+
+    It is also where the two halves' batch-contracting rules meet (see
+    `_over_batch`): each half's forward numbers those rules in the order it
+    makes them, and both halves make the same ops in the same order, so the
+    rules of one number are twins. The half whose rule runs first leaves its
+    operands in `slots` and goes on. When the twin arrives, the gradient of
+    both halves' operands is due, once. If it goes to leaves only (the
+    parameters), it joins `ready`, and whichever half next ends a gradient
+    rule computes it, so the weight GEMMs do not all fall on the half that
+    runs behind; otherwise the second half computes it at once, into its own
+    graph. One ready gradient is computed at a time, since each holds a
+    whole-batch transient (conv2d's patch matrix), and no thread waits for
+    the other. A part computes what is still ready before it returns, so
+    `run` returns with every gradient accumulated.
+    """
+
+    def __init__(self, n, pool):
+        self.parts = [slice(0, n // 2), slice(n // 2, n)] if pool is not None else [slice(0, n)]
+        self._pool = pool
+        self._lock = threading.Lock()
+        self.slots = {}  # rule number -> operands left by the half whose rule ran first
+        self.ready = []  # gradients whose operands have both arrived, each a call that accumulates it
+        self._busy = False  # a thread is computing one of them
+
+    def run(self, fn):
+        if self._pool is None:
+            return [fn(0, self.parts[0])]
+        second = self._pool.submit(self._half, fn, 1)
+        try:
+            first = self._half(fn, 0)
+        finally:
+            wait([second])  # never leave the worker running, even when the first half raised
+        return [first, second.result()]
+
+    def _half(self, fn, k):
+        prev, _state.half = _state.half, (self, k, itertools.count())
+        try:
+            out = fn(k, self.parts[k])
+            self.run_ready()
+            return out
+        finally:
+            _state.half = prev
+
+    def meet(self, key, k, operands, accumulate, to_leaves):
+        """Half k's rule `key` with its operands: accumulate(first half's
+        operands, second half's) runs once both twins have met (see above)."""
+        with self._lock:
+            other = self.slots.pop(key, None)
+            if other is None:
+                self.slots[key] = operands
+            else:
+                both = (other, operands) if k else (operands, other)
+                if to_leaves:
+                    self.ready.append(functools.partial(accumulate, *both))
+        if other is not None and not to_leaves:
+            accumulate(*both)
+
+    def run_ready(self):
+        """Compute the ready gradients, unless another thread is computing one."""
+        while True:
+            with self._lock:
+                if self._busy or not self.ready:
+                    return
+                job = self.ready.pop(0)
+                self._busy = True
+            try:
+                job()
+            finally:
+                with self._lock:
+                    self._busy = False
+
+
+@contextlib.contextmanager
+def split_batch(n):
+    """A BatchSplit of a batch of n, with a one-worker pool when n >= 4.
+
+    The two halves' values and gradients equal their rows of the whole
+    batch, bit for bit, because every op computes each sample on its own:
+    conv2d one GEMM per sample, group norm per (sample, group), attention per
+    (sample, head), and matmul per row. A matmul row has the same bits in a
+    GEMM of 2 to 32 rows as in the whole batch's GEMM (checked with OpenBLAS
+    at the U-Net's widths, for halves of batches up to 64); numpy sends a
+    one-row product to gemv instead, whose sums can differ in the last bit,
+    so batches below four are not split. The sums over the batch meet (see
+    `_over_batch`) and run once on the whole batch, and div's rule keeps its
+    gradient's layout at every batch size, so the per-sample sums that follow
+    add in one order. Each parameter gradient is then the whole batch's, as
+    long as the two halves share no node but leaves and the model uses each
+    parameter once per forward, as the U-Net does: the twin rules of a
+    second use could accumulate in either thread and in either order.
+
+    The pool is made per call: a module-level one would need a fork hook and
+    would share one worker among concurrent callers, to save one thread
+    start. On exit the worker is joined and no slot keeps operands.
+    """
+    if n < 4:
+        yield BatchSplit(n, None)
+        return
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        split = BatchSplit(n, pool)
+        try:
+            yield split
+        finally:
+            split.slots.clear()
+            split.ready.clear()
+
+
+def _meeting():
+    """Called as an op makes a rule that contracts over the batch axis: None
+    outside a half of a BatchSplit, else the half's meet for this rule's
+    number (see BatchSplit.meet)."""
+    half = _state.half
+    if half is None:
+        return None
+    split, k, keys = half
+    return functools.partial(split.meet, next(keys), k)
+
+
+def _over_batch(meet, grads, nodes, *operands):
+    """Accumulate grads(*parts) into nodes, for gradients that contract over
+    the batch: each operand holds the graph's samples and reaches grads as a
+    tuple of its parts in batch order, which `_join` joins; grads returns
+    one gradient per node (None nodes are skipped).
+
+    meet is `_meeting()` from the forward. When it is None the graph holds
+    the whole batch, each tuple holds one part, and the gradients accumulate
+    at once. In a half's graph they accumulate once both halves' operands
+    have met, from the whole batch's operands, as the whole batch's graph
+    would (see BatchSplit).
+    """
+    def accumulate(*parts):
+        for node, grad in zip(nodes, grads(*parts)):
+            if node is not None:
+                node.accum(grad)
+    if meet is None:
+        accumulate(*((x,) for x in operands))
+    else:
+        to_leaves = all(node is None or node.rule is None for node in nodes)
+        meet(operands, lambda first, second: accumulate(*zip(first, second)), to_leaves)
+
+
+def _join(parts, axis=0):
+    """The parts of a batch as one array (the part itself when it is the whole)."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
 
 
 class _Node:
@@ -202,11 +369,32 @@ class Tensor:
         """
         if self.size != 1:
             raise TensorError(f"backward requires a scalar loss, got shape {self.shape}")
-        root = self._node
-        if root is None:
-            raise TensorError("backward of a value that no tracked tensor produced")
-        topo = []
-        seen = {id(root)}
+        backward_from([self], [np.ones_like(self.data)])
+
+
+def backward_from(outputs, grads):
+    """Tensor.backward from several tracked outputs, each given the gradient
+    of its value (an array of its shape).
+
+    The nodes run in reverse post-order of a depth-first walk from the
+    outputs in turn, so an ancestor below a single node (the U-Net's heads
+    share their parent) is walked in the order a backward from a loss over
+    them would take, and its gradients add up in that order. A walk in one
+    half of a BatchSplit computes the ready whole-batch gradients between
+    its rules.
+    """
+    roots = [t._node for t in outputs]
+    if any(root is None for root in roots):
+        raise TensorError("backward of a value that no tracked tensor produced")
+    for t, g in zip(outputs, grads):
+        if g.shape != t.shape:
+            raise TensorError(f"backward_from: gradient of shape {g.shape} for a value of shape {t.shape}")
+    topo = []
+    seen = set()
+    for root in roots:
+        if id(root) in seen:
+            continue
+        seen.add(id(root))
         stack = [(root, iter(root.parents))]
         while stack:
             node, it = stack[-1]
@@ -220,16 +408,20 @@ class Tensor:
                     _released(None)
                 topo.append(node)
                 stack.pop()
-        root.accum(np.ones_like(self.data))
-        while topo:
-            node = topo.pop()
-            if node.rule is None:  # a leaf
-                continue
-            if node.grad is not None:
-                node.rule(node.grad)
-            node.grad = None
-            node.rule = _released
-            node.parents = ()
+    for root, g in zip(roots, grads):
+        root.accum(g)
+    half = _state.half
+    while topo:
+        node = topo.pop()
+        if node.rule is None:  # a leaf
+            continue
+        if node.grad is not None:
+            node.rule(node.grad)
+            if half is not None:
+                half[0].run_ready()
+        node.grad = None
+        node.rule = _released
+        node.parents = ()
 
 
 def _released(g):
@@ -283,15 +475,20 @@ def _broadcasts(small, big):
 
 def _op(parents, data, op, *rules):
     """Wrap the forward value of an op; when a graph is built, rules[i](g)
-    gives the gradient of parents[i] from the arrays that rule captured."""
+    gives the gradient of parents[i] from the arrays that rule captured,
+    which is summed down to that parent's shape (see _reduce_to), or None
+    when the rule accumulated it itself (see _over_batch)."""
     out = _make(data, parents, op)
     if out._tracked:
         nodes = tuple(p._node for p in parents)
+        shapes = tuple(p.shape for p in parents)
 
         def bwd(g):
-            for node, rule in zip(nodes, rules):
+            for node, shape, rule in zip(nodes, shapes, rules):
                 if node is not None:
-                    node.accum(rule(g))
+                    grad = rule(g)
+                    if grad is not None:
+                        node.accum(_reduce_to(grad, shape))
         out._bwd = bwd
     return out
 
@@ -312,29 +509,50 @@ def _operands(a, b, op):
     return a, b
 
 
+def _elementwise(a, b, data, op, *rules):
+    """_op of add/sub/mul/div, whose rules give gradients of the output's
+    shape. The gradient of a tracked operand without the output's batch
+    extent sums over the batch, so in a half's graph it meets the other
+    half's (see _over_batch)."""
+    return _op((a, b), data, op, *(_summed_over_batch(x, rule) if x._node is not None and x.shape[:1] != data.shape[:1]
+                                   else rule for x, rule in zip((a, b), rules)))
+
+
+def _summed_over_batch(x, rule):
+    """The rule g -> rule(g) summed down to x's shape, which sums over the batch axis."""
+    meet, node, shape = _meeting(), x._node, x.shape
+    return lambda g: _over_batch(meet, lambda parts: (_reduce_to(_join(parts), shape),), (node,), rule(g))
+
+
 def add(a, b):
     a, b = _operands(a, b, "add")
-    sa, sb = a.shape, b.shape
-    return _op((a, b), a.data + b.data, "add", lambda g: _reduce_to(g, sa), lambda g: _reduce_to(g, sb))
+    return _elementwise(a, b, a.data + b.data, "add", lambda g: g, lambda g: g)
 
 
 def sub(a, b):
     a, b = _operands(a, b, "sub")
-    sa, sb = a.shape, b.shape
-    return _op((a, b), a.data - b.data, "sub", lambda g: _reduce_to(g, sa), lambda g: _reduce_to(-g, sb))
+    return _elementwise(a, b, a.data - b.data, "sub", lambda g: g, lambda g: -g)
 
 
 def mul(a, b):
     a, b = _operands(a, b, "mul")
-    ad, bd, sa, sb = a.data, b.data, a.shape, b.shape
-    return _op((a, b), ad * bd, "mul", lambda g: _reduce_to(g * bd, sa), lambda g: _reduce_to(g * ad, sb))
+    ad, bd = a.data, b.data
+    return _elementwise(a, b, ad * bd, "mul", lambda g: g * bd, lambda g: g * ad)
 
 
 def div(a, b):
     a, b = _operands(a, b, "div")
-    ad, bd, sa, sb = a.data, b.data, a.shape, b.shape
-    return _op((a, b), ad / bd, "div", lambda g: _reduce_to(g / bd, sa),
-               lambda g: _reduce_to(-g * ad / (bd * bd), sb))
+    ad, bd = a.data, b.data
+
+    def rule_b(g):
+        # -g * ad / (bd * bd), laid out as g at every batch size: numpy lays
+        # out g * ad as g from batch 4 on but in C order below when g is a
+        # transposed view (attention's gradient of f), and the sum down to
+        # b's shape adds in memory order
+        r = np.multiply(g, ad, out=np.empty_like(g, dtype=np.result_type(g, ad, bd)))
+        np.negative(r, out=r)
+        return np.divide(r, bd * bd, out=r)
+    return _elementwise(a, b, ad / bd, "div", lambda g: g / bd, rule_b)
 
 
 def square(x):
@@ -416,7 +634,10 @@ def matmul(a, b):
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise TensorError(f"matmul: need matrices [m, k] @ [k, n], got {a.shape} @ {b.shape}")
     ad, bd = a.data, b.data
-    return _op((a, b), ad @ bd, "matmul", lambda g: g @ bd.T, lambda g: ad.T @ g)
+    bn = b._node
+    meet = _meeting() if bn is not None else None
+    return _op((a, b), ad @ bd, "matmul", lambda g: g @ bd.T,
+               lambda g: _over_batch(meet, lambda xs, gs: (_join(xs).T @ _join(gs),), (bn,), ad, g))
 
 
 # -- attention ------------------------------------------------------------------
@@ -506,6 +727,7 @@ def _same_pad(kernel, op):
 # -- conv2d ----------------------------------------------------------------------
 
 BAND_COLUMNS = 512  # output columns (Ho*Wo positions) per forward GEMM at most
+BAND_CHANNELS = 32  # input channels per weight-gradient GEMM of a k > 1 kernel at most
 
 
 def conv2d(x, w, b=None, stride=1):
@@ -524,16 +746,23 @@ def conv2d(x, w, b=None, stride=1):
     shapes. A 1x1 stride-1 kernel runs one GEMM per sample: its patch matrix
     is a free view of the input, so there is no transient to bound.
 
-    The backward keeps whole-batch GEMMs, since the weight gradient
-    contracts over every sample.
-    The weight gradient is (cols @ gt.T).T, copied to C order. The input
-    gradient's GEMM runs on the zero-padded input grid [F, n*Hp*Wp], so that
-    its col2im is k*k contiguous adds. Both sum exactly as gt @ cols.T and a
-    strided scatter of [C*k*k, n*Ho*Wo] would, provided the BLAS sums every
-    GEMM column in one order wherever it sits. Measured with OpenBLAS 0.3.31
-    on an AVX-512 x86_64, its float32 kernels do; its float64 kernel does not
-    for the columns of a last partial tile, which may then differ in the last
-    bit.
+    The weight and bias gradients contract over every sample, so they run
+    on the whole batch, also when the trainer runs two halves: there they
+    run once both halves' rules have met (see `_over_batch`). The weight
+    gradient is (cols @ gt.T).T, copied to C order; for a kernel above 1x1
+    it runs one GEMM per band of BAND_CHANNELS input channels, a band of
+    k*k*BAND_CHANNELS rows of cols, which bounds the whole batch's patch
+    matrix. The input gradient runs one sample at a time: a GEMM on that
+    sample's zero-padded input grid [F, Hp*Wp], so that its col2im is k*k
+    contiguous adds into the batch's flat [C, n*Hp*Wp] gradient. All of this
+    sums exactly as gt @ cols.T and a strided scatter of [C*k*k, n*Ho*Wo]
+    would, provided the BLAS sums every GEMM row and column in one order
+    wherever it sits. Measured with OpenBLAS 0.3.31 on an AVX-512 x86_64,
+    its kernels do for bands of 32 or more channels of a 3x3 or 5x5 kernel
+    (not for bands of 8 or 16, nor for bands of a 1x1 kernel, which is
+    therefore not banded), and its float32 kernels do for columns; its
+    float64 kernel does not for the columns of a last partial tile, which
+    may then differ in the last bit.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise TensorError(f"conv2d: need 4-d input and weight, got {x.shape} and {w.shape}")
@@ -552,25 +781,27 @@ def conv2d(x, w, b=None, stride=1):
     ho = (h - 1) // s + 1
     wo = (wd - 1) // s + 1
 
-    def pad_cn(arr):
-        """[m, C, H, W] -> zero-padded channels-first [C, m, Hp, Wp]."""
-        xcn = arr.transpose(1, 0, 2, 3)
+    def pad_cn(*parts):
+        """[m, C, H, W] parts -> one zero-padded channels-first [C, sum of m, Hp, Wp]."""
         if not p:
-            return np.ascontiguousarray(xcn)
-        padded = np.zeros((c, arr.shape[0], h + 2 * p, wd + 2 * p), dtype=arr.dtype)
-        padded[:, :, p:-p, p:-p] = xcn
+            return np.concatenate([part.transpose(1, 0, 2, 3) for part in parts], axis=1)
+        padded = np.zeros((c, sum(map(len, parts)), h + 2 * p, wd + 2 * p), dtype=parts[0].dtype)
+        i = 0
+        for part in parts:
+            padded[:, i:i + len(part), p:-p, p:-p] = part.transpose(1, 0, 2, 3)
+            i += len(part)
         return padded
 
     def im2col(src, r0=0, r1=ho):
-        """Patch matrix [C*k*k, m*(r1-r0)*Wo] of output rows [r0, r1) of a padded slice [C, m, Hp, Wp]."""
-        m, rows = src.shape[1], r1 - r0
+        """Patch matrix [C'*k*k, m*(r1-r0)*Wo] of output rows [r0, r1) of a padded slice [C', m, Hp, Wp]."""
+        cs, m, rows = src.shape[0], src.shape[1], r1 - r0
         if kh == 1 and s == 1:
-            return src[:, :, r0:r1].reshape(c, m * rows * wo)
-        cols = np.empty((c, kh, kw, m, rows, wo), dtype=src.dtype)
+            return src[:, :, r0:r1].reshape(cs, m * rows * wo)
+        cols = np.empty((cs, kh, kw, m, rows, wo), dtype=src.dtype)
         for i in range(kh):
             for j in range(kw):
                 cols[:, i, j] = src[:, :, i + s * r0:i + s * r1:s, j:j + s * wo:s]
-        return cols.reshape(c * kh * kw, m * rows * wo)
+        return cols.reshape(cs * kh * kw, m * rows * wo)
 
     w2 = w.data.reshape(f, c * kh * kw)
     data = np.empty((n, f, ho, wo), dtype=np.result_type(x.data, w.data))
@@ -589,44 +820,60 @@ def conv2d(x, w, b=None, stride=1):
     if out._tracked:
         xn, wn, bn = x._node, w._node, None if b is None else b._node
         xd = x.data
+        meet = _meeting() if wn is not None or bn is not None else None
+
+        def param_grads(xds, gts):
+            """Bias and weight gradients (None where untracked) of the samples in the parts of x and gt."""
+            gt = _join(gts, axis=1)
+            gb = gt.sum(axis=1, dtype=gt.dtype) if bn is not None else None
+            if wn is None:
+                return gb, None
+            # (cols @ gt.T).T: the same sums as gt @ cols.T, faster on the
+            # U-Net's shapes, one GEMM per band of input channels (a 1x1
+            # kernel's patch matrix is no larger than its input and runs
+            # whole); the copy keeps w.grad C-ordered, the memory order that
+            # clip_gradients and AdamW reduce in
+            src = pad_cn(*xds)
+            band = c if kh == 1 else BAND_CHANNELS
+            gwt = np.empty((c * kh * kw, f), dtype=gt.dtype)
+            for c0 in range(0, c, band):
+                rows = slice(c0 * kh * kw, min(c0 + band, c) * kh * kw)
+                np.matmul(im2col(src[c0:c0 + band]).astype(gt.dtype, copy=False), gt.T, out=gwt[rows])
+            return gb, np.ascontiguousarray(gwt.T).reshape(f, c, kh, kw)
 
         def bwd(g):
             gt = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(f, n * ho * wo)
-            if bn is not None:
-                bn.accum(gt.sum(axis=1, dtype=g.dtype))
-            if wn is not None:
-                cols = im2col(pad_cn(xd)).astype(g.dtype, copy=False)
-                # the same sums as gt @ cols.T, faster on the U-Net's shapes;
-                # the copy keeps w.grad C-ordered, the memory order that
-                # clip_gradients and AdamW reduce in
-                gw = np.ascontiguousarray((cols @ gt.T).T)
-                del cols
-                wn.accum(gw.reshape(f, c, kh, kw))
+            if wn is not None or bn is not None:
+                _over_batch(meet, param_grads, (bn, wn), xd, gt)
             if xn is not None:
                 w2t = w2.T.astype(g.dtype, copy=False)
                 if kh == 1 and s == 1:
                     gx = (w2t @ gt).reshape(c, n, ho, wo)
                 else:
                     # col2im on the padded grid: with the output gradient laid
-                    # at its strided places in a zero [F, n, Hp, Wp] grid, tap
+                    # at its strided places in a zero [F, Hp, Wp] plane, tap
                     # (i, j) of every output is one contiguous slice of the flat
                     # input gradient, at offset i*Wp + j; the zero tail takes
                     # the taps of the last plane's pad columns. Each input
                     # element gets its taps' addends in (i, j) order plus exact
                     # ±0 from the zero columns, which change no bit of a sum
-                    # that starts at +0.0 and so never holds -0.0.
+                    # that starts at +0.0 and so never holds -0.0. One sample's
+                    # GEMM at a time bounds the [C*k*k, Hp*Wp] transient; its
+                    # columns sum as in one GEMM over the batch's planes.
                     hp, wp = h + 2 * p, wd + 2 * p
-                    size = n * hp * wp
-                    gtp = np.zeros((f, n, hp, wp), dtype=g.dtype)
-                    gtp[:, :, :s * ho:s, :s * wo:s] = gt.reshape(f, n, ho, wo)
-                    del gt
-                    gcols = (w2t @ gtp.reshape(f, size)).reshape(c, kh * kw, size)
-                    del gtp
-                    flat = np.zeros((c, size + (kh - 1) * (wp + 1)), dtype=g.dtype)
-                    for t in range(kh * kw):
-                        off = (t // kw) * wp + t % kw
-                        flat[:, off:off + size] += gcols[:, t]
-                    gx = flat[:, :size].reshape(c, n, hp, wp)[:, :, p:hp - p, p:wp - p]
+                    plane = hp * wp
+                    gt4 = gt.reshape(f, n, ho, wo)
+                    gtp = np.zeros((f, hp, wp), dtype=g.dtype)
+                    flat = np.zeros((c, n * plane + (kh - 1) * (wp + 1)), dtype=g.dtype)
+                    for k in range(n):
+                        gtp[:, :s * ho:s, :s * wo:s] = gt4[:, k]
+                        gcols = (w2t @ gtp.reshape(f, plane)).reshape(c, kh * kw, plane)
+                        for t in range(kh * kw):
+                            off = k * plane + (t // kw) * wp + t % kw
+                            flat[:, off:off + plane] += gcols[:, t]
+                        del gcols  # before the next sample's is allocated
+                    del gt, gt4, gtp
+                    gx = flat[:, :n * plane].reshape(c, n, hp, wp)[:, :, p:hp - p, p:wp - p]
                 xn.accum(gx.transpose(1, 0, 2, 3))
         out._bwd = bwd
     return out

@@ -22,10 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tensor as T
 from .channel import ChannelConfig, derive_seed, is_seed
 from .checkpoint import copy_into, load_checkpoint, save_checkpoint
 from .diffusion import total_loss
 from .link import receiver_condition, transmit_map
+from .tensor import Tensor
 
 
 class TrainError(ValueError):
@@ -146,6 +148,31 @@ class MetricsWriter:
                     % (m.step, m.L_d, m.L_KL, m.total, m.grad_norm, m.wall_ms))
 
 
+class _Halves:
+    """The model as `total_loss` sees it in a train step of a BatchSplit.
+
+    forward runs model.forward on each part of the split, in its own
+    thread, and returns the heads joined along the batch axis as leaves, so
+    the loss over them is built in the calling thread and ends its backward
+    there. backward then walks each part's graph from its rows of the
+    leaves' gradients, again one thread per part.
+    """
+
+    def __init__(self, model, split):
+        self.model = model
+        self.split = split
+
+    def forward(self, x_t, y, t):
+        self.heads = self.split.run(lambda k, part: self.model.forward(x_t[part], y[part], t[part]))
+        self.joined = [Tensor(np.concatenate([head[i].data for head in self.heads]), requires_grad=True)
+                       for i in range(2)]
+        return self.joined
+
+    def backward(self):
+        grads = [joined.grad for joined in self.joined]
+        self.split.run(lambda k, part: T.backward_from(self.heads[k], [g[part] for g in grads]))
+
+
 class Trainer:
     """Owns the model parameters, optimizer state, EMA shadow, and RNG."""
 
@@ -173,12 +200,10 @@ class Trainer:
         # training consumes raw noisy maps: the fast denoiser stays inference-only
         return receiver_condition(link, self.c_total, fds_cfg=None)
 
-    def train_step(self):
-        """One optimizer update; returns RunMetrics (grad_norm NaN on skip)."""
+    def _batch(self):
+        """The step's inputs, drawn from self.rng: (x0, y, t, eps, psnr_counts)."""
         cfg = self.cfg
-        t0 = time.perf_counter()
-        n = len(self.maps)
-        idx = self.rng.integers(0, n, size=cfg.batch_size)
+        idx = self.rng.integers(0, len(self.maps), size=cfg.batch_size)
         psnr_counts = {}
         conds = []
         for j, i in enumerate(idx):
@@ -192,21 +217,47 @@ class Trainer:
         x0 = self.images[idx] * 2.0 - 1.0
         t = self.rng.integers(1, self.sched.steps + 1, size=cfg.batch_size)
         eps = self.rng.standard_normal(x0.shape, dtype=np.float32)
+        return x0, y, t, eps, psnr_counts
 
-        loss, comps = total_loss(self.model, x0, y, t, eps, self.sched)
-        loss.backward()
-
+    def _apply_gradients(self):
+        """Clip the parameters' gradients and update, or count a skip when
+        they are not finite; returns the norm before clipping (NaN on skip)."""
         norm = clip_gradients(self.model.params)
-        if np.isfinite(norm):
-            self.opt.step()
-            # warm-up, so the shadow leaves the initialization; opt.t counts
-            # applied updates only, so skipped steps do not advance it
-            decay = min(cfg.ema_decay, (1 + self.opt.t) / (10 + self.opt.t))
-            ema_update(self.ema, self.model.params, decay)
-        else:
+        if not np.isfinite(norm):
             self.skipped += 1
-            norm = float("nan")
-        self.model.zero_grad()  # nothing reads .grad after the update; free it now
+            return float("nan")
+        self.opt.step()
+        # warm-up, so the shadow leaves the initialization; opt.t counts
+        # applied updates only, so skipped steps do not advance it
+        decay = min(self.cfg.ema_decay, (1 + self.opt.t) / (10 + self.opt.t))
+        ema_update(self.ema, self.model.params, decay)
+        return norm
+
+    def train_step(self):
+        """One optimizer update; returns RunMetrics (grad_norm NaN on skip).
+
+        A batch of four or more runs as two halves (`tensor.split_batch`):
+        each half's forward runs in its own thread, `total_loss` reduces over
+        the heads joined along the batch axis in the calling thread, and each
+        half's graph is then walked backward in its own thread. Every rule
+        that contracts over the batch meets its twin in the other half and
+        runs once on the whole batch, so the step equals a single-thread
+        whole-batch step bit for bit. A smaller batch runs whole on the
+        calling thread. A forward or backward that raises (NonFiniteError)
+        leaves the weights, moments and EMA as they were and no gradient
+        behind; the step's draws are spent.
+        """
+        t0 = time.perf_counter()
+        x0, y, t, eps, psnr_counts = self._batch()
+        try:
+            with T.split_batch(len(x0)) as split:
+                halves = _Halves(self.model, split)
+                loss, comps = total_loss(halves, x0, y, t, eps, self.sched)
+                loss.backward()
+                halves.backward()
+            norm = self._apply_gradients()
+        finally:
+            self.model.zero_grad()  # nothing reads .grad after the update; free it now
         self.step_index += 1
         return RunMetrics(self.step_index, comps["L_d"], comps["L_KL"], comps["total"],
                           norm, 1e3 * (time.perf_counter() - t0), psnr_counts)

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,6 +148,67 @@ class TestTransmit:
             noise = noise_for_indices(seed, count, sigma)
             assert np.array_equal(noise, _fresh_noise(seed, count, sigma))
             np.add(1.0, noise, out=noise)
+
+    def test_threads_keep_their_own_noise(self):
+        """Two threads draw a shared seed and a seed of their own, with counts
+        that often extend the kept normals, while the interpreter switches
+        threads every microsecond; each call must equal a fresh draw."""
+        calls = {own: [((3, own)[i % 2], 1 + (i * 997) % 4000) for i in range(500)] for own in (77, 2**64 - 1)}
+        results = {}
+
+        def worker(own):
+            results[own] = [noise_for_indices(seed, count, 1.0) for seed, count in calls[own]]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(own,)) for own in calls]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        wrong = [(own, k) for own in calls for k, (call, noise) in enumerate(zip(calls[own], results[own]))
+                 if not np.array_equal(noise, _fresh_noise(*call, 1.0))]
+        assert wrong == []
+
+    def test_a_thread_never_extends_another_threads_generator(self, monkeypatch):
+        """A worker extends seed 3's kept normals and pauses after its draw;
+        the calling thread then asks for more of seed 3. With one kept entry
+        for both threads, it would extend the worker's generator, which the
+        worker's draw has already advanced."""
+        real = np.random.Generator
+        drawn, resume = threading.Event(), threading.Event()
+
+        class PausingGenerator:
+            def __init__(self, bit_generator):
+                self.gen = real(bit_generator)
+
+            def standard_normal(self, count):
+                out = self.gen.standard_normal(count)
+                if threading.current_thread() is not threading.main_thread() and count > 100:
+                    drawn.set()
+                    resume.wait(10)
+                return out
+        monkeypatch.setattr(np.random, "Generator", PausingGenerator)
+        got = {}
+
+        def worker():
+            got["first"] = noise_for_indices(3, 10, 1.0)
+            got["extended"] = noise_for_indices(3, 1000, 1.0)
+        th = threading.Thread(target=worker)
+        th.start()
+        try:
+            assert drawn.wait(10)
+            got["caller"] = noise_for_indices(3, 2000, 1.0)
+        finally:
+            resume.set()
+            th.join(10)
+        monkeypatch.undo()
+        assert not th.is_alive()
+        for name, count in (("first", 10), ("extended", 1000), ("caller", 2000)):
+            assert np.array_equal(got[name], _fresh_noise(3, count, 1.0)), name
 
     def test_negative_count_refused(self):
         """numpy raised its own ValueError here; a slice of kept normals would raise nothing."""

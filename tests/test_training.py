@@ -1,8 +1,14 @@
+import contextlib
+import dataclasses
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semcom import tensor as T
 from semcom import training
 from semcom.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from semcom.data import ShapesSpec, generate_shapes
@@ -20,7 +26,7 @@ from semcom.training import (
 )
 from semcom.unet import ModelConfig, UNet
 
-from memtrace import graph_and_backward_peak
+from memtrace import graph_and_backward_peak, step_peak
 
 TINY_MODEL = ModelConfig(image_size=16, cond_channels=5, base_channels=16,
                          channel_multipliers=(1, 2), num_res_blocks=1,
@@ -41,20 +47,12 @@ def _trainer(steps_seed=0, config_hash="testhash", **kw):
 def _poison_gradient(monkeypatch, trainer, value):
     """After the real backward of every step, fill the first parameter's gradient with `value`."""
     param = next(iter(trainer.model.params.values()))
-    real = training.total_loss
+    real = training.clip_gradients
 
-    class PoisonedLoss:
-        def __init__(self, loss):
-            self.loss = loss
-
-        def backward(self):
-            self.loss.backward()
-            param.grad = np.full_like(param.grad, value)
-
-    def total_loss(*args, **kwargs):
-        loss, comps = real(*args, **kwargs)
-        return PoisonedLoss(loss), comps
-    monkeypatch.setattr(training, "total_loss", total_loss)
+    def clip_gradients(params):  # the step's first use of the gradients
+        param.grad = np.full_like(param.grad, value)
+        return real(params)
+    monkeypatch.setattr(training, "clip_gradients", clip_gradients)
 
 
 class TestSampleChannelCondition:
@@ -501,3 +499,179 @@ def test_clip_gradients_scales_to_max_norm():
     norm = clip_gradients({"p": p})
     assert norm == pytest.approx(6.0)
     assert np.linalg.norm(p.grad) == pytest.approx(training.GRAD_CLIP)
+
+
+# The desk U-Net of the benchmark's model workloads.
+DESK_MODEL = ModelConfig(image_size=32, cond_channels=5, base_channels=32, channel_multipliers=(1, 2),
+                         num_res_blocks=1, attention_resolutions=(16,), head_channels=32, spade_hidden=32)
+
+
+def _desk_trainer(batch_size, seed=21, image_size=32):
+    """A trainer of the desk U-Net's widths; at image_size 16 it attends at 8x8."""
+    config = dataclasses.replace(DESK_MODEL, image_size=image_size, attention_resolutions=(image_size // 2,))
+    model = UNet(config, seed=seed)
+    rng = np.random.default_rng(seed)
+    for p in model.params.values():  # nonzero heads, so every parameter gets a gradient that matters
+        p.data = rng.normal(0, 0.05, p.shape).astype(np.float32)
+    pairs = generate_shapes(ShapesSpec(canvas=image_size, seed=seed), 16)
+    return Trainer(model, build_schedule(200, 5e-4, 0.0974), TrainConfig(batch_size=batch_size, seed=seed), pairs)
+
+
+def _replay_step(tr):
+    """Trainer.train_step on the calling thread and the whole batch: the same
+    draws and update around one total_loss of the model and its backward."""
+    x0, y, t, eps, _ = tr._batch()
+    loss, comps = total_loss(tr.model, x0, y, t, eps, tr.sched)
+    loss.backward()
+    norm = tr._apply_gradients()
+    tr.model.zero_grad()
+    tr.step_index += 1
+    return comps, norm
+
+
+def _recording_forwards(monkeypatch):
+    """Record (on the main thread, batch) of every UNet.forward."""
+    calls = []
+    real = UNet.forward
+
+    def forward(self, x_t, y, t):
+        calls.append((threading.current_thread() is threading.main_thread(), len(x_t)))
+        return real(self, x_t, y, t)
+    monkeypatch.setattr(UNet, "forward", forward)
+    return calls
+
+
+class TestBatchHalves:
+    """Trainer.train_step runs a batch of four or more as two halves, one per thread."""
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
+    def test_steps_equal_a_whole_batch_replay_bitwise(self, monkeypatch, tmp_path, n):
+        """Two steps, a save, a restore into a fresh trainer and one more
+        step equal three single-thread whole-batch steps bit for bit. From
+        batch 4 on, [0, n//2) runs on the calling thread and [n//2, n) on
+        the worker; a smaller batch runs whole on the calling thread."""
+        split, replay = _desk_trainer(n), _desk_trainer(n)
+        forwards = _recording_forwards(monkeypatch)
+        got = [split.train_step() for _ in range(2)]
+        split.save(tmp_path / "step2.ckpt")
+        split = _desk_trainer(n)
+        split.restore(tmp_path / "step2.ckpt")
+        got.append(split.train_step())
+        monkeypatch.undo()
+        parts = [(True, n // 2), (False, n - n // 2)] if n >= 4 else [(True, n)]
+        assert sorted(forwards) == sorted(parts * 3)
+
+        for m in got:
+            comps, norm = _replay_step(replay)
+            assert (m.L_d, m.L_KL, m.total, m.grad_norm) == (comps["L_d"], comps["L_KL"], comps["total"], norm)
+            assert np.isfinite(norm)
+        _assert_same_state(_training_state(replay), _training_state(split))
+
+    @pytest.mark.parametrize("where", ["first forward", "second forward", "backward"])
+    def test_a_half_that_raises_leaves_the_step_undone(self, monkeypatch, tmp_path, where):
+        """A NonFiniteError in either half's forward, or in a gradient rule of
+        the second half, reaches the caller after the worker has finished.
+        Every forward and backward walk leaves its thread with grad on and no
+        scope, no meeting place keeps operands, no parameter keeps a
+        gradient, and the weights, moments and EMA are as before the step.
+        The next step still runs its halves on two threads and equals a
+        whole-batch replay."""
+        tr = _desk_trainer(4)
+        tr.train_step()
+        before = _training_state(tr)
+        splits, workers, states, armed = [], [], [], []
+        real_split, real_forward = T.split_batch, UNet.forward
+        real_group_norm, real_backward_from = T.group_norm, T.backward_from
+
+        @contextlib.contextmanager
+        def split_batch(n):
+            with real_split(n) as split:
+                splits.append(split)
+                yield split
+
+        def forward(self, x_t, y, t):
+            main = threading.current_thread() is threading.main_thread()
+            if not main:
+                workers.append(threading.current_thread())
+            try:
+                if where == ("first forward" if main else "second forward"):
+                    with T.scope("probe"):
+                        T.add(Tensor(np.array([np.inf], np.float32)), 0.0)
+                return real_forward(self, x_t, y, t)
+            finally:  # the state this half leaves in its thread, raised or not
+                states.append((T._state.grad_enabled, list(T._state.scope)))
+
+        def group_norm(x, groups):
+            # the second half's first group norm: its rule runs near the end
+            # of that half's backward, when many parameters have a gradient
+            out = real_group_norm(x, groups)
+            if where == "backward" and not armed and threading.current_thread() is not threading.main_thread():
+                armed.append(out)
+
+                def rule(g):
+                    raise T.NonFiniteError("non-finite gradient in probe")
+                out._bwd = rule
+            return out
+
+        def backward_from(outputs, grads):
+            try:
+                return real_backward_from(outputs, grads)
+            finally:
+                states.append((T._state.grad_enabled, list(T._state.scope)))
+        monkeypatch.setattr(T, "split_batch", split_batch)
+        monkeypatch.setattr(UNet, "forward", forward)
+        monkeypatch.setattr(T, "group_norm", group_norm)
+        monkeypatch.setattr(T, "backward_from", backward_from)
+        with pytest.raises(T.NonFiniteError, match="probe"):
+            tr.train_step()
+        monkeypatch.undo()
+
+        assert len(workers) == 1 and not workers[0].is_alive()
+        assert splits[-1].slots == {} and splits[-1].ready == []
+        # two forwards, then the loss's backward and both halves' walks
+        assert states == [(True, [])] * (5 if where == "backward" else 2)
+        assert (T._state.grad_enabled, T._state.scope, T._state.half) == (True, [], None)
+        assert all(p.grad is None for p in tr.model.params.values())
+        after = _training_state(tr)
+        _assert_same_state({**before, "rng": after["rng"]}, after)
+
+        tr.save(tmp_path / "after.ckpt")
+        replay = _desk_trainer(4)
+        replay.restore(tmp_path / "after.ckpt")
+        forwards = _recording_forwards(monkeypatch)
+        m = tr.train_step()
+        monkeypatch.undo()
+        assert sorted(forwards) == [(False, 2), (True, 2)]
+        comps, norm = _replay_step(replay)
+        assert (m.L_d, m.L_KL, m.total, m.grad_norm) == (comps["L_d"], comps["L_KL"], comps["total"], norm)
+        _assert_same_state(_training_state(replay), _training_state(tr))
+
+    def test_steps_equal_a_replay_while_threads_switch_every_microsecond(self):
+        """The halves share the meeting place's slots, ready list and busy
+        flag under one lock; with the interpreter switching threads every
+        microsecond, a lost or doubled update of them would lose or double a
+        parameter's gradient and show in the weights."""
+        split, replay = _desk_trainer(4, image_size=16), _desk_trainer(4, image_size=16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [split.train_step() for _ in range(2)]
+        finally:
+            sys.setswitchinterval(interval)
+        for m in got:
+            comps, norm = _replay_step(replay)
+            assert (m.L_d, m.L_KL, m.total, m.grad_norm) == (comps["L_d"], comps["L_KL"], comps["total"], norm)
+        _assert_same_state(_training_state(replay), _training_state(split))
+
+    def test_peak_stays_near_a_whole_batch_replay(self):
+        """The halves' graphs together hold the whole batch's, and each
+        gradient that contracts over the batch runs once on the whole batch,
+        so a batch-4 step in two threads peaks at most 10% above a
+        single-thread whole-batch step of the same state."""
+        split, replay = _desk_trainer(4), _desk_trainer(4)
+        split.train_step()
+        _replay_step(replay)
+        two_threads = step_peak(split.train_step)
+        one_thread = step_peak(lambda: _replay_step(replay))
+        assert two_threads <= 1.10 * one_thread, (two_threads, one_thread)

@@ -733,18 +733,22 @@ BAND_CHANNELS = 32  # input channels per weight-gradient GEMM of a k > 1 kernel 
 def conv2d(x, w, b=None, stride=1):
     """Cross-correlation with "same" zero padding; differentiable in x, w, b.
 
-    Patches are gathered channels-first into a [C*k*k, n*Ho*Wo] matrix whose
-    reshapes are all free (axis-aligned copies only), then contracted with
-    BLAS. The forward runs one GEMM per sample and per band of output rows,
-    each band at most BAND_COLUMNS output positions (two bands of a 32x32
-    output, one of 16x16). The patch matrix is then one band of one sample
-    instead of N samples, and each [F, band] product is written straight into
-    the NCHW output, with no transposed copy. The bands bound the largest
-    transient of a forward, which matters when the sampler runs two batch
-    halves at once; a band's GEMM sums each output column as the whole GEMM
-    does, and two bands take about the time of one whole GEMM at the U-Net's
-    shapes. A 1x1 stride-1 kernel runs one GEMM per sample: its patch matrix
-    is a free view of the input, so there is no transient to bound.
+    Patches are gathered channels-first into a [C*k*k, m*rows*Wo] matrix of
+    m samples and a band of output rows, in one copy from a read-only strided
+    view [C, k, k, m, rows, Wo] of the zero-padded input, then contracted
+    with BLAS. (k*k slice copies would each return to the interpreter, where
+    the two threads of a split batch take turns.) The forward runs one GEMM
+    per sample and per band of output rows, each band at most BAND_COLUMNS
+    output positions (two bands of a 32x32 output, one of 16x16). The patch
+    matrix is then one band of one sample instead of N samples, and each
+    [F, band] product is written straight into the NCHW output, with no
+    transposed copy. The bands bound the largest transient of a forward,
+    which matters when the sampler runs two batch halves at once; a band's
+    GEMM sums each output column as the whole GEMM does, and two bands take
+    about the time of one whole GEMM at the U-Net's shapes. A 1x1 stride-1
+    kernel runs one GEMM per sample: its patch matrix is a free view of the
+    input, so there is no transient to bound. The bias is added once, over
+    the whole output.
 
     The weight and bias gradients contract over every sample, so they run
     on the whole batch, also when the trainer runs two halves: there they
@@ -752,17 +756,20 @@ def conv2d(x, w, b=None, stride=1):
     gradient is (cols @ gt.T).T, copied to C order; for a kernel above 1x1
     it runs one GEMM per band of BAND_CHANNELS input channels, a band of
     k*k*BAND_CHANNELS rows of cols, which bounds the whole batch's patch
-    matrix. The input gradient runs one sample at a time: a GEMM on that
-    sample's zero-padded input grid [F, Hp*Wp], so that its col2im is k*k
-    contiguous adds into the batch's flat [C, n*Hp*Wp] gradient. All of this
-    sums exactly as gt @ cols.T and a strided scatter of [C*k*k, n*Ho*Wo]
-    would, provided the BLAS sums every GEMM row and column in one order
-    wherever it sits. Measured with OpenBLAS 0.3.31 on an AVX-512 x86_64,
-    its kernels do for bands of 32 or more channels of a 3x3 or 5x5 kernel
-    (not for bands of 8 or 16, nor for bands of a 1x1 kernel, which is
-    therefore not banded), and its float32 kernels do for columns; its
-    float64 kernel does not for the columns of a last partial tile, which
-    may then differ in the last bit.
+    matrix. The input gradient runs one sample at a time. At stride 1 it is
+    a GEMM on that sample's zero-padded input grid [F, Hp*Wp], so that its
+    col2im is k*k contiguous adds into the batch's flat [C, n*Hp*Wp]
+    gradient. At a larger stride that grid would be mostly zeros, so the
+    GEMM runs on the sample's Ho*Wo output columns and each of its k*k taps
+    is added into a strided slice of the padded gradient, in (i, j) order.
+    All of this sums exactly as gt @ cols.T and a strided scatter of
+    [C*k*k, n*Ho*Wo] would, provided the BLAS sums every GEMM row and column
+    in one order wherever it sits. Measured with OpenBLAS 0.3.31 on an
+    AVX-512 x86_64, its kernels do for bands of 32 or more channels of a 3x3
+    or 5x5 kernel (not for bands of 8 or 16, nor for bands of a 1x1 kernel,
+    which is therefore not banded), and its float32 kernels do for columns;
+    its float64 kernel does not for the columns of a last partial tile,
+    which may then differ in the last bit.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise TensorError(f"conv2d: need 4-d input and weight, got {x.shape} and {w.shape}")
@@ -782,9 +789,10 @@ def conv2d(x, w, b=None, stride=1):
     wo = (wd - 1) // s + 1
 
     def pad_cn(*parts):
-        """[m, C, H, W] parts -> one zero-padded channels-first [C, sum of m, Hp, Wp]."""
+        """[m, C, H, W] parts -> one zero-padded channels-first [C, sum of m, Hp, Wp]
+        (without padding, one part is returned as a transposed view)."""
         if not p:
-            return np.concatenate([part.transpose(1, 0, 2, 3) for part in parts], axis=1)
+            return _join([part.transpose(1, 0, 2, 3) for part in parts], axis=1)
         padded = np.zeros((c, sum(map(len, parts)), h + 2 * p, wd + 2 * p), dtype=parts[0].dtype)
         i = 0
         for part in parts:
@@ -797,24 +805,26 @@ def conv2d(x, w, b=None, stride=1):
         cs, m, rows = src.shape[0], src.shape[1], r1 - r0
         if kh == 1 and s == 1:
             return src[:, :, r0:r1].reshape(cs, m * rows * wo)
-        cols = np.empty((cs, kh, kw, m, rows, wo), dtype=src.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                cols[:, i, j] = src[:, :, i + s * r0:i + s * r1:s, j:j + s * wo:s]
-        return cols.reshape(cs * kh * kw, m * rows * wo)
+        # a read-only view [C', k, k, m, rows, Wo] of every patch value, whose
+        # reshape is the one copy: one pass over the band, not k*k slice copies
+        sc, sm, sh, sw = src.strides
+        view = np.lib.stride_tricks.as_strided(
+            src[:, :, s * r0:], (cs, kh, kw, m, rows, wo), (sc, sh, sw, sm, s * sh, s * sw), writeable=False)
+        return view.reshape(cs * kh * kw, m * rows * wo)
 
     w2 = w.data.reshape(f, c * kh * kw)
     data = np.empty((n, f, ho, wo), dtype=np.result_type(x.data, w.data))
     # output rows per forward GEMM; a 1x1 stride-1 patch matrix is a free view, with no transient to bound
     band = ho if kh == 1 and s == 1 else max(1, BAND_COLUMNS // wo)
+    padded = pad_cn(x.data)
     for k in range(n):
-        src = pad_cn(x.data[k:k + 1])
+        src = padded[:, k:k + 1]
         out_k = data[k].reshape(f, ho * wo)
         for r0 in range(0, ho, band):
             r1 = min(r0 + band, ho)
             np.matmul(w2, im2col(src, r0, r1), out=out_k[:, r0 * wo:r1 * wo])
-        if b is not None:
-            out_k += b.data[:, None]
+    if b is not None:
+        data += b.data[:, None, None]
     parents = (x, w) if b is None else (x, w, b)
     out = _make(data, parents, "conv2d")
     if out._tracked:
@@ -847,26 +857,41 @@ def conv2d(x, w, b=None, stride=1):
                 _over_batch(meet, param_grads, (bn, wn), xd, gt)
             if xn is not None:
                 w2t = w2.T.astype(g.dtype, copy=False)
+                hp, wp = h + 2 * p, wd + 2 * p
+                gt4 = gt.reshape(f, n, ho, wo)
                 if kh == 1 and s == 1:
                     gx = (w2t @ gt).reshape(c, n, ho, wo)
+                elif s > 1:
+                    # strided col2im: a GEMM on the sample's Ho*Wo output
+                    # columns, then each tap (i, j) added in that order into
+                    # its strided slice of the zero padded grid; one sample's
+                    # [C*k*k, Ho*Wo] transient at a time
+                    grid = np.zeros((c, n, hp, wp), dtype=g.dtype)
+                    for k in range(n):
+                        gcols = (w2t @ gt4[:, k].reshape(f, ho * wo)).reshape(c, kh, kw, ho, wo)
+                        for i in range(kh):
+                            for j in range(kw):
+                                grid[:, k, i:i + s * ho:s, j:j + s * wo:s] += gcols[:, i, j]
+                        del gcols  # before the next sample's is allocated
+                    del gt, gt4
+                    gx = grid[:, :, p:hp - p, p:wp - p]
                 else:
-                    # col2im on the padded grid: with the output gradient laid
-                    # at its strided places in a zero [F, Hp, Wp] plane, tap
-                    # (i, j) of every output is one contiguous slice of the flat
-                    # input gradient, at offset i*Wp + j; the zero tail takes
-                    # the taps of the last plane's pad columns. Each input
-                    # element gets its taps' addends in (i, j) order plus exact
-                    # ±0 from the zero columns, which change no bit of a sum
-                    # that starts at +0.0 and so never holds -0.0. One sample's
-                    # GEMM at a time bounds the [C*k*k, Hp*Wp] transient; its
-                    # columns sum as in one GEMM over the batch's planes.
-                    hp, wp = h + 2 * p, wd + 2 * p
+                    # stride 1, col2im on the padded grid: with the output
+                    # gradient laid at the top left of a zero [F, Hp, Wp]
+                    # plane, tap (i, j) of every output is one contiguous slice
+                    # of the flat input gradient, at offset i*Wp + j; the zero
+                    # tail takes the taps of the last plane's pad columns. Each
+                    # input element gets its taps' addends in (i, j) order plus
+                    # exact ±0 from the zero columns, which change no bit of a
+                    # sum that starts at +0.0 and so never holds -0.0. One
+                    # sample's GEMM at a time bounds the [C*k*k, Hp*Wp]
+                    # transient; its columns sum as in one GEMM over the
+                    # batch's planes.
                     plane = hp * wp
-                    gt4 = gt.reshape(f, n, ho, wo)
                     gtp = np.zeros((f, hp, wp), dtype=g.dtype)
                     flat = np.zeros((c, n * plane + (kh - 1) * (wp + 1)), dtype=g.dtype)
                     for k in range(n):
-                        gtp[:, :s * ho:s, :s * wo:s] = gt4[:, k]
+                        gtp[:, :ho, :wo] = gt4[:, k]
                         gcols = (w2t @ gtp.reshape(f, plane)).reshape(c, kh * kw, plane)
                         for t in range(kh * kw):
                             off = k * plane + (t // kw) * wp + t % kw

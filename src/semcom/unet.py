@@ -15,7 +15,10 @@ coefficients. Both final projections are zero-initialized.
 
 `UNet.forward` is `decode(encode(x_t, t), condition(y))`, in three parts:
 
-- `encode` runs the time embedding, the encoder and the mid block on x_t.
+- `encode` runs everything that does not depend on the condition: the time
+  embedding, the encoder, the mid block, and the first decoder block's input
+  convs (its conv1 and its skip conv, on the mid output joined with the last
+  skip). It returns their pair in place of the mid output.
 - `condition` runs every stack-only part of the decoder: it builds the
   condition pyramid and returns each decoder SPADE's modulation (gamma + 1,
   beta). It depends on the stack and the weights, never on x_t or t, so a
@@ -23,7 +26,7 @@ coefficients. Both final projections are zero-initialized.
 - `decode` runs the SPADE decoder and the output heads on the features and
   a condition, and leaves the features intact, so one encoding can be
   decoded under several conditions (the conditional and the null branch of
-  classifier-free guidance).
+  classifier-free guidance), and the condition-free convs run once for both.
 
 A stack of batch 1 conditions every sample of the batch: its modulation is
 computed at batch 1 and broadcast over the feature maps.
@@ -258,6 +261,11 @@ class ResBlock:
     (decoder) block owns two SPADEs and normalizes with them when called with
     their modulation pair; without one it uses plain group norm, as the
     encoder and mid blocks do.
+
+    Calling the block is `rest(inputs(x), ...)`. `inputs` holds the two convs
+    that read x (conv1, and the skip conv or identity), which use neither
+    the time embedding nor the condition, so `UNet.encode` runs them once
+    for the first decoder block and its guidance branches share them.
     """
 
     def __init__(self, store, name, cin, cout, emb_dim, cfg, conditioned, attention):
@@ -274,14 +282,22 @@ class ResBlock:
         self.attn = AttentionBlock(store, f"{name}.attn", cout, cfg) if attention else None
 
     def __call__(self, x, temb, mods=None):
+        return self.rest(self.inputs(x), temb, mods)
+
+    def inputs(self, x):
+        """(conv1(x), skip of x): the block's only work on x itself."""
         h = T.conv2d(x, self.conv1_w, self.conv1_b)
+        return h, x if self.skip_w is None else T.conv2d(x, self.skip_w, self.skip_b)
+
+    def rest(self, pair, temb, mods=None):
+        """The block from the `inputs` pair on: norm, time, conv2, norm, skip and attention."""
+        h, skip = pair
         h = T.group_norm(h, GROUPS) if mods is None else self.norm1(h, mods[0])
         h = self.film(h, temb)
         h = T.silu(h)
         h = T.conv2d(h, self.conv2_w, self.conv2_b)
         h = T.group_norm(h, GROUPS) if mods is None else self.norm2(h, mods[1])
         h = T.silu(h)
-        skip = x if self.skip_w is None else T.conv2d(x, self.skip_w, self.skip_b)
         h = T.add(h, skip)
         return h if self.attn is None else self.attn(h)
 
@@ -350,7 +366,9 @@ class UNet:
         return self.decode(self.encode(x_t, t), self.condition(y))
 
     def encode(self, x_t, t):
-        """Time embedding, encoder and mid block: returns (h, skips, temb)."""
+        """Time embedding, encoder, mid block and the first decoder block's
+        `ResBlock.inputs`, run under that block's scope: returns (pair,
+        skips, temb), the skips without the one that pair consumed."""
         cfg = self.config
         x = Tensor(np.asarray(x_t, dtype=np.float32))
         if x.ndim != 4 or x.shape[1:] != (IMAGE_CHANNELS, cfg.image_size, cfg.image_size):
@@ -377,7 +395,10 @@ class UNet:
         with T.scope("mid"):
             for block in self.mid:
                 h = block(h, temb)
-        return h, skips, temb
+        i, blocks, _ = self.dec[0]
+        with T.scope(f"dec.l{i}.b0"):
+            pair = blocks[0].inputs(T.concat(h, skips.pop()))
+        return pair, skips, temb
 
     def condition(self, y):
         """Modulation of every decoder SPADE from a semantic stack of batch N or 1.
@@ -405,17 +426,20 @@ class UNet:
         cond is `condition(y)` of a stack of the features' batch or of batch 1.
         Returns (eps_pred, var_raw).
         """
-        h, skips, temb = features
+        pair, skips, temb = features
+        n = pair[0].shape[0]
         batch = cond[0][0][0].shape[0]  # gamma + 1 of the first SPADE
-        if batch not in (1, h.shape[0]):
-            raise ModelConfigError(
-                f"conditioning batch {batch} is neither 1 nor the features' batch {h.shape[0]}")
+        if batch not in (1, n):
+            raise ModelConfigError(f"conditioning batch {batch} is neither 1 nor the features' batch {n}")
         mods = iter(cond)
         skip = reversed(skips)
         for i, blocks, up in self.dec:
             for j, block in enumerate(blocks):
                 with T.scope(f"dec.l{i}.b{j}"):
-                    h = block(T.concat(h, next(skip)), temb, next(mods))
+                    if pair is None:
+                        pair = block.inputs(T.concat(h, next(skip)))
+                    h = block.rest(pair, temb, next(mods))
+                pair = None
             if up is not None:
                 with T.scope(f"dec.l{i}.up"):
                     h = T.conv2d(T.upsample_nearest2(h), *up)

@@ -13,6 +13,7 @@ from semcom.diffusion import (
     guidance_conditions,
     guided_eps,
     model_log_variance,
+    null_condition,
     p_sample_loop,
     posterior_mean,
     q_sample,
@@ -282,6 +283,57 @@ class TestGuidedEps:
             guided_eps(self._model(), np.zeros((1, 3, 8, 8)), np.ones((1, 2, 8, 8)),
                        np.array([1]), s)
 
+    CFG = ModelConfig(image_size=8, cond_channels=2, base_channels=8, channel_multipliers=(1, 2),
+                      num_res_blocks=1, attention_resolutions=(4,), head_channels=8, spade_hidden=8)
+
+    def _unet(self, seed):
+        model = UNet(self.CFG, seed=seed)
+        rng = np.random.default_rng(seed)
+        for p in model.params.values():  # nonzero heads, so both branches matter
+            p.data = rng.normal(0, 0.05, p.shape).astype(np.float32)
+        return model
+
+    @pytest.mark.parametrize("s", [0.0, 2.0])
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_equals_two_forwards_bitwise(self, n, s):
+        """One encode and two decodes give the bits of two whole forwards,
+        on the stack and on the batch-1 null stack."""
+        model = self._unet(30 + n)
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, 3, 8, 8)).astype(np.float32)
+        y = (rng.uniform(size=(n, 2, 8, 8)) < 0.4).astype(np.float32)
+        t = rng.integers(1, 100, size=n)
+        eps, var = guided_eps(model, x, y, t, s)
+        with T.no_grad():
+            eps_c, var_c = model.forward(x, y, t)
+            eps_u, _ = model.forward(x, null_condition(y), t)
+        assert not np.array_equal(eps_c.data, eps_u.data)
+        expect = eps_c.data + s * (eps_c.data - eps_u.data) if s else eps_c.data  # s=0 never adds 0*(...)
+        assert eps.tobytes() == expect.tobytes() and var.tobytes() == var_c.data.tobytes()
+
+    def test_first_decoder_conv_runs_once_per_step(self, monkeypatch):
+        """The first decoder block's input convs see no condition, so a guided
+        step runs them once for both branches, as a forward does."""
+        model = self._unet(40)
+        top = len(self.CFG.channel_multipliers) - 1
+        watched = {id(model.params[f"dec.l{top}.b0.{name}.w"]): name for name in ("conv1", "skip")}
+        calls = []
+        real = T.conv2d
+
+        def counting(x, w, *args, **kw):
+            if id(w) in watched:
+                calls.append(watched[id(w)])
+            return real(x, w, *args, **kw)
+        monkeypatch.setattr(T, "conv2d", counting)
+        x = np.zeros((2, 3, 8, 8), np.float32)
+        y = np.ones((2, 2, 8, 8), np.float32)
+        guided_eps(model, x, y, np.array([3, 3]), 2.0)
+        assert calls == ["conv1", "skip"]
+        calls.clear()
+        with T.no_grad():
+            model.forward(x, y, np.array([3, 3]))
+        assert calls == ["conv1", "skip"]
+
     @pytest.mark.parametrize("kw, match", [
         ({"guidance_scale": float("nan")}, "guidance scale"), ({"guidance_scale": float("inf")}, "guidance scale"),
         ({"guidance_scale": -1.0}, "guidance scale"), ({"steps": -1}, "steps"),
@@ -408,16 +460,19 @@ class TestPSampleLoop:
         """One condition for each half of a batch-4 stack, and one for the
         batch-1 null stack, shared by the halves, only when s > 0."""
         model = self._randomized_unet(6)
-        calls = []
+        calls, main = [], []
         real = UNet.condition
 
         def counting(self, y):
             calls.append(np.asarray(y).shape[0])
+            main.append(threading.current_thread() is threading.main_thread())
             return real(self, y)
         monkeypatch.setattr(UNet, "condition", counting)
         y = np.ones((4, 2, 8, 8), np.float32)
         p_sample_loop(model, y, build_schedule(10, 1e-3, 0.1), SamplerConfig(guidance_scale=s, seed=1))
         assert calls == batches
+        # the null in the calling thread, then each half's in its own thread
+        assert main[:len(main) - 2] == [True] * (len(main) - 2) and sorted(main[-2:]) == [False, True]
 
     # the desk U-Net's widths: time embedding [N, 32] @ [32, 128] and [N, 128] @ [128, 128]
     WIDE_CFG = ModelConfig(image_size=8, cond_channels=2, base_channels=32, channel_multipliers=(1,),

@@ -349,6 +349,17 @@ class TestUNet:
         with pytest.raises(T.NonFiniteError, match=where):
             model.forward(x, y, t)
 
+    def test_nan_in_first_decoder_conv_names_its_block(self):
+        """The first decoder block's input convs run in `encode`, under that block's name."""
+        model = UNet(TOY, seed=9)
+        top = len(TOY.channel_multipliers) - 1
+        model.params[f"dec.l{top}.b0.conv1.w"].data[0, 0, 0, 0] = np.nan
+        x, y, t = self._inputs()
+        with T.no_grad(), pytest.raises(T.NonFiniteError, match=rf"conv2d in dec\.l{top}\.b0$"):
+            model.encode(x, t)
+        with pytest.raises(T.NonFiniteError, match=rf"conv2d in dec\.l{top}\.b0$"):
+            model.forward(x, y, t)
+
     def test_nan_stack_aborts_with_decoder_block_name(self):
         model = UNet(TOY, seed=9)
         x, y, t = self._inputs()

@@ -25,13 +25,13 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, arrays, config_hash, extra):
-    """arrays: ordered mapping name -> ndarray (stored as float32); extra: a JSON object."""
-    entries = []
-    blobs = []
-    for name, arr in arrays.items():
-        arr = np.ascontiguousarray(np.asarray(arr, dtype=np.float32))
-        entries.append({"name": name, "shape": list(arr.shape)})
-        blobs.append(arr.astype("<f4").tobytes())
+    """arrays: ordered mapping name -> ndarray (stored as float32); extra: a JSON object.
+
+    The manifest is built from the shapes, then each entry is converted and
+    written in turn, so no more than one entry's converted bytes are held at
+    a time (none for an entry already C-ordered float32)."""
+    # an entry is written as np.ascontiguousarray makes it: 0-d as shape [1]
+    entries = [{"name": name, "shape": list(np.atleast_1d(arr).shape)} for name, arr in arrays.items()]
     manifest = {
         "format_version": FORMAT_VERSION,
         "config_hash": config_hash,
@@ -48,8 +48,8 @@ def save_checkpoint(path, arrays, config_hash, extra):
             f.write(bytes([FORMAT_VERSION]))
             f.write(struct.pack("<I", len(payload)))
             f.write(payload)
-            for blob in blobs:
-                f.write(blob)
+            for arr in arrays.values():
+                f.write(np.ascontiguousarray(arr, dtype="<f4"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -11,7 +11,9 @@ each with one way to call it:
 - conv2d (zero padding, optional stride) and pool2d (a window mean, edge
   padding, stride 1) pad "same", take odd kernels only and treat each padded
   plane as flat, so that one kernel tap of every window is one contiguous
-  slice: pool2d in its forward, conv2d in the col2im of its input gradient.
+  slice: pool2d in its forward, and conv2d in the stride-1 col2im of its
+  input gradient, where each plane runs on into a zero tail so that a tap of
+  every window of all of a sample's channels is one contiguous block.
 - sum_(x) sums every value; sum_(x, axis) sums one axis and keeps it at
   extent 1. concat(a, b) joins two tensors along the channel axis (axis 1),
   and halves(x) returns the two halves of that axis. matmul multiplies two
@@ -655,7 +657,10 @@ def attention(f, g, v):
 
     The output and the gradients equal, bit for bit, those of the chain
     transpose(f) @ g, softmax, v @ transpose(weights): each block runs that
-    chain's GEMMs, reductions and elementwise rules on the same layouts. The
+    chain's GEMMs, reductions and elementwise rules on the same layouts, but
+    for the weights' gradient, which the chain took as the transpose of
+    vᵀ go and the rule computes as goᵀ v: the same products summed in the
+    same order, so that the softmax rule reads it in memory order. The
     gradient of f is the transposed view of a C-ordered [N, heads, S, d]
     array, as the chain's transpose delivered it, because the rules that
     receive it reduce in memory order.
@@ -701,11 +706,11 @@ def attention(f, g, v):
                 for h in range(heads):
                     y, gk = weights[k, h], go[k, h]
                     np.matmul(gk, y, out=dv[k, h])
-                    # dA = (vᵀ go)ᵀ, then softmax's rule y * (dA - Σ dA·y)
-                    np.matmul(vd[k, h].T, gk, out=dat)
-                    np.multiply(dat.T, y, out=dm)
+                    # dA = goᵀ v, then softmax's rule y * (dA - Σ dA·y)
+                    np.matmul(gk.T, vd[k, h], out=dat)
+                    np.multiply(dat, y, out=dm)
                     dot = dm.sum(axis=-1, keepdims=True)
-                    np.multiply(y, np.subtract(dat.T, dot, out=dm), out=dm)
+                    np.multiply(y, np.subtract(dat, dot, out=dm), out=dm)
                     np.matmul(fd[k, h], dm, out=dg[k, h])
                     np.matmul(dm, gd[k, h].T, out=dft[k, h])
             for node, grad in ((vn, dv), (gn, dg), (fn, dft.transpose(0, 1, 3, 2))):
@@ -756,19 +761,33 @@ def conv2d(x, w, b=None, stride=1):
     gradient is (cols @ gt.T).T, copied to C order; for a kernel above 1x1
     it runs one GEMM per band of BAND_CHANNELS input channels, a band of
     k*k*BAND_CHANNELS rows of cols, which bounds the whole batch's patch
-    matrix. The input gradient runs one sample at a time. At stride 1 it is
-    a GEMM on that sample's zero-padded input grid [F, Hp*Wp], so that its
-    col2im is k*k contiguous adds into the batch's flat [C, n*Hp*Wp]
-    gradient. At a larger stride that grid would be mostly zeros, so the
-    GEMM runs on the sample's Ho*Wo output columns and each of its k*k taps
-    is added into a strided slice of the padded gradient, in (i, j) order.
+    matrix. The input gradient runs one sample at a time and is handed on
+    as one C-ordered [N, C, H, W] array. At stride 1 (k > 1) the sample's
+    output gradient is laid at the top left of a zero [F, Hp*Wp] grid that
+    runs on into a zero tail of (k-1)*(Wp+1) columns, and the GEMM takes the
+    weight's rows in tap order, [k*k*C, F], so that each tap's product for
+    all C channels is one contiguous [C*(Hp*Wp + tail)] block. The col2im
+    is then k*k one-dimensional adds per sample, tap (i, j) at offset
+    i*Wp + j of the sample's part of one flat buffer of the batch's N*C
+    planes with their tails (and one tail more), which is then cropped.
+    (numpy adds into a row-strided slice on a slower path: 2.5 to 4 times as
+    long for a [32, 1156] float32 block.) Each input element gets its taps'
+    addends in (i, j) order, as a strided scatter adds them, plus exact ±0
+    from the zero columns: those of the grid's pad, and those of the tail,
+    which land on the first positions of the next channel or sample. Such
+    zeros change no bit of a sum that starts at +0.0 and so never holds
+    -0.0. At a larger stride the grid would be mostly zeros, so the GEMM
+    runs on the sample's Ho*Wo output columns and each of its k*k taps is
+    added into a strided slice of the padded gradient, in (i, j) order.
+
     All of this sums exactly as gt @ cols.T and a strided scatter of
     [C*k*k, n*Ho*Wo] would, provided the BLAS sums every GEMM row and column
-    in one order wherever it sits. Measured with OpenBLAS 0.3.31 on an
-    AVX-512 x86_64, its kernels do for bands of 32 or more channels of a 3x3
-    or 5x5 kernel (not for bands of 8 or 16, nor for bands of a 1x1 kernel,
-    which is therefore not banded), and its float32 kernels do for columns;
-    its float64 kernel does not for the columns of a last partial tile,
+    in one order wherever it sits, also where the tail columns shift the
+    GEMM's column tiles. Measured with OpenBLAS 0.3.31 on an AVX-512 x86_64,
+    its kernels do for bands of 32 or more channels of a 3x3 or 5x5 kernel
+    (not for bands of 8 or 16, nor for bands of a 1x1 kernel, which is
+    therefore not banded), and its float32 kernels do for columns; its
+    float64 kernel does not for the columns of a last partial tile,
     which may then differ in the last bit.
     """
     if x.ndim != 4 or w.ndim != 4:
@@ -855,51 +874,51 @@ def conv2d(x, w, b=None, stride=1):
             gt = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(f, n * ho * wo)
             if wn is not None or bn is not None:
                 _over_batch(meet, param_grads, (bn, wn), xd, gt)
-            if xn is not None:
+            if xn is None:
+                return
+            hp, wp = h + 2 * p, wd + 2 * p
+            if kh == 1 and s == 1:
+                gx = (w2.T.astype(g.dtype, copy=False) @ gt).reshape(c, n, ho, wo).transpose(1, 0, 2, 3)
+            elif s > 1:
+                # strided col2im: a GEMM on the sample's Ho*Wo output
+                # columns, then each tap (i, j) added in that order into
+                # its strided slice of the zero padded grid; one sample's
+                # [C*k*k, Ho*Wo] transient at a time
                 w2t = w2.T.astype(g.dtype, copy=False)
-                hp, wp = h + 2 * p, wd + 2 * p
                 gt4 = gt.reshape(f, n, ho, wo)
-                if kh == 1 and s == 1:
-                    gx = (w2t @ gt).reshape(c, n, ho, wo)
-                elif s > 1:
-                    # strided col2im: a GEMM on the sample's Ho*Wo output
-                    # columns, then each tap (i, j) added in that order into
-                    # its strided slice of the zero padded grid; one sample's
-                    # [C*k*k, Ho*Wo] transient at a time
-                    grid = np.zeros((c, n, hp, wp), dtype=g.dtype)
-                    for k in range(n):
-                        gcols = (w2t @ gt4[:, k].reshape(f, ho * wo)).reshape(c, kh, kw, ho, wo)
-                        for i in range(kh):
-                            for j in range(kw):
-                                grid[:, k, i:i + s * ho:s, j:j + s * wo:s] += gcols[:, i, j]
-                        del gcols  # before the next sample's is allocated
-                    del gt, gt4
-                    gx = grid[:, :, p:hp - p, p:wp - p]
-                else:
-                    # stride 1, col2im on the padded grid: with the output
-                    # gradient laid at the top left of a zero [F, Hp, Wp]
-                    # plane, tap (i, j) of every output is one contiguous slice
-                    # of the flat input gradient, at offset i*Wp + j; the zero
-                    # tail takes the taps of the last plane's pad columns. Each
-                    # input element gets its taps' addends in (i, j) order plus
-                    # exact ±0 from the zero columns, which change no bit of a
-                    # sum that starts at +0.0 and so never holds -0.0. One
-                    # sample's GEMM at a time bounds the [C*k*k, Hp*Wp]
-                    # transient; its columns sum as in one GEMM over the
-                    # batch's planes.
-                    plane = hp * wp
-                    gtp = np.zeros((f, hp, wp), dtype=g.dtype)
-                    flat = np.zeros((c, n * plane + (kh - 1) * (wp + 1)), dtype=g.dtype)
-                    for k in range(n):
-                        gtp[:, :ho, :wo] = gt4[:, k]
-                        gcols = (w2t @ gtp.reshape(f, plane)).reshape(c, kh * kw, plane)
-                        for t in range(kh * kw):
-                            off = k * plane + (t // kw) * wp + t % kw
-                            flat[:, off:off + plane] += gcols[:, t]
-                        del gcols  # before the next sample's is allocated
-                    del gt, gt4, gtp
-                    gx = flat[:, :n * plane].reshape(c, n, hp, wp)[:, :, p:hp - p, p:wp - p]
-                xn.accum(gx.transpose(1, 0, 2, 3))
+                grid = np.zeros((c, n, hp, wp), dtype=g.dtype)
+                for k in range(n):
+                    gcols = (w2t @ gt4[:, k].reshape(f, ho * wo)).reshape(c, kh, kw, ho, wo)
+                    for i in range(kh):
+                        for j in range(kw):
+                            grid[:, k, i:i + s * ho:s, j:j + s * wo:s] += gcols[:, i, j]
+                    del gcols  # before the next sample's is allocated
+                gx = grid[:, :, p:hp - p, p:wp - p].transpose(1, 0, 2, 3)
+            else:
+                # stride 1, col2im on the padded grid (see the docstring): the
+                # sample's output gradient at the top left of a zero [F, Hp*Wp]
+                # plane and tail, a GEMM with the rows ordered by tap, and tap
+                # (i, j) of all channels one contiguous add at offset i*Wp + j
+                del gt  # not read on this path: freed before the buffers are allocated
+                plane, tail = hp * wp, (kh - 1) * (wp + 1)
+                span = plane + tail
+                wtap = w2.reshape(f, c, kh, kw).transpose(2, 3, 1, 0).reshape(kh * kw * c, f)
+                wtap = wtap.astype(g.dtype, copy=False)
+                gtp = np.zeros((f, span), dtype=g.dtype)
+                grid = gtp[:, :plane].reshape(f, hp, wp)
+                flat = np.zeros(n * c * span + tail, dtype=g.dtype)
+                for k in range(n):
+                    grid[:, :ho, :wo] = g[k]
+                    taps = (wtap @ gtp).reshape(kh * kw, c * span)
+                    for t in range(kh * kw):
+                        off = k * c * span + (t // kw) * wp + t % kw
+                        flat[off:off + c * span] += taps[t]
+                    del taps  # before the next sample's is allocated
+                del gtp, grid
+                gx = flat[:n * c * span].reshape(n, c, span)[:, :, :plane].reshape(n, c, hp, wp)
+                gx = gx[:, :, p:hp - p, p:wp - p]
+            # one C-ordered array: the rules that receive it read it in memory order
+            xn.accum(np.ascontiguousarray(gx))
         out._bwd = bwd
     return out
 
@@ -988,10 +1007,22 @@ def group_norm(x, groups):
 # -- resampling --------------------------------------------------------------------------
 
 def upsample_nearest2(x):
-    """Nearest-neighbor 2x spatial upsampling."""
+    """Nearest-neighbor 2x spatial upsampling.
+
+    The gradient adds each 2x2 block of g as (g00 + g01) + (g10 + g11), then
+    +0.0: the order in which numpy's reduction g.reshape(n, c, h, 2, w, 2).sum(
+    axis=(3, 5)) adds them at any width above 1, and its +0.0 for four -0.0,
+    so the two agree bit for bit, at a tenth of the time on the U-Net's shapes.
+    """
     if x.ndim != 4:
         raise TensorError(f"upsample_nearest2: need 4-d input, got {x.shape}")
     n, c, h, w = x.shape
     d = np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3)
-    return _op((x,), d, "upsample_nearest2",
-               lambda g: g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5), dtype=g.dtype))
+
+    def rule(g):
+        g6 = g.reshape(n, c, h, 2, w, 2)
+        gx = g6[:, :, :, 0, :, 0] + g6[:, :, :, 0, :, 1]
+        gx += g6[:, :, :, 1, :, 0] + g6[:, :, :, 1, :, 1]
+        gx += 0.0
+        return gx
+    return _op((x,), d, "upsample_nearest2", rule)

@@ -129,19 +129,23 @@ def _conv2d_backward_reference(x, w, g, stride):
 
 class TestConv2dBackward:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("size", [(32, 32), (7, 8)])
-    @pytest.mark.parametrize("c", [3, 32, 128])
+    @pytest.mark.parametrize("size", [(32, 32), (7, 8), (16, 16)])
+    @pytest.mark.parametrize("c", [3, 32, 64, 96, 128])
     @pytest.mark.parametrize("n", [1, 4])
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_equals_strided_scatter_bitwise(self, k, stride, n, c, size, dtype):
         """col2im on the padded grid adds each input element's addends in the
-        same order, plus exact zeros; the weight GEMM is taken transposed.
-        Neither moves a bit on these shapes. This rests on the BLAS summing
-        every GEMM column in one order: OpenBLAS 0.3.31's float64 kernel sums
-        the columns of a last partial tile in another, so for map sizes where
-        a real column falls there the float64 gradients may differ in the
-        last bit."""
+        same order, plus exact zeros; the input-gradient GEMM's rows are
+        ordered by tap and its columns run on past the plane into a zero
+        tail, and the weight GEMM is taken transposed. None of this moves a
+        bit on these shapes, the U-Net's 32x32 and 16x16 maps and its 64 and
+        96 input channels among them. This rests on the BLAS summing every
+        GEMM row and column in one order wherever it sits, whatever tiles the
+        tail columns shift it into: OpenBLAS 0.3.31's float64 kernel sums the
+        columns of a last partial tile in another, so for map sizes where a
+        real column falls there the float64 gradients may differ in the last
+        bit. The input gradient is one C-ordered array."""
         rng = np.random.default_rng(100 * k + 10 * stride + c + n)
         h, wd = size
         x = rng.standard_normal((n, c, h, wd)).astype(dtype)
@@ -154,7 +158,41 @@ class TestConv2dBackward:
         for got, expect in zip((xt.grad, wt.grad, bt.grad), _conv2d_backward_reference(x, w, g, stride)):
             assert got.dtype == expect.dtype and got.shape == expect.shape
             assert got.tobytes() == expect.tobytes()
-        assert wt.grad.flags.c_contiguous and bt.grad.flags.c_contiguous
+        assert xt.grad.flags.c_contiguous and wt.grad.flags.c_contiguous and bt.grad.flags.c_contiguous
+
+
+def _upsample_backward_reference(g):
+    """The former upsample_nearest2 gradient: numpy's sum over each 2x2 block."""
+    n, c, h2, w2 = g.shape
+    return g.reshape(n, c, h2 // 2, 2, w2 // 2, 2).sum(axis=(3, 5), dtype=g.dtype)
+
+
+class TestUpsampleBackward:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(2, 64, 16, 16), (4, 32, 8, 8), (1, 3, 5, 7)])
+    def test_equals_the_block_reduction_bitwise(self, shape, dtype):
+        """The rule's adds equal numpy's reduction over each 2x2 block bit for
+        bit: on a C-ordered gradient with signed zeros (a block of four -0.0
+        sums to +0.0), and on the gradient that a decoder up conv (3x3,
+        stride 1, as `dec.l*.up`) delivers to the upsample before it."""
+        n, c, h, w = shape
+        rng = np.random.default_rng(sum(shape))
+        x = Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+        g = rng.standard_normal((n, c, 2 * h, 2 * w)).astype(dtype)
+        g[rng.random(g.shape) < 0.1] = -0.0
+        g[:, :, :2, :2] = -0.0
+        T.backward_from([T.upsample_nearest2(x)], [g])
+        assert _same_bits(x.grad, _upsample_backward_reference(g))
+
+        x = Tensor(x.data, requires_grad=True)
+        w = Tensor(rng.standard_normal((c, c, 3, 3)).astype(dtype))
+        up = T.upsample_nearest2(x)
+        u = Tensor(up.data, requires_grad=True)  # the conv's input gradient alone
+        go = rng.standard_normal(up.shape).astype(dtype)
+        T.backward_from([T.conv2d(u, w)], [go])
+        T.backward_from([T.conv2d(up, w)], [go])
+        assert u.grad.flags.c_contiguous
+        assert _same_bits(x.grad, _upsample_backward_reference(u.grad))
 
 
 class TestConv2dPerSampleForward:

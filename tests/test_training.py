@@ -1,5 +1,7 @@
 import contextlib
 import dataclasses
+import json
+import struct
 import sys
 import threading
 
@@ -408,6 +410,35 @@ def _trained_checkpoint(tmp_path, seed=13):
     path = tmp_path / "good.ckpt"
     tr.save(path)
     return tr, path
+
+
+def _buffered_checkpoint_bytes(arrays, config_hash, extra):
+    """The bytes of the former save_checkpoint, which converted every entry before it wrote any."""
+    entries, blobs = [], []
+    for name, arr in arrays.items():
+        arr = np.ascontiguousarray(np.asarray(arr, dtype=np.float32))
+        entries.append({"name": name, "shape": list(arr.shape)})
+        blobs.append(arr.astype("<f4").tobytes())
+    manifest = {"format_version": 1, "config_hash": config_hash, "entries": entries, "extra": extra}
+    payload = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    return b"SCKP" + bytes([1]) + struct.pack("<I", len(payload)) + payload + b"".join(blobs)
+
+
+def test_checkpoint_bytes_equal_the_buffered_writer(tmp_path):
+    """Writing each entry as it is converted gives the bytes of converting them all first."""
+    tr, path = _trained_checkpoint(tmp_path)
+    extra = load_checkpoint(path)[1]["extra"]
+    assert path.read_bytes() == _buffered_checkpoint_bytes(tr.state_arrays(), tr.config_hash, extra)
+    rng = np.random.default_rng(3)
+    odd = {"float64": rng.standard_normal((3, 4)),
+           "big_endian": rng.standard_normal((2, 3)).astype(">f4"),
+           "f_ordered": np.asfortranarray(rng.standard_normal((4, 3)).astype(np.float32)),
+           "strided": rng.standard_normal((6, 5)).astype(np.float32)[::2, 1:],
+           "scalar": np.float64(2.5),
+           "empty": np.zeros((0, 3), np.float32),
+           "ints": np.arange(5)}
+    save_checkpoint(tmp_path / "odd.ckpt", odd, "h", {"k": [1, 2]})
+    assert (tmp_path / "odd.ckpt").read_bytes() == _buffered_checkpoint_bytes(odd, "h", {"k": [1, 2]})
 
 
 @pytest.fixture(scope="module")

@@ -23,8 +23,8 @@ from semcom.training import TrainConfig, TrainError
 
 
 def _fresh_noise(seed, count, sigma):
-    """The first `count` normals of a new Philox stream keyed by `seed`, times sigma."""
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed))).standard_normal(count) * sigma
+    """The first `count` normals of a new SFC64 stream seeded by `seed`, times sigma."""
+    return np.random.Generator(np.random.SFC64(seed)).standard_normal(count) * sigma
 
 
 class TestPsnrToSigma:
@@ -210,6 +210,38 @@ class TestTransmit:
         for name, count in (("first", 10), ("extended", 1000), ("caller", 2000)):
             assert np.array_equal(got[name], _fresh_noise(3, count, 1.0)), name
 
+    @pytest.mark.parametrize("seed", [True, 1.5, -1, 2**64], ids=["True", "1.5", "-1", "2**64"])
+    def test_seed_outside_uint64_refused(self, seed):
+        """True and 1.5 drew seed 1's stream, -1 raised numpy's bare OverflowError;
+        seeding SFC64 directly would take 2**64 and raise TypeError or ValueError."""
+        with pytest.raises(ChannelError, match="seed"):
+            noise_for_indices(seed, 10, 1.0)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), -1.0, float("inf")])
+    def test_sigma_outside_zero_to_inf_refused(self, sigma):
+        """NaN, -1 and inf gave NaN, negated and infinite noise."""
+        with pytest.raises(ChannelError, match="sigma"):
+            noise_for_indices(1, 10, sigma)
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_normals_follow_the_standard_normal_law(self, seed):
+        """Pins the law, not one generator's stream: the mean, the share inside
+        one sigma and the share beyond three, each within four to six standard
+        errors of 10**6 draws."""
+        z = noise_for_indices(seed, 1_000_000, 1.0)
+        inside = np.mean(np.abs(z) < 1.0)
+        beyond = np.mean(np.abs(z) > 3.0)
+        assert abs(z.mean()) < 0.005
+        assert abs(inside - 0.6827) < 0.002
+        assert abs(beyond - 0.0027) < 0.0003
+
+    def test_extreme_seeds_give_distinct_streams_that_repeat(self):
+        low = noise_for_indices(0, 1000, 1.0)
+        high = noise_for_indices(2**64 - 1, 1000, 1.0)
+        assert not np.array_equal(low, high)
+        assert np.array_equal(noise_for_indices(0, 1000, 1.0), low)  # drawn again, not kept
+        assert np.array_equal(noise_for_indices(2**64 - 1, 1000, 1.0), high)
+
     def test_negative_count_refused(self):
         """numpy raised its own ValueError here; a slice of kept normals would raise nothing."""
         noise_for_indices(1, 10, 1.0)
@@ -263,7 +295,7 @@ class TestTransmitImage:
         img = rng.uniform(0.2, 0.8, size=(3, 64, 64))
         cfg = ChannelConfig(psnr_db=1.0, seed=13)
         flat = img.reshape(-1)
-        scale = np.sqrt(1.0 / np.mean(flat * flat))
+        scale = np.sqrt(1.0 / (np.dot(flat, flat) / flat.size))
         noise = noise_for_indices(cfg.seed, img.size, cfg.sigma)
         assert np.mean((noise / scale) ** 2) == pytest.approx(cfg.sigma**2 / scale**2, rel=0.05)
         expect = np.clip((flat * scale + noise) / scale, 0.0, 1.0).reshape(img.shape)
@@ -285,7 +317,7 @@ class TestTransmitImage:
         raw = transmit_map(cmap, 5, cfg).received_raw.reshape(-1)
         assert np.array_equal(raw, frame.symbols + _fresh_noise(cfg.seed, frame.symbols.size, cfg.sigma))
         flat = img.reshape(-1)
-        scale = np.sqrt(1.0 / np.mean(flat * flat))
+        scale = np.sqrt(1.0 / (np.dot(flat, flat) / flat.size))
         expect = (flat * scale + _fresh_noise(cfg.seed, flat.size, cfg.sigma)) / scale
         assert np.array_equal(transmit_image(img, cfg), np.clip(expect, 0.0, 1.0).reshape(img.shape))
 

@@ -11,24 +11,25 @@ each with one way to call it:
 - conv2d (zero padding, optional stride) and pool2d (a window mean, edge
   padding, stride 1) pad "same", take odd kernels only and treat each padded
   plane as flat, so that one kernel tap of every window is one contiguous
-  slice: pool2d in its forward, and conv2d in the stride-1 col2im of its
-  input gradient, where each plane runs on into a zero tail so that a tap of
+  slice: pool2d in its forward, and conv2d in the col2im of its input
+  gradient, where each plane runs on into a zero tail so that a tap of
   every window of all of a sample's channels is one contiguous block.
 - sum_(x) sums every value; sum_(x, axis) sums one axis and keeps it at
   extent 1. concat(a, b) joins two tensors along the channel axis (axis 1),
-  and halves(x) returns the two halves of that axis. matmul multiplies two
-  matrices; there are no batched products.
+  and halves(x) returns the two halves of that axis. matmul(a, b, bias) is
+  a @ b of two matrices plus an optional bias row; no batched products.
 - attention(f, g, v) is the whole softmax attention of [N, heads, d, S]
   operands in one op, computed one (sample, head) block of S x S weights at
   a time; there is no separate softmax or transpose.
 - pool2d (the receiver's average pool) is forward only, on plain [C, H, W]
   arrays; it stays here because the benchmark's tracer wraps `T.pool2d`.
 
-Every differentiable op but conv2d and attention builds its node through _op,
-from its forward value and one gradient rule per operand. conv2d and attention
-set one fused rule on a _make node instead, because one backward pass yields
-all of their gradients: attention walks each block once, and conv2d frees
-the weight GEMM's patch matrix before its input-gradient GEMM runs.
+Every differentiable op but conv2d, matmul and attention builds its node
+through _op, from its forward value and one gradient rule per operand. The
+three set one fused rule on a _make node instead, because one backward pass
+yields all of their gradients: attention walks each block once, conv2d frees
+the weight GEMM's patch matrix before its input-gradient GEMM runs, and
+conv2d and matmul take their weight and bias gradients in one call.
 
 A tracked Tensor is a value (.data) plus a graph node. The node holds the
 gradient slot, the gradient rule and the nodes of the parents; each rule
@@ -46,11 +47,11 @@ sampler runs each half's guided step in its own thread, and the trainer each
 half's forward and then its backward. Each op computes every sample on its
 own (per-sample conv GEMMs, per-sample group norm and attention, matmul
 rows), so a half's values and gradients equal its rows of the whole batch
-(see `split_batch` for what was checked). The rules that contract over the
-batch (conv2d's weight and bias gradients, matmul's gradient of its right
-operand, and an add/sub/mul/div operand broadcast over the batch axis) meet
-the other half's twin rule instead, so every leaf still gets one
-whole-batch accumulation per use.
+(see `split_batch` for what was checked). Only the weight and bias
+gradients of conv2d and matmul contract over the batch. In a half's
+backward they meet the other half's twin, numbered in the order the walk
+reaches them, and run once on the whole batch (see `_over_batch`), so every
+parameter still gets one whole-batch accumulation per use.
 
 A graph is consumed by its backward (Tensor.backward, or backward_from for
 several outputs with given gradients), which frees each node once its
@@ -125,21 +126,18 @@ class BatchSplit:
     second runs in the worker thread while the calling thread runs the
     first, and the worker is always waited for, even when the first part
     raised. Each thread keeps its own grad mode and scope stack, and runs
-    its part with this split as its half (see `_meeting`).
+    its part with this split as its half.
 
-    It is also where the two halves' batch-contracting rules meet (see
-    `_over_batch`): each half's forward numbers those rules in the order it
-    makes them, and both halves make the same ops in the same order, so the
-    rules of one number are twins. The half whose rule runs first leaves its
-    operands in `slots` and goes on. When the twin arrives, the gradient of
-    both halves' operands is due, once. If it goes to leaves only (the
-    parameters), it joins `ready`, and whichever half next ends a gradient
-    rule computes it, so the weight GEMMs do not all fall on the half that
-    runs behind; otherwise the second half computes it at once, into its own
-    graph. One ready gradient is computed at a time, since each holds a
-    whole-batch transient (conv2d's patch matrix), and no thread waits for
-    the other. A part computes what is still ready before it returns, so
-    `run` returns with every gradient accumulated.
+    It is also where the halves' weight and bias gradients of conv2d and
+    matmul meet (see `_over_batch`). Both halves walk the same graph in the
+    same order, so the n-th such call of one walk is the twin of the other's
+    n-th. The half that calls first leaves its operands in `slots` and goes
+    on. When the twin arrives, the gradient from both halves' operands joins
+    `ready`, and whichever half next ends a gradient rule computes it, so the
+    weight GEMMs do not all fall on the half that runs behind. One is computed
+    at a time, since each holds a whole-batch transient (conv2d's patch
+    matrix), and no thread waits for the other. A part computes what is still
+    ready before it returns, so `run` returns with every gradient accumulated.
     """
 
     def __init__(self, n, pool):
@@ -169,19 +167,15 @@ class BatchSplit:
         finally:
             _state.half = prev
 
-    def meet(self, key, k, operands, accumulate, to_leaves):
+    def meet(self, key, k, operands, accumulate):
         """Half k's rule `key` with its operands: accumulate(first half's
-        operands, second half's) runs once both twins have met (see above)."""
+        operands, second half's) joins `ready` once both twins have met."""
         with self._lock:
             other = self.slots.pop(key, None)
             if other is None:
                 self.slots[key] = operands
             else:
-                both = (other, operands) if k else (operands, other)
-                if to_leaves:
-                    self.ready.append(functools.partial(accumulate, *both))
-        if other is not None and not to_leaves:
-            accumulate(*both)
+                self.ready.append(functools.partial(accumulate, *((other, operands) if k else (operands, other))))
 
     def run_ready(self):
         """Compute the ready gradients, unless another thread is computing one."""
@@ -209,13 +203,14 @@ def split_batch(n):
     GEMM of 2 to 32 rows as in the whole batch's GEMM (checked with OpenBLAS
     at the U-Net's widths, for halves of batches up to 64); numpy sends a
     one-row product to gemv instead, whose sums can differ in the last bit,
-    so batches below four are not split. The sums over the batch meet (see
-    `_over_batch`) and run once on the whole batch, and div's rule keeps its
-    gradient's layout at every batch size, so the per-sample sums that follow
-    add in one order. Each parameter gradient is then the whole batch's, as
-    long as the two halves share no node but leaves and the model uses each
-    parameter once per forward, as the U-Net does: the twin rules of a
-    second use could accumulate in either thread and in either order.
+    so batches below four are not split. Only the weight and bias gradients
+    of conv2d and matmul sum over the batch, and they run once on the whole
+    batch (see `_over_batch`); div's rule keeps its gradient's layout at
+    every batch size, so the per-sample sums that follow add in one order.
+    Each parameter gradient is then the whole batch's, as long as the halves
+    share no node but parameters, each a weight or bias of conv2d or matmul
+    used once per forward, as in the U-Net: the twins of a second use could
+    accumulate in either thread and in either order.
 
     The pool is made per call: a module-level one would need a fork hook and
     would share one worker among concurrent callers, to save one thread
@@ -233,38 +228,27 @@ def split_batch(n):
             split.ready.clear()
 
 
-def _meeting():
-    """Called as an op makes a rule that contracts over the batch axis: None
-    outside a half of a BatchSplit, else the half's meet for this rule's
-    number (see BatchSplit.meet)."""
-    half = _state.half
-    if half is None:
-        return None
-    split, k, keys = half
-    return functools.partial(split.meet, next(keys), k)
-
-
-def _over_batch(meet, grads, nodes, *operands):
-    """Accumulate grads(*parts) into nodes, for gradients that contract over
-    the batch: each operand holds the graph's samples and reaches grads as a
-    tuple of its parts in batch order, which `_join` joins; grads returns
-    one gradient per node (None nodes are skipped).
-
-    meet is `_meeting()` from the forward. When it is None the graph holds
-    the whole batch, each tuple holds one part, and the gradients accumulate
-    at once. In a half's graph they accumulate once both halves' operands
-    have met, from the whole batch's operands, as the whole batch's graph
-    would (see BatchSplit).
+def _over_batch(grads, nodes, *operands):
+    """Accumulate grads(*parts) into nodes (None nodes are skipped), for
+    the weight and bias gradients of conv2d and matmul, which contract over
+    the batch: each operand reaches grads as a tuple of its parts in batch
+    order, which `_join` joins. Outside a half of a BatchSplit each tuple
+    holds the graph's one part and the gradients accumulate at once. In a
+    half the call takes the half's next number in its backward walk and the
+    gradients accumulate once the twin has met it, from the whole batch's
+    operands (see BatchSplit). The nodes must then be leaves: a gradient
+    queued for an interior node could arrive after its rule has run.
     """
     def accumulate(*parts):
         for node, grad in zip(nodes, grads(*parts)):
             if node is not None:
                 node.accum(grad)
-    if meet is None:
-        accumulate(*((x,) for x in operands))
-    else:
-        to_leaves = all(node is None or node.rule is None for node in nodes)
-        meet(operands, lambda first, second: accumulate(*zip(first, second)), to_leaves)
+    if _state.half is None:
+        return accumulate(*((x,) for x in operands))
+    if any(node is not None and node.rule is not None for node in nodes):
+        raise TensorError("a gradient over a split batch would reach an interior node, not a parameter")
+    split, k, keys = _state.half
+    split.meet(next(keys), k, operands, lambda first, second: accumulate(*zip(first, second)))
 
 
 def _join(parts, axis=0):
@@ -478,8 +462,9 @@ def _broadcasts(small, big):
 def _op(parents, data, op, *rules):
     """Wrap the forward value of an op; when a graph is built, rules[i](g)
     gives the gradient of parents[i] from the arrays that rule captured,
-    which is summed down to that parent's shape (see _reduce_to), or None
-    when the rule accumulated it itself (see _over_batch)."""
+    summed down to that parent's shape (see _reduce_to). These rules never
+    meet (see _over_batch): in a half of a split batch each tracked operand
+    must have the batch axis, as every one in the U-Net has."""
     out = _make(data, parents, op)
     if out._tracked:
         nodes = tuple(p._node for p in parents)
@@ -488,9 +473,7 @@ def _op(parents, data, op, *rules):
         def bwd(g):
             for node, shape, rule in zip(nodes, shapes, rules):
                 if node is not None:
-                    grad = rule(g)
-                    if grad is not None:
-                        node.accum(_reduce_to(grad, shape))
+                    node.accum(_reduce_to(rule(g), shape))
         out._bwd = bwd
     return out
 
@@ -511,35 +494,20 @@ def _operands(a, b, op):
     return a, b
 
 
-def _elementwise(a, b, data, op, *rules):
-    """_op of add/sub/mul/div, whose rules give gradients of the output's
-    shape. The gradient of a tracked operand without the output's batch
-    extent sums over the batch, so in a half's graph it meets the other
-    half's (see _over_batch)."""
-    return _op((a, b), data, op, *(_summed_over_batch(x, rule) if x._node is not None and x.shape[:1] != data.shape[:1]
-                                   else rule for x, rule in zip((a, b), rules)))
-
-
-def _summed_over_batch(x, rule):
-    """The rule g -> rule(g) summed down to x's shape, which sums over the batch axis."""
-    meet, node, shape = _meeting(), x._node, x.shape
-    return lambda g: _over_batch(meet, lambda parts: (_reduce_to(_join(parts), shape),), (node,), rule(g))
-
-
 def add(a, b):
     a, b = _operands(a, b, "add")
-    return _elementwise(a, b, a.data + b.data, "add", lambda g: g, lambda g: g)
+    return _op((a, b), a.data + b.data, "add", lambda g: g, lambda g: g)
 
 
 def sub(a, b):
     a, b = _operands(a, b, "sub")
-    return _elementwise(a, b, a.data - b.data, "sub", lambda g: g, lambda g: -g)
+    return _op((a, b), a.data - b.data, "sub", lambda g: g, lambda g: -g)
 
 
 def mul(a, b):
     a, b = _operands(a, b, "mul")
     ad, bd = a.data, b.data
-    return _elementwise(a, b, ad * bd, "mul", lambda g: g * bd, lambda g: g * ad)
+    return _op((a, b), ad * bd, "mul", lambda g: g * bd, lambda g: g * ad)
 
 
 def div(a, b):
@@ -554,7 +522,7 @@ def div(a, b):
         r = np.multiply(g, ad, out=np.empty_like(g, dtype=np.result_type(g, ad, bd)))
         np.negative(r, out=r)
         return np.divide(r, bd * bd, out=r)
-    return _elementwise(a, b, ad / bd, "div", lambda g: g / bd, rule_b)
+    return _op((a, b), ad / bd, "div", lambda g: g / bd, rule_b)
 
 
 def square(x):
@@ -631,15 +599,34 @@ def silu(x):
 
 # -- matmul ---------------------------------------------------------------------
 
-def matmul(a, b):
-    """The product of two matrices [m, k] @ [k, n]."""
+def matmul(a, b, bias=None):
+    """[m, k] @ [k, n] plus a bias [n] in each row when given. The gradients
+    of b and the bias sum over the rows, the batch, in one `_over_batch`
+    call, also when the bias is the only tracked operand."""
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise TensorError(f"matmul: need matrices [m, k] @ [k, n], got {a.shape} @ {b.shape}")
+    if bias is not None and bias.shape != b.shape[1:]:
+        raise TensorError(f"matmul: bias shape {bias.shape} does not match {b.shape[1]} columns")
     ad, bd = a.data, b.data
-    bn = b._node
-    meet = _meeting() if bn is not None else None
-    return _op((a, b), ad @ bd, "matmul", lambda g: g @ bd.T,
-               lambda g: _over_batch(meet, lambda xs, gs: (_join(xs).T @ _join(gs),), (bn,), ad, g))
+    data = ad @ bd
+    if bias is not None:
+        data += bias.data
+    out = _make(data, (a, b) if bias is None else (a, b, bias), "matmul")
+    if out._tracked:
+        an, bn, cn = a._node, b._node, None if bias is None else bias._node
+
+        def param_grads(ads, gs):
+            g = _join(gs)
+            return (_join(ads).T @ g if bn is not None else None,
+                    g.sum(axis=0, dtype=g.dtype) if cn is not None else None)
+
+        def bwd(g):
+            if bn is not None or cn is not None:
+                _over_batch(param_grads, (bn, cn), ad, g)
+            if an is not None:
+                an.accum(g @ bd.T)
+        out._bwd = bwd
+    return out
 
 
 # -- attention ------------------------------------------------------------------
@@ -756,29 +743,30 @@ def conv2d(x, w, b=None, stride=1):
     the whole output.
 
     The weight and bias gradients contract over every sample, so they run
-    on the whole batch, also when the trainer runs two halves: there they
-    run once both halves' rules have met (see `_over_batch`). The weight
-    gradient is (cols @ gt.T).T, copied to C order; for a kernel above 1x1
-    it runs one GEMM per band of BAND_CHANNELS input channels, a band of
-    k*k*BAND_CHANNELS rows of cols, which bounds the whole batch's patch
-    matrix. The input gradient runs one sample at a time and is handed on
-    as one C-ordered [N, C, H, W] array. At stride 1 (k > 1) the sample's
-    output gradient is laid at the top left of a zero [F, Hp*Wp] grid that
-    runs on into a zero tail of (k-1)*(Wp+1) columns, and the GEMM takes the
-    weight's rows in tap order, [k*k*C, F], so that each tap's product for
-    all C channels is one contiguous [C*(Hp*Wp + tail)] block. The col2im
-    is then k*k one-dimensional adds per sample, tap (i, j) at offset
-    i*Wp + j of the sample's part of one flat buffer of the batch's N*C
-    planes with their tails (and one tail more), which is then cropped.
-    (numpy adds into a row-strided slice on a slower path: 2.5 to 4 times as
-    long for a [32, 1156] float32 block.) Each input element gets its taps'
-    addends in (i, j) order, as a strided scatter adds them, plus exact ±0
-    from the zero columns: those of the grid's pad, and those of the tail,
-    which land on the first positions of the next channel or sample. Such
-    zeros change no bit of a sum that starts at +0.0 and so never holds
-    -0.0. At a larger stride the grid would be mostly zeros, so the GEMM
-    runs on the sample's Ho*Wo output columns and each of its k*k taps is
-    added into a strided slice of the padded gradient, in (i, j) order.
+    on the whole batch, also when the trainer runs two halves (see
+    `_over_batch`). The weight gradient is (cols @ gt.T).T, copied to C
+    order; for a kernel above 1x1 it runs one GEMM per band of BAND_CHANNELS
+    input channels, k*k*BAND_CHANNELS rows of cols, which bounds the whole
+    batch's patch matrix. The input gradient is one C-ordered [N, C, H, W]
+    array. A 1x1 stride-1 kernel gets it from one GEMM; any other runs one
+    sample at a time. The sample's output gradient is laid at positions
+    (s*y, s*x) of a zero [F, Hp*Wp] grid that runs on into a zero tail of
+    (k-1)*(Wp+1) columns, and the GEMM takes the weight's rows in tap order,
+    [k*k*C, F], so that each tap's product for all C channels is one
+    contiguous [C*(Hp*Wp + tail)] block. The col2im is then k*k
+    one-dimensional adds per sample, tap (i, j) at offset i*Wp + j of the
+    sample's part of one flat buffer of the batch's N*C planes with their
+    tails (and one tail more), which is then cropped. (numpy adds into a
+    row-strided slice on a slower path: 2.5 to 4 times as long for a
+    [32, 1156] float32 block.) Each input element gets its taps' addends in
+    (i, j) order, as a strided scatter adds them, plus exact ±0 from the
+    zero columns: those of the grid's pad and stride gaps, and those of the
+    tail, which land on the first positions of the next channel or sample.
+    Such zeros change no bit of a sum that starts at +0.0 and so never holds
+    -0.0. At stride 2 the gaps quadruple the GEMM: the desk U-Net's down
+    conv (3x3, 32 channels, half batch 2, one BLAS thread, 2-core x86_64)
+    takes 1.05 ms to backward at 32x32 and 0.35 ms at 16x16, against 0.80
+    and 0.32 ms for a strided scatter (medians of 250).
 
     All of this sums exactly as gt @ cols.T and a strided scatter of
     [C*k*k, n*Ho*Wo] would, provided the BLAS sums every GEMM row and column
@@ -849,7 +837,6 @@ def conv2d(x, w, b=None, stride=1):
     if out._tracked:
         xn, wn, bn = x._node, w._node, None if b is None else b._node
         xd = x.data
-        meet = _meeting() if wn is not None or bn is not None else None
 
         def param_grads(xds, gts):
             """Bias and weight gradients (None where untracked) of the samples in the parts of x and gt."""
@@ -873,42 +860,26 @@ def conv2d(x, w, b=None, stride=1):
         def bwd(g):
             gt = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(f, n * ho * wo)
             if wn is not None or bn is not None:
-                _over_batch(meet, param_grads, (bn, wn), xd, gt)
+                _over_batch(param_grads, (bn, wn), xd, gt)
             if xn is None:
                 return
             hp, wp = h + 2 * p, wd + 2 * p
             if kh == 1 and s == 1:
                 gx = (w2.T.astype(g.dtype, copy=False) @ gt).reshape(c, n, ho, wo).transpose(1, 0, 2, 3)
-            elif s > 1:
-                # strided col2im: a GEMM on the sample's Ho*Wo output
-                # columns, then each tap (i, j) added in that order into
-                # its strided slice of the zero padded grid; one sample's
-                # [C*k*k, Ho*Wo] transient at a time
-                w2t = w2.T.astype(g.dtype, copy=False)
-                gt4 = gt.reshape(f, n, ho, wo)
-                grid = np.zeros((c, n, hp, wp), dtype=g.dtype)
-                for k in range(n):
-                    gcols = (w2t @ gt4[:, k].reshape(f, ho * wo)).reshape(c, kh, kw, ho, wo)
-                    for i in range(kh):
-                        for j in range(kw):
-                            grid[:, k, i:i + s * ho:s, j:j + s * wo:s] += gcols[:, i, j]
-                    del gcols  # before the next sample's is allocated
-                gx = grid[:, :, p:hp - p, p:wp - p].transpose(1, 0, 2, 3)
             else:
-                # stride 1, col2im on the padded grid (see the docstring): the
-                # sample's output gradient at the top left of a zero [F, Hp*Wp]
-                # plane and tail, a GEMM with the rows ordered by tap, and tap
-                # (i, j) of all channels one contiguous add at offset i*Wp + j
+                # col2im on the padded grid (see the docstring): g[k] at stride s
+                # in a zero [F, Hp*Wp] plane and tail, a GEMM with its rows in tap
+                # order, and tap (i, j) of all channels one add at offset i*Wp + j
                 del gt  # not read on this path: freed before the buffers are allocated
                 plane, tail = hp * wp, (kh - 1) * (wp + 1)
                 span = plane + tail
                 wtap = w2.reshape(f, c, kh, kw).transpose(2, 3, 1, 0).reshape(kh * kw * c, f)
                 wtap = wtap.astype(g.dtype, copy=False)
                 gtp = np.zeros((f, span), dtype=g.dtype)
-                grid = gtp[:, :plane].reshape(f, hp, wp)
+                grid = gtp[:, :plane].reshape(f, hp, wp)[:, :s * ho:s, :s * wo:s]
                 flat = np.zeros(n * c * span + tail, dtype=g.dtype)
                 for k in range(n):
-                    grid[:, :ho, :wo] = g[k]
+                    grid[...] = g[k]
                     taps = (wtap @ gtp).reshape(kh * kw, c * span)
                     for t in range(kh * kw):
                         off = k * c * span + (t // kw) * wp + t % kw

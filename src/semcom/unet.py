@@ -136,11 +136,6 @@ class ParamStore:
         return wt, bt
 
 
-def _dense(x, w, b):
-    out = T.matmul(x, w)
-    return T.add(out, T.reshape(b, (1, b.shape[0])))
-
-
 def sinusoid_embedding(t, dim):
     """Deterministic base embedding: [sin(t*f_i)..., cos(t*f_i)...]."""
     if dim % 2:
@@ -165,9 +160,9 @@ class TimeEmbed:
         if np.any(t < 0):
             raise ModelConfigError(f"timestep out of range [0, inf): {t}")
         h = Tensor(sinusoid_embedding(t, self.base_dim))
-        h = _dense(h, self.w1, self.b1)
+        h = T.matmul(h, self.w1, self.b1)
         h = T.silu(h)
-        return _dense(h, self.w2, self.b2)
+        return T.matmul(h, self.w2, self.b2)
 
 
 class Film:
@@ -179,7 +174,7 @@ class Film:
 
     def __call__(self, h, temb):
         n, c = h.shape[0], self.channels
-        wb = T.reshape(_dense(T.silu(temb), self.w, self.b), (n, 2 * c, 1, 1))
+        wb = T.reshape(T.matmul(T.silu(temb), self.w, self.b), (n, 2 * c, 1, 1))
         w, b = T.halves(wb)
         return T.add(T.mul(h, T.add(w, 1.0)), b)
 

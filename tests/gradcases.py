@@ -109,6 +109,8 @@ def build_cases(rng):
     pmm = proj(3, 2)
     cases.append(("matmul2d", lambda x, y: pmm(T.matmul(x, y)),
                   [_rand(rng, 3, 4), _rand(rng, 4, 2)]))
+    cases.append(("matmul_bias", lambda x, y, z: pmm(T.matmul(x, y, z)),
+                  [_rand(rng, 3, 4), _rand(rng, 4, 2), _rand(rng, 2)]))
 
     cases.append(("silu", lambda x: p34(T.silu(x)), [_rand(rng, 3, 4)]))
     # d 3 and S 4 differ, so a rule that swaps the two axes cannot pass

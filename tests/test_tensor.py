@@ -475,6 +475,107 @@ class TestAttention:
         assert not out._tracked and no_grad_peak < weights / 2, no_grad_peak
 
 
+# The U-Net's dense layers, [k, n]: desk 32->128, 128->128 and 128->64/128
+# (time embedding and FiLM); tiny 16->64, 64->64 and 64->32/64.
+DENSE_SHAPES = [(32, 128), (128, 128), (128, 64), (16, 64), (64, 64), (64, 32)]
+
+
+class TestMatmulBias:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [1, 2, 4, 8])
+    @pytest.mark.parametrize("k, n", DENSE_SHAPES)
+    def test_equals_the_dense_chain_bitwise(self, k, n, rows, dtype):
+        """matmul(a, b, bias) and its three gradients equal those of
+        add(matmul(a, b), reshape(bias, (1, n))) bit for bit."""
+        rng = np.random.default_rng(1000 * k + 10 * n + rows)
+        arrays = [rng.standard_normal(shape).astype(dtype) for shape in ((rows, k), (k, n), (n,))]
+        g = Tensor(rng.standard_normal((rows, n)).astype(dtype))
+        fused = [Tensor(x, requires_grad=True) for x in arrays]
+        chain = [Tensor(x, requires_grad=True) for x in arrays]
+        out = T.matmul(*fused)
+        expect = T.add(T.matmul(chain[0], chain[1]), T.reshape(chain[2], (1, n)))
+        assert _same_bits(out.data, expect.data)
+        T.sum_(T.mul(out, g)).backward()
+        T.sum_(T.mul(expect, g)).backward()
+        for got, ref in zip(fused, chain):
+            assert _same_bits(got.grad, ref.grad)
+
+    def test_bias_is_the_only_tracked_operand(self):
+        a = Tensor(np.ones((3, 2)))
+        b = Tensor(np.ones((2, 4)))
+        bias = Tensor(np.zeros(4), requires_grad=True)
+        T.sum_(T.matmul(a, b, bias)).backward()
+        assert np.array_equal(bias.grad, np.full(4, 3.0))
+
+    @pytest.mark.parametrize("shape", [(5,), (1, 4), (4, 1), ()])
+    def test_bias_of_the_wrong_shape_rejected(self, shape):
+        with pytest.raises(TensorError, match="bias shape"):
+            T.matmul(Tensor(np.zeros((3, 2))), Tensor(np.zeros((2, 4))), Tensor(np.zeros(shape)))
+
+    def test_rule_keeps_the_factors_but_not_the_bias_or_the_output(self):
+        """The rule reads a and b, for each other's gradients; the bias's
+        gradient and the output are never read, so their arrays are freed as
+        soon as the forward drops them, and backward frees a and b."""
+        x = Tensor(np.full((2, 3), 0.5), requires_grad=True)
+        y = Tensor(np.full((3, 4), 2.0), requires_grad=True)
+        z = Tensor(np.full(4, 1.5), requires_grad=True)
+        a, b, bias = T.mul(x, 2.0), T.mul(y, 3.0), T.mul(z, 0.5)  # mul's rules read x, y and z
+        out = T.matmul(a, b, bias)
+        refs = [weakref.ref(t.data) for t in (a, b, bias, out)]
+        loss = T.sum_(out)
+        del a, b, bias, out
+        assert [ref() is not None for ref in refs] == [True, True, False, False]
+        loss.backward()
+        assert all(ref() is None for ref in refs)
+        assert x.grad is not None and y.grad is not None and z.grad is not None
+
+
+def _split_layer(kind, seed):
+    """(forward of a part's rows with a given weight and bias, weight leaf,
+    bias leaf) of a conv2d or a dense layer at the U-Net's widths, batch 4."""
+    rng = np.random.default_rng(seed)
+    op, xshape, wshape, nb = ((T.conv2d, (4, 32, 16, 16), (32, 32, 3, 3), 32) if kind == "conv2d"
+                              else (T.matmul, (4, 32), (32, 128), 128))
+    x, w, b = (rng.standard_normal(shape).astype(np.float32) for shape in (xshape, wshape, nb))
+
+    def forward(part, wt, bt):
+        return op(Tensor(x[part]), wt, bt)
+    return forward, Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+
+
+class TestSplitMeetings:
+    """In a half of a split batch only parameters take a gradient over the
+    batch: it meets its twin and accumulates later, after the walk has
+    gone on."""
+
+    @pytest.mark.parametrize("kind", ["conv2d", "matmul"])
+    def test_a_gradient_over_the_batch_into_an_interior_node_raises(self, kind):
+        fwd, w, b = _split_layer(kind, 5)
+        workers = []
+
+        def half(k, part):
+            if threading.current_thread() is not threading.main_thread():
+                workers.append(threading.current_thread())
+            T.sum_(fwd(part, T.mul(w, 1.0), b)).backward()
+        with T.split_batch(4) as split:
+            with pytest.raises(TensorError, match="interior node"):
+                split.run(half)
+            assert split.slots == {} and split.ready == []
+        assert len(workers) == 1 and not workers[0].is_alive()
+        assert T._state.half is None
+        assert w.grad is None and b.grad is None
+
+    @pytest.mark.parametrize("kind", ["conv2d", "matmul"])
+    def test_leaf_parameters_get_the_whole_batchs_gradients(self, kind):
+        fwd, w, b = _split_layer(kind, 6)
+        fwd_whole, w_whole, b_whole = _split_layer(kind, 6)
+        with T.split_batch(4) as split:
+            split.run(lambda k, part: T.sum_(fwd(part, w, b)).backward())
+            assert split.slots == {} and split.ready == []
+        T.sum_(fwd_whole(slice(0, 4), w_whole, b_whole)).backward()
+        assert _same_bits(w.grad, w_whole.grad) and _same_bits(b.grad, b_whole.grad)
+
+
 class TestBackward:
     def test_sum_gradient_is_ones(self):
         x = Tensor(np.random.default_rng(5).normal(size=(3, 4, 2)), requires_grad=True)

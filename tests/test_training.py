@@ -678,6 +678,28 @@ class TestBatchHalves:
         assert (m.L_d, m.L_KL, m.total, m.grad_norm) == (comps["L_d"], comps["L_KL"], comps["total"], norm)
         _assert_same_state(_training_state(replay), _training_state(tr))
 
+    def test_every_meeting_of_a_step_is_at_a_parameter(self, monkeypatch):
+        """A desk batch-4 step meets 75 times per half, once for each conv2d
+        and matmul of a half's forward: no other rule sums over the batch."""
+        tr = _desk_trainer(4)
+        meetings, ops = {0: 0, 1: 0}, {0: 0, 1: 0}
+        real_meet, real_conv2d, real_matmul = T.BatchSplit.meet, T.conv2d, T.matmul
+
+        def meet(self, key, k, operands, accumulate):
+            meetings[k] += 1
+            return real_meet(self, key, k, operands, accumulate)
+
+        def counted(op):
+            def call(*args, **kwargs):
+                ops[int(threading.current_thread() is not threading.main_thread())] += 1
+                return op(*args, **kwargs)
+            return call
+        monkeypatch.setattr(T.BatchSplit, "meet", meet)
+        monkeypatch.setattr(T, "conv2d", counted(real_conv2d))
+        monkeypatch.setattr(T, "matmul", counted(real_matmul))
+        tr.train_step()
+        assert meetings == ops == {0: 75, 1: 75}
+
     def test_steps_equal_a_replay_while_threads_switch_every_microsecond(self):
         """The halves share the meeting place's slots, ready list and busy
         flag under one lock; with the interpreter switching threads every

@@ -134,9 +134,7 @@ def model_log_variance(var_raw, t, sched):
     log_lo = _at(sched.log_posterior_clipped, t, ndim)
     if isinstance(var_raw, Tensor):
         v = T.mul(T.add(var_raw, 1.0), 0.5)
-        lo = Tensor(log_lo.astype(var_raw.dtype))
-        hi = Tensor(log_hi.astype(var_raw.dtype))
-        return T.add(T.mul(v, hi), T.mul(T.sub(1.0, v), lo))
+        return T.add(T.mul(v, log_hi), T.mul(T.sub(1.0, v), log_lo))
     v = np.clip((np.asarray(var_raw, dtype=np.float64) + 1.0) / 2.0, 0.0, 1.0)
     return v * log_hi + (1.0 - v) * log_lo
 
@@ -147,27 +145,25 @@ def gaussian_kl(mean_p, logvar_p, mean_q, logvar_q):
     logvar_p is a Tensor; the means and logvar_q enter as constant arrays.
     """
     lq = Tensor(np.asarray(logvar_q, dtype=logvar_p.dtype))
-    delta2 = Tensor(((mean_p - mean_q) ** 2).astype(logvar_p.dtype))
-    ratio = T.div(T.add(T.exp(logvar_p), delta2), T.exp(lq))
+    ratio = T.div(T.add(T.exp(logvar_p), (mean_p - mean_q) ** 2), T.exp(lq))
     return T.mul(T.add(T.sub(lq, logvar_p), T.add(ratio, -1.0)), 0.5)
 
 
-def total_loss(model, x0, y, t, eps, sched):
-    """Hybrid loss of improved DDPM: L = L_d + LAMBDA_KL * L_KL.
+def total_loss(out, x0, x_t, t, eps, sched):
+    """Hybrid loss of improved DDPM: L = L_d + LAMBDA_KL * L_KL, of the
+    U-Net output `out` on x_t = q_sample(x0, t, eps, sched).
 
-    L_d = mean((eps - eps_hat)^2), the mean-square error between the injected
-    and the predicted noise over every element of the batch. L_KL is the
-    Gaussian KL between the predicted reverse transition and the forward
-    posterior, with the predicted mean detached so only the variance head
-    learns from it. Returns (loss Tensor, components dict).
+    out is [N, 2*IMAGE_CHANNELS, H, W], the predicted noise and then the raw
+    variance, which `T.halves` splits. L_d = mean((eps - eps_hat)^2), the
+    mean-square error between the injected and the predicted noise over
+    every element of the batch. L_KL is the Gaussian KL between the
+    predicted reverse transition and the forward posterior, with the
+    predicted mean detached so only the variance half learns from it.
+    Returns (loss Tensor, components dict).
     """
-    x0 = np.asarray(x0, dtype=np.float32)
     t = _check_t(t, sched.steps, len(x0))
-    x_t = q_sample(x0, t, eps, sched)
-    eps_pred, var_raw = model.forward(x_t, y, t)
-
-    target = Tensor(np.asarray(eps, dtype=np.float32))
-    l_d = T.mean(T.square(T.sub(eps_pred, target)))
+    eps_pred, var_raw = T.halves(out)
+    l_d = T.mean(T.square(T.sub(eps_pred, eps)))
 
     # variance-only KL: means enter as constants
     mean_p = eps_to_mean(eps_pred.data, x_t, t, sched)
@@ -225,12 +221,12 @@ def guided_eps(model, x_t, y, t, s):
     y is a semantic stack, or a (condition, null condition) pair as
     `guidance_conditions` returns (built at a nonzero scale when s is),
     which a sampler computes once per run for each half of its batch. Returns
-    (eps_hat, var_raw) as arrays; the variance comes from the conditional
-    pass. The encoder never sees the stack, so x_t is encoded once (with the
-    first decoder block's condition-free convs, see `UNet.encode`) and only
-    the rest of the decoder runs per branch. s=0 never evaluates the
-    unconditional branch, so it is bitwise identical to conditional-only
-    prediction.
+    (eps_hat, var_raw) as arrays, from the `T.halves` of each decode's
+    output; the variance comes from the conditional pass. The encoder never
+    sees the stack, so x_t is encoded once (with the first decoder block's
+    condition-free convs, see `UNet.encode`) and only the rest of the
+    decoder runs per branch. s=0 never evaluates the unconditional branch,
+    so it is bitwise identical to conditional-only prediction.
     """
     if not 0 <= s < np.inf:
         raise DiffusionError(f"guidance scale must be finite and >= 0, got {s}")
@@ -241,10 +237,10 @@ def guided_eps(model, x_t, y, t, s):
         raise DiffusionError(f"guidance scale {s} needs the null branch, which conditions built at s=0 lack")
     with T.no_grad():
         features = model.encode(x_t, t)
-        eps_c, var_raw = model.decode(features, cond)
+        eps_c, var_raw = T.halves(model.decode(features, cond))
         if s == 0:
             return eps_c.data, var_raw.data
-        eps_u, _ = model.decode(features, null)
+        eps_u, _ = T.halves(model.decode(features, null))
     return eps_c.data + s * (eps_c.data - eps_u.data), var_raw.data
 
 

@@ -44,18 +44,20 @@ Grad mode (no_grad) and the scope stack are per thread, so two threads can
 run forwards at once; each new thread starts with grad on and no scope.
 `split_batch` runs the two halves of a batch of four or more that way: the
 sampler runs each half's guided step in its own thread, and the trainer each
-half's forward and then its backward. Each op computes every sample on its
-own (per-sample conv GEMMs, per-sample group norm and attention, matmul
-rows), so a half's values and gradients equal its rows of the whole batch
-(see `split_batch` for what was checked). Only the weight and bias
-gradients of conv2d and matmul contract over the batch. In a half's
-backward they meet the other half's twin, numbered in the order the walk
-reaches them, and run once on the whole batch (see `_over_batch`), so every
-parameter still gets one whole-batch accumulation per use.
+half's forward and then its backward from its rows of the loss's gradient.
+Each op computes every sample on its own (per-sample conv GEMMs, per-sample
+group norm and attention, matmul rows), so a half's values and gradients
+equal its rows of the whole batch (see `split_batch` for what was checked).
+Only the weight and bias gradients of conv2d and matmul contract over the
+batch. In a half's backward they meet the other half's twin, numbered in
+the order the walk reaches them, and run once on the whole batch (see
+`_over_batch`), so every parameter still gets one whole-batch accumulation
+per use. In a half, a parameter as any other operand is refused (see
+`_refuse_leaves`).
 
-A graph is consumed by its backward (Tensor.backward, or backward_from for
-several outputs with given gradients), which frees each node once its
-gradient rule has run; a second backward through it raises. Leaves
+A graph is consumed by its backward (Tensor.backward from a scalar, or
+backward_from from one output with a given gradient), which frees each node
+once its gradient rule has run; a second backward through it raises. Leaves
 (parameters) keep accumulating .grad across graphs.
 
 Every forward result is checked for NaN/Inf. Training runs in float32;
@@ -210,7 +212,10 @@ def split_batch(n):
     Each parameter gradient is then the whole batch's, as long as the halves
     share no node but parameters, each a weight or bias of conv2d or matmul
     used once per forward, as in the U-Net: the twins of a second use could
-    accumulate in either thread and in either order.
+    accumulate in either thread and in either order. A parameter as another
+    operand is refused in the forward (`_refuse_leaves`), and an interior
+    node as a weight or bias in the backward (`_over_batch`); a second use
+    is not checked.
 
     The pool is made per call: a module-level one would need a fork hook and
     would share one worker among concurrent callers, to save one thread
@@ -249,6 +254,15 @@ def _over_batch(grads, nodes, *operands):
         raise TensorError("a gradient over a split batch would reach an interior node, not a parameter")
     split, k, keys = _state.half
     split.meet(next(keys), k, operands, lambda first, second: accumulate(*zip(first, second)))
+
+
+def _refuse_leaves(op, *operands):
+    """In a half of a BatchSplit, refuse a leaf among the operands of an op
+    whose rule accumulates their gradients directly: both halves would add
+    into it, outside the meeting place and its lock. Called when a graph is
+    built."""
+    if _state.half is not None and any(t.requires_grad for t in operands):
+        raise TensorError(f"{op}: a parameter in a half of a split batch must be a conv2d or matmul weight or bias")
 
 
 def _join(parts, axis=0):
@@ -355,47 +369,34 @@ class Tensor:
         """
         if self.size != 1:
             raise TensorError(f"backward requires a scalar loss, got shape {self.shape}")
-        backward_from([self], [np.ones_like(self.data)])
+        backward_from(self, np.ones_like(self.data))
 
 
-def backward_from(outputs, grads):
-    """Tensor.backward from several tracked outputs, each given the gradient
-    of its value (an array of its shape).
-
-    The nodes run in reverse post-order of a depth-first walk from the
-    outputs in turn, so an ancestor below a single node (the U-Net's heads
-    share their parent) is walked in the order a backward from a loss over
-    them would take, and its gradients add up in that order. A walk in one
-    half of a BatchSplit computes the ready whole-batch gradients between
-    its rules.
-    """
-    roots = [t._node for t in outputs]
-    if any(root is None for root in roots):
+def backward_from(output, grad):
+    """Tensor.backward from a tracked output, given the gradient of its value
+    (an array of its shape). A walk in one half of a BatchSplit computes the
+    ready whole-batch gradients between its rules."""
+    root = output._node
+    if root is None:
         raise TensorError("backward of a value that no tracked tensor produced")
-    for t, g in zip(outputs, grads):
-        if g.shape != t.shape:
-            raise TensorError(f"backward_from: gradient of shape {g.shape} for a value of shape {t.shape}")
+    if grad.shape != output.shape:
+        raise TensorError(f"backward_from: gradient of shape {grad.shape} for a value of shape {output.shape}")
     topo = []
-    seen = set()
-    for root in roots:
-        if id(root) in seen:
-            continue
-        seen.add(id(root))
-        stack = [(root, iter(root.parents))]
-        while stack:
-            node, it = stack[-1]
-            for p in it:
-                if id(p) not in seen:
-                    seen.add(id(p))
-                    stack.append((p, iter(p.parents)))
-                    break
-            else:
-                if node.rule is _released:
-                    _released(None)
-                topo.append(node)
-                stack.pop()
-    for root, g in zip(roots, grads):
-        root.accum(g)
+    seen = {id(root)}
+    stack = [(root, iter(root.parents))]
+    while stack:
+        node, it = stack[-1]
+        for p in it:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append((p, iter(p.parents)))
+                break
+        else:
+            if node.rule is _released:
+                _released(None)
+            topo.append(node)
+            stack.pop()
+    root.accum(grad)
     half = _state.half
     while topo:
         node = topo.pop()
@@ -463,10 +464,11 @@ def _op(parents, data, op, *rules):
     """Wrap the forward value of an op; when a graph is built, rules[i](g)
     gives the gradient of parents[i] from the arrays that rule captured,
     summed down to that parent's shape (see _reduce_to). These rules never
-    meet (see _over_batch): in a half of a split batch each tracked operand
-    must have the batch axis, as every one in the U-Net has."""
+    meet (see _over_batch), so in a half of a split batch no operand may be
+    a leaf (see _refuse_leaves)."""
     out = _make(data, parents, op)
     if out._tracked:
+        _refuse_leaves(op, *parents)
         nodes = tuple(p._node for p in parents)
         shapes = tuple(p.shape for p in parents)
 
@@ -571,15 +573,9 @@ def halves(x):
     """The first and the second half of x along the channel axis (axis 1)."""
     if x.ndim < 2 or x.shape[1] % 2:
         raise TensorError(f"halves: need an even channel axis (axis 1), got shape {x.shape}")
-    shape, c = x.shape, x.shape[1] // 2
-
-    def half(part):
-        def rule(g):
-            full = np.zeros(shape, dtype=g.dtype)
-            full[:, part] = g
-            return full
-        return _op((x,), x.data[:, part], "halves", rule)
-    return half(slice(0, c)), half(slice(c, 2 * c))
+    c = x.shape[1] // 2
+    return (_op((x,), x.data[:, :c], "halves", lambda g: np.concatenate([g, np.zeros_like(g)], axis=1)),
+            _op((x,), x.data[:, c:], "halves", lambda g: np.concatenate([np.zeros_like(g), g], axis=1)))
 
 
 # -- nonlinearities ------------------------------------------------------------
@@ -613,6 +609,7 @@ def matmul(a, b, bias=None):
         data += bias.data
     out = _make(data, (a, b) if bias is None else (a, b, bias), "matmul")
     if out._tracked:
+        _refuse_leaves("matmul", a)
         an, bn, cn = a._node, b._node, None if bias is None else bias._node
 
         def param_grads(ads, gs):
@@ -678,6 +675,7 @@ def attention(f, g, v):
     # (and so every gradient summed from these branches) runs as it did
     out = _make(data, (v, f, g), "attention")
     if out._tracked:
+        _refuse_leaves("attention", f, g, v)
         fn, gn, vn = f._node, g._node, v._node
 
         def bwd(go):
@@ -835,6 +833,7 @@ def conv2d(x, w, b=None, stride=1):
     parents = (x, w) if b is None else (x, w, b)
     out = _make(data, parents, "conv2d")
     if out._tracked:
+        _refuse_leaves("conv2d", x)
         xn, wn, bn = x._node, w._node, None if b is None else b._node
         xd = x.data
 

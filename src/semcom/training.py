@@ -25,7 +25,7 @@ import numpy as np
 from . import tensor as T
 from .channel import ChannelConfig, derive_seed, is_seed
 from .checkpoint import copy_into, load_checkpoint, save_checkpoint
-from .diffusion import total_loss
+from .diffusion import q_sample, total_loss
 from .link import receiver_condition, transmit_map
 from .tensor import Tensor
 
@@ -148,31 +148,6 @@ class MetricsWriter:
                     % (m.step, m.L_d, m.L_KL, m.total, m.grad_norm, m.wall_ms))
 
 
-class _Halves:
-    """The model as `total_loss` sees it in a train step of a BatchSplit.
-
-    forward runs model.forward on each part of the split, in its own
-    thread, and returns the heads joined along the batch axis as leaves, so
-    the loss over them is built in the calling thread and ends its backward
-    there. backward then walks each part's graph from its rows of the
-    leaves' gradients, again one thread per part.
-    """
-
-    def __init__(self, model, split):
-        self.model = model
-        self.split = split
-
-    def forward(self, x_t, y, t):
-        self.heads = self.split.run(lambda k, part: self.model.forward(x_t[part], y[part], t[part]))
-        self.joined = [Tensor(np.concatenate([head[i].data for head in self.heads]), requires_grad=True)
-                       for i in range(2)]
-        return self.joined
-
-    def backward(self):
-        grads = [joined.grad for joined in self.joined]
-        self.split.run(lambda k, part: T.backward_from(self.heads[k], [g[part] for g in grads]))
-
-
 class Trainer:
     """Owns the model parameters, optimizer state, EMA shadow, and RNG."""
 
@@ -237,24 +212,27 @@ class Trainer:
         """One optimizer update; returns RunMetrics (grad_norm NaN on skip).
 
         A batch of four or more runs as two halves (`tensor.split_batch`):
-        each half's forward runs in its own thread, `total_loss` reduces over
-        the heads joined along the batch axis in the calling thread, and each
-        half's graph is then walked backward in its own thread. Every rule
-        that contracts over the batch meets its twin in the other half and
-        runs once on the whole batch, so the step equals a single-thread
-        whole-batch step bit for bit. A smaller batch runs whole on the
-        calling thread. A forward or backward that raises (NonFiniteError)
-        leaves the weights, moments and EMA as they were and no gradient
-        behind; the step's draws are spent.
+        each half's forward runs in its own thread, and their outputs are
+        joined along the batch axis into one leaf. `total_loss` of that leaf
+        is built and walked backward in the calling thread, and each half's
+        graph is then walked backward from its rows of the leaf's gradient,
+        in its own thread. Every rule that contracts over the batch meets its
+        twin in the other half and runs once on the whole batch, so the step
+        equals a single-thread whole-batch step bit for bit. A smaller batch
+        runs whole on the calling thread. A forward or backward that raises
+        (NonFiniteError) leaves the weights, moments and EMA as they were and
+        no gradient behind; the step's draws are spent.
         """
         t0 = time.perf_counter()
         x0, y, t, eps, psnr_counts = self._batch()
+        x_t = q_sample(x0, t, eps, self.sched)
         try:
             with T.split_batch(len(x0)) as split:
-                halves = _Halves(self.model, split)
-                loss, comps = total_loss(halves, x0, y, t, eps, self.sched)
+                outs = split.run(lambda k, part: self.model.forward(x_t[part], y[part], t[part]))
+                out = Tensor(np.concatenate([o.data for o in outs]), requires_grad=True)
+                loss, comps = total_loss(out, x0, x_t, t, eps, self.sched)
                 loss.backward()
-                halves.backward()
+                split.run(lambda k, part: T.backward_from(outs[k], out.grad[part]))
             norm = self._apply_gradients()
         finally:
             self.model.zero_grad()  # nothing reads .grad after the update; free it now

@@ -10,8 +10,9 @@ the mid block. Decoder blocks swap plain group normalization for
 spatially-adaptive modulation (SPADE) driven by the semantic stack, which
 conditions the decoder only; the encoder never sees it.
 
-Two output heads of the input image shape: predicted noise and raw variance
-coefficients. Both final projections are zero-initialized.
+The output is one [N, 2*IMAGE_CHANNELS, H, W] tensor from one
+zero-initialized conv: the predicted noise in its first IMAGE_CHANNELS
+channels, then the raw variance coefficients. `T.halves` splits it.
 
 `UNet.forward` is `decode(encode(x_t, t), condition(y))`, in three parts:
 
@@ -23,7 +24,7 @@ coefficients. Both final projections are zero-initialized.
   condition pyramid and returns each decoder SPADE's modulation (gamma + 1,
   beta). It depends on the stack and the weights, never on x_t or t, so a
   sampler computes it once per run, not once per step.
-- `decode` runs the SPADE decoder and the output heads on the features and
+- `decode` runs the SPADE decoder and the output conv on the features and
   a condition, and leaves the features intact, so one encoding can be
   decoded under several conditions (the conditional and the null branch of
   classifier-free guidance), and the condition-free convs run once for both.
@@ -357,7 +358,7 @@ class UNet:
 
     # -- forward ----------------------------------------------------------------
     def forward(self, x_t, y, t):
-        """Returns (eps_pred, var_raw), each shaped like the input image batch."""
+        """The output [N, 2*IMAGE_CHANNELS, H, W]: noise, then raw variance."""
         return self.decode(self.encode(x_t, t), self.condition(y))
 
     def encode(self, x_t, t):
@@ -416,10 +417,10 @@ class UNet:
         return cond
 
     def decode(self, features, cond):
-        """SPADE decoder and output heads on `encode` features, which it leaves intact.
+        """SPADE decoder and output conv on `encode` features, which it leaves intact.
 
         cond is `condition(y)` of a stack of the features' batch or of batch 1.
-        Returns (eps_pred, var_raw).
+        Returns the output [N, 2*IMAGE_CHANNELS, H, W]: noise, then raw variance.
         """
         pair, skips, temb = features
         n = pair[0].shape[0]
@@ -441,5 +442,4 @@ class UNet:
         assert next(skip, None) is None and next(mods, None) is None
         with T.scope("out"):
             h = T.silu(T.group_norm(h, GROUPS))
-            h = T.conv2d(h, self.out_w, self.out_b)
-        return T.halves(h)
+            return T.conv2d(h, self.out_w, self.out_b)

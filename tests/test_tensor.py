@@ -181,7 +181,7 @@ class TestUpsampleBackward:
         g = rng.standard_normal((n, c, 2 * h, 2 * w)).astype(dtype)
         g[rng.random(g.shape) < 0.1] = -0.0
         g[:, :, :2, :2] = -0.0
-        T.backward_from([T.upsample_nearest2(x)], [g])
+        T.backward_from(T.upsample_nearest2(x), g)
         assert _same_bits(x.grad, _upsample_backward_reference(g))
 
         x = Tensor(x.data, requires_grad=True)
@@ -189,8 +189,8 @@ class TestUpsampleBackward:
         up = T.upsample_nearest2(x)
         u = Tensor(up.data, requires_grad=True)  # the conv's input gradient alone
         go = rng.standard_normal(up.shape).astype(dtype)
-        T.backward_from([T.conv2d(u, w)], [go])
-        T.backward_from([T.conv2d(up, w)], [go])
+        T.backward_from(T.conv2d(u, w), go)
+        T.backward_from(T.conv2d(up, w), go)
         assert u.grad.flags.c_contiguous
         assert _same_bits(x.grad, _upsample_backward_reference(u.grad))
 
@@ -546,17 +546,19 @@ def _split_layer(kind, seed):
 class TestSplitMeetings:
     """In a half of a split batch only parameters take a gradient over the
     batch: it meets its twin and accumulates later, after the walk has
-    gone on."""
+    gone on. Any other rule would accumulate into a parameter from both
+    halves at once, so a parameter is refused as its operand."""
 
     @pytest.mark.parametrize("kind", ["conv2d", "matmul"])
     def test_a_gradient_over_the_batch_into_an_interior_node_raises(self, kind):
         fwd, w, b = _split_layer(kind, 5)
         workers = []
+        interior = T.mul(w, 1.0)  # outside the halves, where a parameter may be mul's operand
 
         def half(k, part):
             if threading.current_thread() is not threading.main_thread():
                 workers.append(threading.current_thread())
-            T.sum_(fwd(part, T.mul(w, 1.0), b)).backward()
+            T.sum_(fwd(part, interior, b)).backward()
         with T.split_batch(4) as split:
             with pytest.raises(TensorError, match="interior node"):
                 split.run(half)
@@ -574,6 +576,39 @@ class TestSplitMeetings:
             assert split.slots == {} and split.ready == []
         T.sum_(fwd_whole(slice(0, 4), w_whole, b_whole)).backward()
         assert _same_bits(w.grad, w_whole.grad) and _same_bits(b.grad, b_whole.grad)
+
+    @pytest.mark.parametrize("op, shape, forward", [
+        ("mul", (1, 8, 1, 1), lambda xs, w: T.mul(xs, w)),
+        ("conv2d", (1, 8, 1, 1), lambda xs, w: T.conv2d(w, Tensor(xs.data[:, :, :1, :1]))),
+        ("matmul", (1, 8), lambda xs, w: T.matmul(w, Tensor(xs.data[:, :, 0, 0].T))),
+        ("attention", (2, 1, 8, 4), lambda xs, w: T.attention(w, *[Tensor(xs.data[:, None, :, 0, :4])] * 2)),
+    ], ids=["mul", "conv2d input", "matmul left", "attention"])
+    def test_a_parameter_as_another_operand_raises_in_the_forward(self, op, shape, forward):
+        """A parameter whose gradient an op's rule accumulates directly would
+        take it from both halves, unlocked: sum(x * w) over the halves of x of
+        shape (4, 8, 16, 16) gave a w.grad 3.8e-6 off the whole batch's. The
+        forward raises in both threads, which come back with no half and
+        leave no gradient."""
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((4, 8, 16, 16)).astype(np.float32)
+        w = Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+        workers, raised = [], []
+
+        def half(k, part):
+            if threading.current_thread() is not threading.main_thread():
+                workers.append(threading.current_thread())
+            try:
+                T.sum_(forward(Tensor(x[part]), w)).backward()
+            except TensorError as e:
+                raised.append(str(e))
+                raise
+        with T.split_batch(4) as split:
+            with pytest.raises(TensorError, match=f"{op}: a parameter in a half of a split batch"):
+                split.run(half)
+            assert split.slots == {} and split.ready == []
+        assert len(raised) == 2
+        assert len(workers) == 1 and not workers[0].is_alive()
+        assert T._state.half is None and w.grad is None
 
 
 class TestBackward:
@@ -698,6 +733,18 @@ class TestBackward:
         loss.backward()
         assert all(ref() is None for ref in refs)
         assert x.grad is not None and y.grad is not None
+
+    def test_backward_from_a_gradient_of_another_shape_raises(self):
+        """The shape is checked before any gradient is written, so the graph
+        stays whole and a backward with the right gradient still runs."""
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        h = T.mul(x, 2.0)
+        out = T.exp(h)
+        with pytest.raises(TensorError, match=r"gradient of shape \(3, 2\) for a value of shape \(2, 3\)"):
+            T.backward_from(out, np.ones((3, 2)))
+        assert x.grad is None and h.grad is None and out.grad is None
+        T.backward_from(out, np.ones((2, 3)))
+        assert np.allclose(x.grad, 2.0 * np.exp(2.0))
 
     def test_backward_of_an_untracked_value_raises(self):
         with pytest.raises(TensorError, match="no tracked tensor"):

@@ -14,7 +14,7 @@ from semcom import tensor as T
 from semcom import training
 from semcom.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from semcom.data import ShapesSpec, generate_shapes
-from semcom.diffusion import build_schedule, total_loss
+from semcom.diffusion import build_schedule, q_sample, total_loss
 from semcom.tensor import Tensor
 from semcom.training import (
     AdamW,
@@ -476,7 +476,8 @@ def _tiny_loss():
     y = rng.uniform(0.0, 1.0, (2, TINY_MODEL.cond_channels, 16, 16)).astype(np.float32)
     t = rng.integers(1, 21, size=2)
     eps = rng.standard_normal(x0.shape, dtype=np.float32)
-    return model, lambda: total_loss(model, x0, y, t, eps, sched)[0]
+    x_t = q_sample(x0, t, eps, sched)
+    return model, lambda: total_loss(model.forward(x_t, y, t), x0, x_t, t, eps, sched)[0]
 
 
 def _tiny_step_memory():
@@ -550,9 +551,11 @@ def _desk_trainer(batch_size, seed=21, image_size=32):
 
 def _replay_step(tr):
     """Trainer.train_step on the calling thread and the whole batch: the same
-    draws and update around one total_loss of the model and its backward."""
+    draws and update around one total_loss of the model's output and its
+    backward."""
     x0, y, t, eps, _ = tr._batch()
-    loss, comps = total_loss(tr.model, x0, y, t, eps, tr.sched)
+    x_t = q_sample(x0, t, eps, tr.sched)
+    loss, comps = total_loss(tr.model.forward(x_t, y, t), x0, x_t, t, eps, tr.sched)
     loss.backward()
     norm = tr._apply_gradients()
     tr.model.zero_grad()
@@ -645,9 +648,9 @@ class TestBatchHalves:
                 out._bwd = rule
             return out
 
-        def backward_from(outputs, grads):
+        def backward_from(output, grad):
             try:
-                return real_backward_from(outputs, grads)
+                return real_backward_from(output, grad)
             finally:
                 states.append((T._state.grad_enabled, list(T._state.scope)))
         monkeypatch.setattr(T, "split_batch", split_batch)

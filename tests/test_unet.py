@@ -5,7 +5,7 @@ import pytest
 
 from semcom import tensor as T
 from semcom.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from semcom.diffusion import build_schedule, total_loss
+from semcom.diffusion import build_schedule, q_sample, total_loss
 from semcom.tensor import Tensor
 from semcom.unet import (
     AttentionBlock,
@@ -238,22 +238,22 @@ class TestUNet:
         model = UNet(TOY, seed=0)
         x, y, t = self._inputs()
         with T.no_grad():
-            eps, var = model.forward(x, y, t)
+            eps, var = T.halves(model.forward(x, y, t))
         assert eps.shape == x.shape and var.shape == x.shape
 
     def test_zero_init_heads_give_zero_outputs(self):
         model = UNet(TOY, seed=1)
         x, y, t = self._inputs()
         with T.no_grad():
-            eps, var = model.forward(x, y, t)
+            eps, var = T.halves(model.forward(x, y, t))
         assert np.all(eps.data == 0.0) and np.all(var.data == 0.0)
 
     def test_forward_deterministic_bitwise(self):
         model = UNet(TOY, seed=2)
         x, y, t = self._inputs()
         with T.no_grad():
-            a = model.forward(x, y, t)[0].data
-            b = model.forward(x, y, t)[0].data
+            a = T.halves(model.forward(x, y, t))[0].data
+            b = T.halves(model.forward(x, y, t))[0].data
         assert np.array_equal(a, b)
 
     def test_param_count_stable(self):
@@ -269,7 +269,7 @@ class TestUNet:
         _randomize(model, seed=50, dtype=np.float64)  # zero heads block gradients at init
         x, y, t = self._inputs(n=1)
         model.zero_grad()
-        eps, _ = model.forward(x.astype(np.float64), y, t)
+        eps, _ = T.halves(model.forward(x.astype(np.float64), y, t))
         loss = T.mean(T.square(T.sub(eps, Tensor(np.ones_like(eps.data)))))
         loss.backward()
         name = "dec.l0.b0.spade1.gamma.w"
@@ -284,7 +284,7 @@ class TestUNet:
             w.data[idx] += eps_bump
             try:
                 with T.no_grad():
-                    e, _ = model.forward(x.astype(np.float64), y, t)
+                    e, _ = T.halves(model.forward(x.astype(np.float64), y, t))
                     return float(np.mean((e.data - 1.0) ** 2))
             finally:
                 w.data[idx] -= eps_bump
@@ -297,8 +297,8 @@ class TestUNet:
         x, y, t = self._inputs(n=1)
         y2 = np.roll(y, 3, axis=2)
         with T.no_grad():
-            a = model.forward(x, y, t)[0].data
-            b = model.forward(x, y2, t)[0].data
+            a = T.halves(model.forward(x, y, t))[0].data
+            b = T.halves(model.forward(x, y2, t))[0].data
         assert not np.allclose(a, b)
 
     def test_bad_input_shapes_rejected(self):
@@ -328,8 +328,7 @@ class TestUNet:
             features = model.encode(x, t)
             one = model.decode(features, model.condition(y[:1]))
             full = model.decode(features, model.condition(np.repeat(y[:1], 3, axis=0)))
-        for a, b in zip(one, full):
-            assert np.array_equal(a.data, b.data)
+        assert np.array_equal(one.data, full.data)
 
     def test_nan_input_aborts_with_layer_name(self):
         model = UNet(TOY, seed=9)
@@ -379,11 +378,12 @@ class TestUNet:
         with T.no_grad():
             whole = model.forward(x, y, t)
             parts = model.decode(model.encode(x, t), model.condition(y))
-        for a, b in zip(whole, parts):
-            assert np.array_equal(a.data, b.data)
+        assert np.array_equal(whole.data, parts.data)
 
         eps = np.random.default_rng(141).normal(size=x.shape).astype(np.float32)
-        loss, _ = total_loss(model, x, y, t, eps, build_schedule(100, 1e-4, 0.02))
+        sched = build_schedule(100, 1e-4, 0.02)
+        x_t = q_sample(x, t, eps, sched)
+        loss, _ = total_loss(model.forward(x_t, y, t), x, x_t, t, eps, sched)
         model.zero_grad()
         loss.backward()
         for name, p in model.params.items():
@@ -427,8 +427,8 @@ class TestCheckpoint:
         clone.load_state(arrays)
         x, y, t = TestUNet()._inputs()
         with T.no_grad():
-            a = model.forward(x, y, t)[0].data
-            b = clone.forward(x, y, t)[0].data
+            a = T.halves(model.forward(x, y, t))[0].data
+            b = T.halves(clone.forward(x, y, t))[0].data
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("name", ["absent.ckpt", "."], ids=["missing", "directory"])

@@ -295,9 +295,9 @@ def p_sample_loop(model, y, sched, cfg, callback=None):
             if i > 0:
                 logvar = model_log_variance(var_raw, t_sub, sub)
                 z = rng.standard_normal(shape, dtype=np.float32)
-                x = (mean + np.exp(0.5 * logvar) * z).astype(np.float32)
-            else:
-                x = mean.astype(np.float32)
+            # an update that overflows float32 is left to the check below, which names the step
+            with np.errstate(over="ignore"):
+                x = (mean + np.exp(0.5 * logvar) * z if i > 0 else mean).astype(np.float32)
             if not np.all(np.isfinite(x)):
                 raise SamplingError(f"non-finite sample at step index {i + 1} (t={sub.timestep_map[i]})")
             if callback is not None:

@@ -52,8 +52,8 @@ Only the weight and bias gradients of conv2d and matmul contract over the
 batch. In a half's backward they meet the other half's twin, numbered in
 the order the walk reaches them, and run once on the whole batch (see
 `_over_batch`), so every parameter still gets one whole-batch accumulation
-per use. In a half, a parameter as any other operand is refused (see
-`_refuse_leaves`).
+per use. The halves share no other node: `_make` refuses one when it makes
+the node that would read it.
 
 A graph is consumed by its backward (Tensor.backward from a scalar, or
 backward_from from one output with a given gradient), which frees each node
@@ -88,7 +88,7 @@ class _ThreadState(threading.local):
     `split_batch` runs the two halves of a batch in two threads, and a no_grad
     or scope that one of them enters (or leaves by an exception) must not
     reach the other. `half` is (split, k, keys) while this thread runs part k
-    of a BatchSplit, else None."""
+    of a BatchSplit, else None; `_make` marks each node with it."""
 
     def __init__(self):
         self.grad_enabled = True
@@ -135,11 +135,12 @@ class BatchSplit:
     same order, so the n-th such call of one walk is the twin of the other's
     n-th. The half that calls first leaves its operands in `slots` and goes
     on. When the twin arrives, the gradient from both halves' operands joins
-    `ready`, and whichever half next ends a gradient rule computes it, so the
-    weight GEMMs do not all fall on the half that runs behind. One is computed
-    at a time, since each holds a whole-batch transient (conv2d's patch
-    matrix), and no thread waits for the other. A part computes what is still
-    ready before it returns, so `run` returns with every gradient accumulated.
+    `ready`, and whichever half next comes to a meeting computes it first, so
+    the weight GEMMs do not all fall on the half that runs behind. They run
+    one at a time, first in, first out, since each holds a whole-batch
+    transient (conv2d's patch matrix), and no thread waits for the other. A
+    part computes what is still ready before it returns, so `run` returns
+    with every gradient accumulated.
     """
 
     def __init__(self, n, pool):
@@ -209,13 +210,11 @@ def split_batch(n):
     of conv2d and matmul sum over the batch, and they run once on the whole
     batch (see `_over_batch`); div's rule keeps its gradient's layout at
     every batch size, so the per-sample sums that follow add in one order.
-    Each parameter gradient is then the whole batch's, as long as the halves
-    share no node but parameters, each a weight or bias of conv2d or matmul
-    used once per forward, as in the U-Net: the twins of a second use could
-    accumulate in either thread and in either order. A parameter as another
-    operand is refused in the forward (`_refuse_leaves`), and an interior
-    node as a weight or bias in the backward (`_over_batch`); a second use
-    is not checked.
+    Each parameter gradient is then the whole batch's: in a half, `_make`
+    refuses any tracked operand but a node that half made or a parameter as
+    a conv2d or matmul weight or bias. A parameter used twice adds its uses
+    in the whole batch's order, since each half meets the twins in walk
+    order, so pairs become ready in that order and run first in, first out.
 
     The pool is made per call: a module-level one would need a fork hook and
     would share one worker among concurrent callers, to save one thread
@@ -239,10 +238,10 @@ def _over_batch(grads, nodes, *operands):
     the batch: each operand reaches grads as a tuple of its parts in batch
     order, which `_join` joins. Outside a half of a BatchSplit each tuple
     holds the graph's one part and the gradients accumulate at once. In a
-    half the call takes the half's next number in its backward walk and the
-    gradients accumulate once the twin has met it, from the whole batch's
-    operands (see BatchSplit). The nodes must then be leaves: a gradient
-    queued for an interior node could arrive after its rule has run.
+    half the call first computes the ready gradients, then takes the half's
+    next number in its backward walk; the gradients accumulate once the twin
+    has met it, from the whole batch's operands (see BatchSplit), into nodes
+    that `_make` checked are leaves.
     """
     def accumulate(*parts):
         for node, grad in zip(nodes, grads(*parts)):
@@ -250,19 +249,9 @@ def _over_batch(grads, nodes, *operands):
                 node.accum(grad)
     if _state.half is None:
         return accumulate(*((x,) for x in operands))
-    if any(node is not None and node.rule is not None for node in nodes):
-        raise TensorError("a gradient over a split batch would reach an interior node, not a parameter")
     split, k, keys = _state.half
+    split.run_ready()
     split.meet(next(keys), k, operands, lambda first, second: accumulate(*zip(first, second)))
-
-
-def _refuse_leaves(op, *operands):
-    """In a half of a BatchSplit, refuse a leaf among the operands of an op
-    whose rule accumulates their gradients directly: both halves would add
-    into it, outside the meeting place and its lock. Called when a graph is
-    built."""
-    if _state.half is not None and any(t.requires_grad for t in operands):
-        raise TensorError(f"{op}: a parameter in a half of a split batch must be a conv2d or matmul weight or bias")
 
 
 def _join(parts, axis=0):
@@ -278,12 +267,13 @@ class _Node:
     it captured in the forward. `parents` (tracked parents only) orders the
     backward walk.
     """
-    __slots__ = ("grad", "rule", "parents")
+    __slots__ = ("grad", "rule", "parents", "half")
 
-    def __init__(self, parents=()):
+    def __init__(self, parents=(), half=None):
         self.grad = None
         self.rule = None
         self.parents = parents
+        self.half = half
 
     def accum(self, g):
         # grad arrays are never mutated in place, so aliasing the first
@@ -374,8 +364,7 @@ class Tensor:
 
 def backward_from(output, grad):
     """Tensor.backward from a tracked output, given the gradient of its value
-    (an array of its shape). A walk in one half of a BatchSplit computes the
-    ready whole-batch gradients between its rules."""
+    (an array of its shape)."""
     root = output._node
     if root is None:
         raise TensorError("backward of a value that no tracked tensor produced")
@@ -397,15 +386,12 @@ def backward_from(output, grad):
             topo.append(node)
             stack.pop()
     root.accum(grad)
-    half = _state.half
     while topo:
         node = topo.pop()
         if node.rule is None:  # a leaf
             continue
         if node.grad is not None:
             node.rule(node.grad)
-            if half is not None:
-                half[0].run_ready()
         node.grad = None
         node.rule = _released
         node.parents = ()
@@ -421,12 +407,16 @@ def _nonfinite(op):
     return NonFiniteError(f"non-finite values produced by {op} in {where}")
 
 
-def _make(data, parents, op):
+def _make(data, parents, op, params=0):
     """Wrap a forward result, with a node when grad is on and a parent is tracked.
 
     A non-empty result is checked for NaN/Inf. When out._tracked, the caller
-    sets the node's rule (out._bwd): _op a rule per operand, conv2d and
-    attention one fused rule for all of theirs.
+    sets the node's rule (out._bwd): _op a rule per operand, conv2d, matmul
+    and attention one fused rule for all of theirs.
+
+    The node records its half of a BatchSplit. In a half, a tracked parent
+    must be a leaf among the last `params` (conv2d's or matmul's weight and
+    bias) and a node this half made elsewhere, or TensorError names the op.
     """
     # max and min propagate NaN, cannot overflow (so never warn or raise under
     # np.seterr) and need no boolean temporary: an exact and cheap check
@@ -438,7 +428,12 @@ def _make(data, parents, op):
     if _state.grad_enabled:
         nodes = tuple(p._node for p in parents if p._node is not None)
         if nodes:
-            out._node = _Node(nodes)
+            half = _state.half
+            if half is not None and any(p._node is not None and (
+                    p._node.rule is not None if i >= len(parents) - params else p._node.half is not half)
+                    for i, p in enumerate(parents)):
+                raise TensorError(f"{op}: a half of a split batch shares only conv2d and matmul parameters")
+            out._node = _Node(nodes, half)
     return out
 
 
@@ -464,11 +459,10 @@ def _op(parents, data, op, *rules):
     """Wrap the forward value of an op; when a graph is built, rules[i](g)
     gives the gradient of parents[i] from the arrays that rule captured,
     summed down to that parent's shape (see _reduce_to). These rules never
-    meet (see _over_batch), so in a half of a split batch no operand may be
-    a leaf (see _refuse_leaves)."""
+    meet (see _over_batch), so in a half of a split batch every tracked
+    operand must be a node that half made (see _make)."""
     out = _make(data, parents, op)
     if out._tracked:
-        _refuse_leaves(op, *parents)
         nodes = tuple(p._node for p in parents)
         shapes = tuple(p.shape for p in parents)
 
@@ -607,9 +601,9 @@ def matmul(a, b, bias=None):
     data = ad @ bd
     if bias is not None:
         data += bias.data
-    out = _make(data, (a, b) if bias is None else (a, b, bias), "matmul")
+    parents = (a, b) if bias is None else (a, b, bias)
+    out = _make(data, parents, "matmul", len(parents) - 1)
     if out._tracked:
-        _refuse_leaves("matmul", a)
         an, bn, cn = a._node, b._node, None if bias is None else bias._node
 
         def param_grads(ads, gs):
@@ -675,7 +669,6 @@ def attention(f, g, v):
     # (and so every gradient summed from these branches) runs as it did
     out = _make(data, (v, f, g), "attention")
     if out._tracked:
-        _refuse_leaves("attention", f, g, v)
         fn, gn, vn = f._node, g._node, v._node
 
         def bwd(go):
@@ -831,9 +824,8 @@ def conv2d(x, w, b=None, stride=1):
     if b is not None:
         data += b.data[:, None, None]
     parents = (x, w) if b is None else (x, w, b)
-    out = _make(data, parents, "conv2d")
+    out = _make(data, parents, "conv2d", len(parents) - 1)
     if out._tracked:
-        _refuse_leaves("conv2d", x)
         xn, wn, bn = x._node, w._node, None if b is None else b._node
         xd = x.data
 

@@ -437,12 +437,12 @@ class TestPSampleLoop:
     def test_non_finite_eps_raises_sampling_error_naming_the_step(self):
         # eps is 1e300 from timestep 4 down: a finite float64 output, so it
         # passes the forward's non-finite check, but its sample overflows
-        # float32 (the cast's overflow warning is silenced), so step index 4
-        # is the first non-finite sample
+        # float32, so step index 4 is the first non-finite sample (the
+        # sampler raises SamplingError, not numpy's overflow warning)
         model = StubModel(lambda x, yy, tt: np.full(x.shape, 1e300 if tt[0] <= 4 else 0.0),
                           lambda x, yy, tt: np.zeros(x.shape))
         seen = []
-        with np.errstate(over="ignore"), pytest.raises(SamplingError, match=r"step index 4 \(t=4\)"):
+        with pytest.raises(SamplingError, match=r"step index 4 \(t=4\)"):
             p_sample_loop(model, np.zeros((2, 2, 8, 8), np.float32), build_schedule(10, 1e-3, 0.1),
                           SamplerConfig(seed=5), callback=lambda i, x: seen.append(i))
         assert seen == [9, 8, 7, 6, 5, 4]

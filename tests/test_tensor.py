@@ -546,8 +546,10 @@ def _split_layer(kind, seed):
 class TestSplitMeetings:
     """In a half of a split batch only parameters take a gradient over the
     batch: it meets its twin and accumulates later, after the walk has
-    gone on. Any other rule would accumulate into a parameter from both
-    halves at once, so a parameter is refused as its operand."""
+    gone on. Any other rule would accumulate into a shared node from both
+    halves at once, so a half shares no node but a conv2d or matmul weight
+    or bias that is a parameter; any other is refused where the node that
+    reads it is made."""
 
     @pytest.mark.parametrize("kind", ["conv2d", "matmul"])
     def test_a_gradient_over_the_batch_into_an_interior_node_raises(self, kind):
@@ -560,7 +562,7 @@ class TestSplitMeetings:
                 workers.append(threading.current_thread())
             T.sum_(fwd(part, interior, b)).backward()
         with T.split_batch(4) as split:
-            with pytest.raises(TensorError, match="interior node"):
+            with pytest.raises(TensorError, match=f"{kind}: a half of a split batch shares only"):
                 split.run(half)
             assert split.slots == {} and split.ready == []
         assert len(workers) == 1 and not workers[0].is_alive()
@@ -603,12 +605,62 @@ class TestSplitMeetings:
                 raised.append(str(e))
                 raise
         with T.split_batch(4) as split:
-            with pytest.raises(TensorError, match=f"{op}: a parameter in a half of a split batch"):
+            with pytest.raises(TensorError, match=f"{op}: a half of a split batch shares only"):
                 split.run(half)
             assert split.slots == {} and split.ready == []
         assert len(raised) == 2
         assert len(workers) == 1 and not workers[0].is_alive()
         assert T._state.half is None and w.grad is None
+
+    def test_an_interior_node_shared_by_the_halves_raises_in_the_forward(self):
+        """A node made outside the halves, read by an op in each: both
+        halves' walks would reach it, and the one behind found it released.
+        The forward raises in both threads and leaves no gradient."""
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((4, 8, 16, 16)).astype(np.float32)
+        w = Tensor(rng.standard_normal((8, 8, 3, 3)).astype(np.float32), requires_grad=True)
+        s = Tensor(rng.standard_normal((1, 8, 1, 1)).astype(np.float32), requires_grad=True)
+        shared = T.mul(s, 1.0)
+        workers, raised = [], []
+
+        def half(k, part):
+            if threading.current_thread() is not threading.main_thread():
+                workers.append(threading.current_thread())
+            try:
+                out = T.add(T.conv2d(Tensor(x[part]), w), shared)
+            except TensorError as e:
+                raised.append(str(e))
+                raise
+            T.sum_(out).backward()
+        with T.split_batch(4) as split:
+            with pytest.raises(TensorError, match="add: a half of a split batch shares only"):
+                split.run(half)
+            assert split.slots == {} and split.ready == []
+        assert len(raised) == 2
+        assert len(workers) == 1 and not workers[0].is_alive()
+        assert T._state.half is None and w.grad is None and s.grad is None
+
+    def test_a_weight_used_twice_per_half_gets_the_whole_batchs_gradient(self):
+        """The twins of both uses meet in walk order in each half, so they
+        become ready in that order, and the ready gradients run one at a
+        time, first in, first out: w.grad adds its two uses as the whole
+        batch's walk does, also when the threads switch every microsecond."""
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((4, 8, 16, 16)).astype(np.float32)
+        wd = rng.standard_normal((8, 8, 3, 3)).astype(np.float32) * 0.2
+        whole = Tensor(wd, requires_grad=True)
+        T.sum_(T.conv2d(T.conv2d(Tensor(x), whole), whole)).backward()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                w = Tensor(wd, requires_grad=True)
+                with T.split_batch(4) as split:
+                    split.run(lambda k, part: T.sum_(T.conv2d(T.conv2d(Tensor(x[part]), w), w)).backward())
+                    assert split.slots == {} and split.ready == []
+                assert _same_bits(w.grad, whole.grad)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestBackward:

@@ -28,10 +28,15 @@ class ChannelError(ValueError):
     pass
 
 
+def is_int(value, lo, hi=np.inf):
+    """True for an integer in [lo, hi), the check of every integer setting. A
+    bool is refused although it is an int: seed=True would silently be seed 1."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and lo <= value < hi
+
+
 def is_seed(value):
-    """True for an integer in [0, 2**64), the seed every config takes. A bool
-    is refused although it is an int: seed=True would silently be seed 1."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and 0 <= value < 2**64
+    """True for an integer in [0, 2**64), the seed every config takes."""
+    return is_int(value, 0, 2**64)
 
 
 @dataclass(frozen=True)
@@ -86,10 +91,12 @@ def noise_for_indices(seed, count, sigma):
 def transmit(frame, cfg):
     """Add i.i.d. Gaussian noise of std sigma to a power-normalized ChannelFrame.
 
-    The frame's mean-square power must be 1 within 1e-6; a mismatch, or a
-    non-finite symbol, is a contract violation.
+    The frame's symbols must have mean-square power 1 within 1e-6; none, a
+    mismatch, or a non-finite symbol, is a contract violation.
     """
     symbols = np.asarray(frame.symbols, dtype=np.float64)
+    if not symbols.size:
+        raise ChannelError("frame has no symbols")
     ms = float(np.dot(symbols, symbols) / symbols.size)
     if not abs(ms - 1.0) <= 1e-6:  # NaN fails too
         raise ChannelError(f"frame mean-square power {ms:.9g} is not 1")

@@ -42,10 +42,6 @@ class FormatError(CodecError):
     """Malformed or corrupt payload bytes."""
 
 
-class DegenerateInputError(CodecError):
-    """Input that cannot be processed (e.g. a stack with no pixels)."""
-
-
 @dataclass(frozen=True)
 class OneHotStack:
     """Binary planes for the classes present in a map."""
@@ -56,9 +52,11 @@ class OneHotStack:
 
     def __post_init__(self):
         ids = self.present_classes
+        if not ids:  # the partition check would pass it only when it has no pixels
+            raise CodecError("a stack needs at least one class")
         if list(ids) != sorted(set(ids)):
             raise CodecError(f"present_classes must be sorted and duplicate-free, got {ids}")
-        if len(ids) and ids[-1] >= self.c_total:
+        if ids[-1] >= self.c_total:
             raise CodecError(f"class id {ids[-1]} >= C_total {self.c_total}")
         if self.planes.shape[0] != len(ids):
             raise CodecError(f"{self.planes.shape[0]} planes for {len(ids)} classes")
@@ -249,9 +247,6 @@ def rle_unpack(raw):
 
 def power_normalize(stack):
     """Scale the planes of a OneHotStack so the flat symbol vector has mean square 1."""
-    if not stack.planes.size:
-        raise DegenerateInputError(f"cannot power-normalize a {stack.height}x{stack.width} stack "
-                                   "with no pixels")
     ms = stack.height * stack.width / stack.planes.size  # partitioning 0/1 planes: H * W ones
     scale = float(np.sqrt(1.0 / ms))
     return ChannelFrame(np.multiply(stack.planes, scale, dtype=np.float64).reshape(-1), scale)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import is_seed
+from .channel import is_int, is_seed
 
 # background + four body colors, pairwise L2 >= 0.3 in [0,1]^3
 PALETTE = (
@@ -43,10 +43,11 @@ class ShapesSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.shapes_min <= self.shapes_max:
-            raise DataError(f"bad shape count range [{self.shapes_min}, {self.shapes_max}]")
-        if self.canvas < 4:  # smallest canvas where every shape covers a pixel
-            raise DataError(f"canvas must be >= 4, got {self.canvas}")
+        if not (is_int(self.shapes_min, 1) and is_int(self.shapes_max, self.shapes_min)):
+            raise DataError(f"shapes_min and shapes_max must be integers with 1 <= shapes_min <= shapes_max, "
+                            f"got {self.shapes_min!r} and {self.shapes_max!r}")
+        if not is_int(self.canvas, 4):  # smallest canvas where every shape covers a pixel
+            raise DataError(f"canvas must be an integer >= 4, got {self.canvas!r}")
         if not is_seed(self.seed):
             raise DataError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .channel import is_seed
+from .channel import is_int, is_seed
 from .tensor import Tensor
 from .unet import IMAGE_CHANNELS
 
@@ -121,22 +121,16 @@ def eps_to_mean(eps_hat, x_t, t, sched):
 
 
 def model_log_variance(var_raw, t, sched):
-    """Log-space interpolation between the posterior floor and beta ceiling.
-
-    v = (var_raw + 1)/2. For an array (the sampler) v is clamped to [0, 1],
-    which keeps the sampled variance inside [posterior, beta]. For a Tensor
-    (the loss) v is left unclamped so the gradient stays alive when the head
-    drifts outside the band.
+    """Log-space interpolation between the posterior floor and beta ceiling
+    by v = (var_raw + 1)/2 of a Tensor, unclamped so that the loss's gradient
+    stays alive when the head drifts outside the band. The sampler clamps
+    var_raw to [-1, 1] first, keeping the variance inside [posterior, beta].
     """
     t = _check_t(t, sched.steps, var_raw.shape[0])
-    ndim = var_raw.ndim
-    log_hi = _at(np.log(sched.betas), t, ndim)
-    log_lo = _at(sched.log_posterior_clipped, t, ndim)
-    if isinstance(var_raw, Tensor):
-        v = T.mul(T.add(var_raw, 1.0), 0.5)
-        return T.add(T.mul(v, log_hi), T.mul(T.sub(1.0, v), log_lo))
-    v = np.clip((np.asarray(var_raw, dtype=np.float64) + 1.0) / 2.0, 0.0, 1.0)
-    return v * log_hi + (1.0 - v) * log_lo
+    log_hi = _at(np.log(sched.betas), t, var_raw.ndim)
+    log_lo = _at(sched.log_posterior_clipped, t, var_raw.ndim)
+    v = T.mul(T.add(var_raw, 1.0), 0.5)
+    return T.add(T.mul(v, log_hi), T.mul(T.sub(1.0, v), log_lo))
 
 
 def gaussian_kl(mean_p, logvar_p, mean_q, logvar_q):
@@ -186,8 +180,8 @@ class SamplerConfig:
     def __post_init__(self):
         if not 0 <= self.guidance_scale < np.inf:
             raise DiffusionError(f"guidance scale must be finite and >= 0, got {self.guidance_scale}")
-        if self.steps < 0:
-            raise DiffusionError(f"steps must be >= 0 (0 is the full schedule), got {self.steps}")
+        if not is_int(self.steps, 0):
+            raise DiffusionError(f"steps must be an integer >= 0 (0 is the full schedule), got {self.steps!r}")
         if not is_seed(self.seed):
             raise DiffusionError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
@@ -260,8 +254,9 @@ def p_sample_loop(model, y, sched, cfg, callback=None):
     Each step runs guided_eps on the second half in a worker thread while
     the calling thread runs it on the first, so the two halves' encodes and
     decodes run on two cores (numpy and BLAS release the GIL for the heavy
-    work). The update and the noise draw then run on the whole batch. The
-    samples equal those of guided_eps on the whole batch, bit for bit.
+    work). The update (its variance from var_raw clamped to [-1, 1]) and the
+    noise draw then run on the whole batch. The samples equal those of
+    guided_eps on the whole batch, bit for bit.
     Returns float32 images in model space
     (approximately [-1, 1]); callers map to display range.
     """
@@ -293,7 +288,8 @@ def p_sample_loop(model, y, sched, cfg, callback=None):
             eps_hat, var_raw = (np.concatenate(pair) for pair in zip(*halves))
             mean = eps_to_mean(eps_hat, x, t_sub, sub)
             if i > 0:
-                logvar = model_log_variance(var_raw, t_sub, sub)
+                clamped = Tensor(np.clip(var_raw, -1.0, 1.0).astype(np.float64))
+                logvar = model_log_variance(clamped, t_sub, sub).data
                 z = rng.standard_normal(shape, dtype=np.float32)
             # an update that overflows float32 is left to the check below, which names the step
             with np.errstate(over="ignore"):

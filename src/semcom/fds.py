@@ -16,6 +16,7 @@ import numpy as np
 
 from . import codec
 from . import tensor as T
+from .channel import is_int
 
 
 class FdsError(ValueError):
@@ -24,6 +25,7 @@ class FdsError(ValueError):
 
 @dataclass(frozen=True)
 class FdsConfig:
+    # avg_kernel is at most T.POOL_KERNEL_MAX (11), above the 1, 3 and 5 that are swept.
     # The default threshold 0.8 stays clear of 2/3: a straight region edge pools to
     # 2/3 one pixel outside the boundary, so a threshold at or below 2/3 grows every
     # region by a full ring and loses to naive thresholding on mildly noisy maps.
@@ -32,8 +34,10 @@ class FdsConfig:
     threshold: float = 0.8
 
     def __post_init__(self):
-        if any(k < 1 or k % 2 == 0 for k in (self.avg_kernel, self.max_kernel)):
-            raise FdsError(f"kernels must be odd and >= 1, got avg={self.avg_kernel} max={self.max_kernel}")
+        if not (is_int(self.avg_kernel, 1, T.POOL_KERNEL_MAX + 1) and is_int(self.max_kernel, 1)
+                and self.avg_kernel % 2 and self.max_kernel % 2):
+            raise FdsError(f"kernels must be odd integers >= 1, avg at most {T.POOL_KERNEL_MAX}, "
+                           f"got avg={self.avg_kernel!r} max={self.max_kernel!r}")
         if not 0.0 < self.threshold < 1.0:
             raise FdsError(f"threshold must lie in (0, 1), got {self.threshold}")
 

@@ -22,7 +22,8 @@ each with one way to call it:
   operands in one op, computed one (sample, head) block of S x S weights at
   a time; there is no separate softmax or transpose.
 - pool2d (the receiver's average pool) is forward only, on plain [C, H, W]
-  arrays; it stays here because the benchmark's tracer wraps `T.pool2d`.
+  arrays, with kernels up to 11, whose windows numpy sums in one pairwise
+  block; it stays here because the benchmark's tracer wraps `T.pool2d`.
 
 Every differentiable op but conv2d, matmul and attention builds its node
 through _op, from its forward value and one gradient rule per operand. The
@@ -211,8 +212,9 @@ def split_batch(n):
     batch (see `_over_batch`); div's rule keeps its gradient's layout at
     every batch size, so the per-sample sums that follow add in one order.
     Each parameter gradient is then the whole batch's: in a half, `_make`
-    refuses any tracked operand but a node that half made or a parameter as
-    a conv2d or matmul weight or bias. A parameter used twice adds its uses
+    refuses any tracked operand but a node that half made or a parameter
+    made outside the halves as a conv2d or matmul weight or bias, so that
+    twins always share their parameters. A parameter used twice adds its uses
     in the whole batch's order, since each half meets the twins in walk
     order, so pairs become ready in that order and run first in, first out.
 
@@ -292,7 +294,7 @@ class Tensor:
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         self.data = arr
-        self._node = _Node() if requires_grad else None
+        self._node = _Node(half=_state.half) if requires_grad else None
 
     # -- basic introspection -------------------------------------------------
     @property
@@ -310,14 +312,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    @property
-    def requires_grad(self):
-        """True for a leaf that collects a gradient (a parameter)."""
-        return self._node is not None and self._node.rule is None
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
     def item(self):
         if self.size != 1:
@@ -414,9 +408,10 @@ def _make(data, parents, op, params=0):
     sets the node's rule (out._bwd): _op a rule per operand, conv2d, matmul
     and attention one fused rule for all of theirs.
 
-    The node records its half of a BatchSplit. In a half, a tracked parent
-    must be a leaf among the last `params` (conv2d's or matmul's weight and
-    bias) and a node this half made elsewhere, or TensorError names the op.
+    Nodes and leaves record their half of a BatchSplit. In a half, a tracked
+    parent among the last `params` (conv2d's or matmul's weight and bias)
+    must be a leaf made outside the halves and any other a node this half
+    made, or TensorError names the op.
     """
     # max and min propagate NaN, cannot overflow (so never warn or raise under
     # np.seterr) and need no boolean temporary: an exact and cheap check
@@ -430,7 +425,8 @@ def _make(data, parents, op, params=0):
         if nodes:
             half = _state.half
             if half is not None and any(p._node is not None and (
-                    p._node.rule is not None if i >= len(parents) - params else p._node.half is not half)
+                    p._node.rule is not None or p._node.half is not None
+                    if i >= len(parents) - params else p._node.half is not half)
                     for i, p in enumerate(parents)):
                 raise TensorError(f"{op}: a half of a split batch shares only conv2d and matmul parameters")
             out._node = _Node(nodes, half)
@@ -608,12 +604,10 @@ def matmul(a, b, bias=None):
 
         def param_grads(ads, gs):
             g = _join(gs)
-            return (_join(ads).T @ g if bn is not None else None,
-                    g.sum(axis=0, dtype=g.dtype) if cn is not None else None)
+            return _join(ads).T @ g, g.sum(axis=0, dtype=g.dtype) if cn is not None else None
 
         def bwd(g):
-            if bn is not None or cn is not None:
-                _over_batch(param_grads, (bn, cn), ad, g)
+            _over_batch(param_grads, (bn, cn), ad, g)
             if an is not None:
                 an.accum(g @ bd.T)
         out._bwd = bwd
@@ -711,6 +705,7 @@ def _same_pad(kernel, op):
 
 BAND_COLUMNS = 512  # output columns (Ho*Wo positions) per forward GEMM at most
 BAND_CHANNELS = 32  # input channels per weight-gradient GEMM of a k > 1 kernel at most
+POOL_KERNEL_MAX = 11  # pool2d's largest: 121 window values, one block of numpy's pairwise sum
 
 
 def conv2d(x, w, b=None, stride=1):
@@ -830,11 +825,9 @@ def conv2d(x, w, b=None, stride=1):
         xd = x.data
 
         def param_grads(xds, gts):
-            """Bias and weight gradients (None where untracked) of the samples in the parts of x and gt."""
+            """Bias (None when untracked) and weight gradients of the samples in the parts of x and gt."""
             gt = _join(gts, axis=1)
             gb = gt.sum(axis=1, dtype=gt.dtype) if bn is not None else None
-            if wn is None:
-                return gb, None
             # (cols @ gt.T).T: the same sums as gt @ cols.T, faster on the
             # U-Net's shapes, one GEMM per band of input channels (a 1x1
             # kernel's patch matrix is no larger than its input and runs
@@ -850,8 +843,7 @@ def conv2d(x, w, b=None, stride=1):
 
         def bwd(g):
             gt = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(f, n * ho * wo)
-            if wn is not None or bn is not None:
-                _over_batch(param_grads, (bn, wn), xd, gt)
+            _over_batch(param_grads, (bn, wn), xd, gt)
             if xn is None:
                 return
             hp, wp = h + 2 * p, wd + 2 * p
@@ -888,17 +880,12 @@ def conv2d(x, w, b=None, stride=1):
 # -- pooling -----------------------------------------------------------------------
 
 def _pairwise_sum(terms):
-    """Sum equal-shape arrays in the order numpy's pairwise summation adds a
-    reduction of len(terms) values, so the result matches a `sum`/`mean` over
-    a stacked axis of those values bit for bit."""
+    """Sum up to 128 equal-shape arrays in numpy's order for a reduction of
+    that many values (one pairwise block: 8 partial sums, then the tail), so
+    the result matches a `sum`/`mean` over their stacked axis bit for bit."""
     n = len(terms)
     if n < 8:
         return functools.reduce(np.add, terms)
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        acc = _pairwise_sum(terms[:half])
-        acc += _pairwise_sum(terms[half:])
-        return acc
     m = n - n % 8
     r = [functools.reduce(np.add, terms[j:m:8]) for j in range(8)]
     acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
@@ -914,8 +901,8 @@ def pool2d(x, kernel):
     kernel*kernel shifted slices of the padded input are added in numpy's
     pairwise order, so the result equals a `mean` over each window.
     """
-    if kernel < 1:
-        raise TensorError(f"pool2d: kernel must be >= 1, got {kernel}")
+    if not 1 <= kernel <= POOL_KERNEL_MAX:
+        raise TensorError(f"pool2d: kernel must be >= 1 and at most {POOL_KERNEL_MAX}, got {kernel}")
     p = _same_pad(kernel, "pool2d")
     c, h, w = x.shape
     hp, wp = h + 2 * p, w + 2 * p

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .channel import ChannelConfig, derive_seed, is_seed
+from .channel import ChannelConfig, derive_seed, is_int, is_seed
 from .checkpoint import copy_into, load_checkpoint, save_checkpoint
 from .diffusion import q_sample, total_loss
 from .link import receiver_condition, transmit_map
@@ -50,8 +50,10 @@ class TrainConfig:
     checkpoint_every: int = 1000
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise TrainError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not is_int(self.batch_size, 1):
+            raise TrainError(f"batch_size must be an integer >= 1, got {self.batch_size!r}")
+        if not is_int(self.checkpoint_every, 1):
+            raise TrainError(f"checkpoint_every must be an integer >= 1, got {self.checkpoint_every!r}")
         if not 0.0 < self.learning_rate < np.inf:
             raise TrainError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not is_seed(self.seed):

@@ -40,7 +40,6 @@ PENDING = {
     "miou": ITEM_3,
     "pixel_metrics": ITEM_3,
     "load_state": ITEM_3,
-    "checkpoint_every": ITEM_4,
     "MetricsWriter": ITEM_4,
     "psnr_counts": ITEM_4,
 }

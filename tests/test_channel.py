@@ -111,6 +111,12 @@ class TestTransmit:
         with pytest.raises(ChannelError, match="power"):
             transmit(ChannelFrame(symbols, 1.0), ChannelConfig(psnr_db=10.0))
 
+    @pytest.mark.parametrize("psnr", [5.0, 100.0])
+    def test_frame_without_symbols_rejected(self, psnr):
+        """The power check divided 0 by 0: numpy's RuntimeWarning, not ChannelError."""
+        with pytest.raises(ChannelError, match="no symbols"):
+            transmit(ChannelFrame(np.zeros(0), 1.0), ChannelConfig(psnr, seed=1))
+
     def test_measured_psnr_calibration(self):
         n = 1_000_000
         sym = np.ones(n)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from semcom import codec
 from semcom.codec import (
     CodecError,
-    DegenerateInputError,
     FormatError,
     OneHotStack,
     TransmitPayload,
@@ -202,8 +201,10 @@ class TestPowerNormalize:
             assert np.array_equal(frame.symbols, flat * scale)
 
     def test_all_zero_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            power_normalize(OneHotStack((), np.zeros((0, 0, 3), np.uint8), 3))
+        """A stack with no classes, the one pixel-less stack that was accepted
+        (power_normalize then refused it), is refused when it is built."""
+        with pytest.raises(CodecError, match="at least one class"):
+            OneHotStack((), np.zeros((0, 0, 3), np.uint8), 3)
 
     @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
     def test_inverse_rejects_bad_scale(self, scale):

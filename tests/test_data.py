@@ -60,6 +60,9 @@ class TestGenerateShapes:
         ({"seed": 2**64}, "seed"),
         ({"canvas": 3}, "canvas"),
         ({"seed": 1.5}, "seed"),
+        ({"canvas": 8.5}, "canvas"), ({"canvas": True}, "canvas"),
+        ({"shapes_min": 2.5}, "shapes_min"), ({"shapes_min": True}, "shapes_min"),
+        ({"shapes_max": 2.5}, "shapes_max"), ({"shapes_max": True}, "shapes_max"),
     ])
     def test_undrawable_spec_refused(self, settings, field):
         with pytest.raises(DataError, match=field):

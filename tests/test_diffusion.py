@@ -202,22 +202,51 @@ class TestTotalLoss:
         assert comps["L_d"] == pytest.approx(np.mean(eps**2), rel=1e-5)
 
 
+def _sampler_log_variance(var_raw, t, sched):
+    """The sampler's log-variance of a raw variance array: model_log_variance
+    of the array clamped to [-1, 1], in float64."""
+    return model_log_variance(Tensor(np.clip(var_raw, -1.0, 1.0).astype(np.float64)), t, sched).data
+
+
+def _array_log_variance(var_raw, t, sched):
+    """The former array form of model_log_variance, which clamped v = (var_raw
+    + 1)/2 to [0, 1]: the oracle of the sampler's clamped call."""
+    log_hi = np.log(sched.betas)[t - 1].reshape((-1,) + (1,) * (var_raw.ndim - 1))
+    log_lo = sched.log_posterior_clipped[t - 1].reshape(log_hi.shape)
+    v = np.clip((np.asarray(var_raw, dtype=np.float64) + 1.0) / 2.0, 0.0, 1.0)
+    return v * log_hi + (1.0 - v) * log_lo
+
+
 class TestVarianceInterpolation:
     def test_bounds_by_construction(self):
         sched = build_schedule(30, 1e-3, 0.1)
         rng = np.random.default_rng(4)
         raw = rng.uniform(-3, 3, size=(4, 1, 2, 2))  # includes out-of-band values
         for t in (1, 2, 15, 30):
-            lv = model_log_variance(raw, np.full(4, t), sched)
+            lv = _sampler_log_variance(raw, np.full(4, t), sched)
             lo = sched.log_posterior_clipped[t - 1]
             hi = np.log(sched.betas[t - 1])
             assert np.all(lv >= lo - 1e-12) and np.all(lv <= hi + 1e-12)
 
     def test_midpoint_is_geometric_mean(self):
         sched = build_schedule(30, 1e-3, 0.1)
-        lv = model_log_variance(np.zeros((1, 1, 1, 1)), np.array([10]), sched)
+        lv = _sampler_log_variance(np.zeros((1, 1, 1, 1)), np.array([10]), sched)
         expect = 0.5 * (np.log(sched.betas[9]) + sched.log_posterior_clipped[9])
         assert lv.reshape(-1)[0] == pytest.approx(expect)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sampler_clamp_equals_the_array_formula_bitwise(self, seed):
+        """Clamping var_raw to [-1, 1] before the Tensor formula gives the
+        bits of clamping v to [0, 1] after it: on float32 draws at and past
+        +-1, tiny values that vanish next to 1, and every timestep."""
+        sched = build_schedule(30, 1e-3, 0.1)
+        rng = np.random.default_rng(seed)
+        raw = rng.uniform(-3, 3, size=(30, 3, 4, 4)).astype(np.float32)
+        raw.reshape(-1)[:8] = [-1.0, 1.0, -3.5, 3.5, 1e-30, -1e-30, np.nextafter(np.float32(1), 2), -0.0]
+        t = rng.permutation(np.arange(1, 31))
+        got, expect = _sampler_log_variance(raw, t, sched), _array_log_variance(raw, t, sched)
+        assert got.dtype == expect.dtype == np.float64
+        assert got.tobytes() == expect.tobytes()
 
 
 class TestGuidedEps:
@@ -333,7 +362,8 @@ class TestGuidedEps:
     @pytest.mark.parametrize("kw, match", [
         ({"guidance_scale": float("nan")}, "guidance scale"), ({"guidance_scale": float("inf")}, "guidance scale"),
         ({"guidance_scale": -1.0}, "guidance scale"), ({"steps": -1}, "steps"),
-        ({"seed": -3}, "seed"), ({"seed": 2**64}, "seed"), ({"seed": 3.5}, "seed")])
+        ({"seed": -3}, "seed"), ({"seed": 2**64}, "seed"), ({"seed": 3.5}, "seed"),
+        ({"steps": 2.5}, "steps"), ({"steps": True}, "steps")])
     def test_sampler_config_refuses_bad_settings(self, kw, match):
         with pytest.raises(DiffusionError, match=match):
             SamplerConfig(**kw)
@@ -360,7 +390,7 @@ class TestPSampleLoop:
         out = p_sample_loop(model, y, sched, SamplerConfig(guidance_scale=0.0, seed=3))
 
         # scripted conditional-only recursion with the same draws
-        from semcom.diffusion import eps_to_mean, model_log_variance as mlv
+        from semcom.diffusion import eps_to_mean
         rng = np.random.Generator(np.random.Philox(key=np.uint64(3)))
         x = rng.standard_normal((1, 3, 8, 8), dtype=np.float32)
         for i in reversed(range(10)):
@@ -370,7 +400,7 @@ class TestPSampleLoop:
             mean = eps_to_mean(e.data, x, t, sched)
             if i > 0:
                 z = rng.standard_normal(x.shape, dtype=np.float32)
-                x = (mean + np.exp(0.5 * mlv(v.data, t, sched)) * z).astype(np.float32)
+                x = (mean + np.exp(0.5 * _sampler_log_variance(v.data, t, sched)) * z).astype(np.float32)
             else:
                 x = mean.astype(np.float32)
         assert np.array_equal(out, x)
@@ -386,7 +416,7 @@ class TestPSampleLoop:
         s = 1.5
         out = p_sample_loop(model, y, sched, SamplerConfig(guidance_scale=s, seed=9))
 
-        from semcom.diffusion import eps_to_mean, model_log_variance as mlv
+        from semcom.diffusion import eps_to_mean
         draws = np.random.Generator(np.random.Philox(key=np.uint64(9)))
         x = draws.standard_normal((3, 3, 8, 8), dtype=np.float32)
         for i in reversed(range(10)):
@@ -398,7 +428,7 @@ class TestPSampleLoop:
             mean = eps_to_mean(e_c.data + s * (e_c.data - e_u.data), x, t, sched)
             if i > 0:
                 z = draws.standard_normal(x.shape, dtype=np.float32)
-                x = (mean + np.exp(0.5 * mlv(v.data, t, sched)) * z).astype(np.float32)
+                x = (mean + np.exp(0.5 * _sampler_log_variance(v.data, t, sched)) * z).astype(np.float32)
             else:
                 x = mean.astype(np.float32)
         assert np.array_equal(out, x)
@@ -486,7 +516,7 @@ class TestPSampleLoop:
         the same update with guided_eps on the whole batch gives the same
         bits. Batches 16 and 32 put 8 and 16 rows in each half's matmuls."""
         from semcom import diffusion
-        from semcom.diffusion import eps_to_mean, model_log_variance as mlv
+        from semcom.diffusion import eps_to_mean
         model = UNet(self.WIDE_CFG, seed=12)
         rng = np.random.default_rng(120 + n)
         for p in model.params.values():  # nonzero heads, so both branches matter
@@ -514,7 +544,7 @@ class TestPSampleLoop:
             mean = eps_to_mean(eps, x, t, sched)
             if i > 0:
                 z = draws.standard_normal(x.shape, dtype=np.float32)
-                x = (mean + np.exp(0.5 * mlv(var, t, sched)) * z).astype(np.float32)
+                x = (mean + np.exp(0.5 * _sampler_log_variance(var, t, sched)) * z).astype(np.float32)
             else:
                 x = mean.astype(np.float32)
         assert np.array_equal(out, x)

@@ -168,6 +168,13 @@ class TestFds:
         with pytest.raises(FdsError, match=">= 1"):
             FdsConfig(**settings)
 
+    @pytest.mark.parametrize("settings", [{"avg_kernel": 2.5}, {"avg_kernel": True},
+                                          {"max_kernel": 2.5}, {"max_kernel": True}])
+    def test_kernel_that_is_not_an_integer_rejected(self, settings):
+        """avg_kernel=True pooled with a kernel of 1; 2.5 failed later, in numpy."""
+        with pytest.raises(FdsError, match="integers"):
+            FdsConfig(**settings)
+
 
 class TestFdsBeatsNaive:
     def _received(self, cmap, c_total, psnr, seed):

@@ -9,7 +9,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from semcom import tensor as T
-from semcom.fds import FdsConfig, fds
+from semcom.fds import FdsConfig, FdsError, fds
 from semcom.tensor import NonFiniteError, Tensor, TensorError
 
 from gradcases import build_cases, gradcheck, run_suite
@@ -350,11 +350,14 @@ class TestPool2d:
         assert out.dtype == expect.dtype
         assert np.array_equal(out, expect)
 
-    def test_avg_over_more_than_128_values_bitwise(self):
-        # 13 x 13 = 169 values: numpy splits pairwise sums above 128 terms
-        x = np.random.default_rng(8).normal(size=(1, 2, 20, 17)) * 1e3
-        out = T.pool2d(x[0], 13)
-        assert np.array_equal(out, _window_pool(x, "avg", 13, 1, "same")[0])
+    def test_kernel_above_11_rejected(self):
+        """13 x 13 = 169 values would take more than one block of numpy's
+        pairwise summation (128 values), which pool2d does not add."""
+        with pytest.raises(TensorError, match="at most 11"):
+            T.pool2d(np.ones((1, 20, 17)), 13)
+        with pytest.raises(FdsError, match="at most 11"):
+            FdsConfig(avg_kernel=13)
+        assert np.array_equal(T.pool2d(np.ones((1, 20, 17)), 11), np.ones((1, 20, 17)))
 
     def test_even_or_nonpositive_kernel_rejected(self):
         x = np.ones((1, 4, 4))
@@ -568,6 +571,35 @@ class TestSplitMeetings:
         assert len(workers) == 1 and not workers[0].is_alive()
         assert T._state.half is None
         assert w.grad is None and b.grad is None
+
+    @pytest.mark.parametrize("position", ["weight", "bias"])
+    @pytest.mark.parametrize("kind", ["conv2d", "matmul"])
+    def test_a_parameter_made_in_a_half_raises_in_the_forward(self, kind, position):
+        """Each half's own weight leaf met the other's as its twin: one leaf
+        got the whole batch's gradient and the other none, with no error.
+        The forward raises in both threads and leaves no gradient."""
+        fwd, w, b = _split_layer(kind, 10)
+        made, workers, raised = [], [], []
+
+        def half(k, part):
+            if threading.current_thread() is not threading.main_thread():
+                workers.append(threading.current_thread())
+            own = Tensor((w if position == "weight" else b).data, requires_grad=True)
+            made.append(own)
+            try:
+                out = fwd(part, own, b) if position == "weight" else fwd(part, w, own)
+            except TensorError as e:
+                raised.append(str(e))
+                raise
+            T.sum_(out).backward()
+        with T.split_batch(4) as split:
+            with pytest.raises(TensorError, match=f"{kind}: a half of a split batch shares only"):
+                split.run(half)
+            assert split.slots == {} and split.ready == []
+        assert len(raised) == 2
+        assert len(workers) == 1 and not workers[0].is_alive()
+        assert T._state.half is None
+        assert all(t.grad is None for t in made + [w, b])
 
     @pytest.mark.parametrize("kind", ["conv2d", "matmul"])
     def test_leaf_parameters_get_the_whole_batchs_gradients(self, kind):

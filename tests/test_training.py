@@ -71,7 +71,8 @@ class TestTrainConfig:
         ("learning_rate", float("nan")), ("learning_rate", 0.0), ("learning_rate", float("inf")),
         ("seed", -1), ("seed", 2**64), ("seed", 2.5),
         ("ema_decay", 1.0),
-        ("batch_size", 0),
+        ("batch_size", 0), ("batch_size", 2.5), ("batch_size", True),
+        ("checkpoint_every", 0), ("checkpoint_every", 2.5), ("checkpoint_every", True),
     ])
     def test_refuses_bad_settings(self, name, value):
         with pytest.raises(TrainError, match=name.replace("_", ".")):
